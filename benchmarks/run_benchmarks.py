@@ -7,8 +7,7 @@ batched per-state medians), the PR-5 ``parallel`` section (single-process
 batched compiled vs the sharded multi-process executor at 2/4 workers, pool
 reuse timed separately from cold spawn), the PR-6 ``robustness`` section
 (supervision overhead when healthy, recovery latency under one injected
-worker crash), the PR-7 ``service`` section (routing verdicts, shm vs
-pickle transport), the PR-8 ``vectorized`` section (the array-backed
+worker crash), the PR-7 ``service`` section (routing verdicts), the PR-8 ``vectorized`` section (the array-backed
 kernel vs classic and compiled on output-explosion joins and string-heavy
 encode batches), the PR-9 ``cyclic`` section (batched compiled cyclic
 plans vs the per-call Theorem 6.1 solver on aring/aclique serving
@@ -839,14 +838,11 @@ SERVICE_ROUTING_CASES = (
     ("svc-thin-chain-repeat-pool", "chain", 4, 15, 6, 24, "pool", "serial"),
     ("svc-heavy-chain-distinct", "chain", 5, 40, 12, 200, "distinct", "parallel"),
 )
-SERVICE_TRANSPORT_CASES = (
-    ("svc-shm-chain-distinct", "chain", 5, 40, 12, 200, "distinct"),
-)
 SERVICE_WORKERS = 2
 
 
 def bench_service(repeats: int) -> List[Dict[str, Any]]:
-    """The PR-7 serving layer: routing verdicts and the shm transport.
+    """The PR-7 serving layer: routing verdicts.
 
     Routing rows submit each batch through a warm ``QueryService`` with
     ``backend="auto"`` and record which backend the router picked
@@ -856,14 +852,8 @@ def bench_service(repeats: int) -> List[Dict[str, Any]]:
     The verdict is a function of the calibrated cost model and
     ``workers=2``, not of the host, so it holds on small hosts too; the
     *latency* numbers inherit the usual few-core caveat (``host_cpus``).
-
-    Transport rows time identical batches on one reused executor with
-    ``transport="pickle"`` vs ``transport="shm"``
-    (``shm_speedup_vs_pickle``; per-state shipping volume recorded as
-    ``shm_bytes_per_state``).  Fresh state sets per pass throughout, as
-    established in PR-4.
+    Fresh state sets per pass throughout, as established in PR-4.
     """
-    from repro.engine.parallel import ParallelExecutor
     from repro.engine.service import QueryService
 
     _warn_few_cores("service")
@@ -933,73 +923,6 @@ def bench_service(repeats: int) -> List[Dict[str, Any]]:
                 "routing_matches_expected": decision.backend == expected,
                 "estimated_serial_s": decision.estimated_serial_s,
                 "estimated_parallel_s": decision.estimated_parallel_s,
-            }
-        )
-
-    for case, family, size, tuple_count, domain_size, count, mode in (
-        SERVICE_TRANSPORT_CASES
-    ):
-        schema, target = _serving_schema(family, size)
-        clear_analysis_cache()
-        prepared = analyze(schema).prepare(target)
-
-        def fresh_sets(salt: int) -> List[List[Any]]:
-            return [
-                _serving_states(
-                    schema,
-                    mode,
-                    tuple_count,
-                    domain_size,
-                    count,
-                    salt + 10_000 * (r + 1),
-                )
-                for r in range(repeats)
-            ]
-
-        def timed(fn, state_sets) -> float:
-            times = []
-            for states in state_sets:
-                start = time.perf_counter()
-                fn(states)
-                times.append(time.perf_counter() - start)
-            return statistics.median(times)
-
-        with ParallelExecutor(workers=SERVICE_WORKERS) as executor:
-            # One untimed batch: pool spawn + the workers' plan compile.
-            executor.execute_many(
-                prepared,
-                _serving_states(
-                    schema, mode, tuple_count, domain_size, count, 13_000_000
-                ),
-            )
-            pickle_s = timed(
-                lambda states: executor.execute_many(
-                    prepared, states, transport="pickle"
-                ),
-                fresh_sets(14_000_000),
-            )
-            shm_stats = {}
-
-            def run_shm(states):
-                runs = executor.execute_many(prepared, states, transport="shm")
-                shm_stats["stats"] = runs[0].stats
-
-            shm_s = timed(run_shm, fresh_sets(15_000_000))
-        stats = shm_stats["stats"]
-        rows.append(
-            {
-                "case": case,
-                "family": family,
-                "states": count,
-                "mode": mode,
-                "workers": SERVICE_WORKERS,
-                "host_cpus": host_cpus,
-                "median_s": shm_s / count,
-                "pickle_per_state_s": pickle_s / count,
-                "shm_per_state_s": shm_s / count,
-                "shm_speedup_vs_pickle": (pickle_s / shm_s) if shm_s else None,
-                "shm_segments_per_batch": stats.shm_segments,
-                "shm_bytes_per_state": stats.shm_bytes / count,
             }
         )
     return rows
@@ -1077,12 +1000,18 @@ def bench_vectorized(repeats: int) -> List[Dict[str, Any]]:
     Each row times classic vs compiled vs vectorized on the same fresh
     state sets, fresh plans per pass (see the fairness note above), and
     asserts all three backends return identical results before recording
-    anything.  ``numpy`` stamps whether the real array path ran — without
-    numpy the vectorized backend falls back to the same row program as
-    compiled and the speedup columns read ~1x by construction.
+    anything.  The array kernel needs numpy, so without it the section is
+    skipped; ``numpy`` stamps that the real array path ran.
     """
     from repro.relational.compiled import compile_plan
     from repro.relational.vectorized import numpy_available, vectorize_plan
+
+    if not numpy_available():
+        print(
+            "warning: numpy is not importable; skipping the vectorized section",
+            file=sys.stderr,
+        )
+        return []
 
     host_cpus = os.cpu_count() or 1
     rows: List[Dict[str, Any]] = []

@@ -180,14 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the per-plan cost model, and the routing decision is reported",
     )
     query.add_argument(
-        "--transport",
-        choices=("pickle", "shm"),
-        default=None,
-        help="with --backend parallel or --stream: how states cross the "
-        "process boundary — pickled task arguments or shared-memory "
-        "segments (default: REPRO_PARALLEL_TRANSPORT, else pickle)",
-    )
-    query.add_argument(
         "--max-inflight",
         type=int,
         default=None,
@@ -487,10 +479,9 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
             arguments.shard_timeout is not None
             or arguments.retries is not None
             or arguments.failure_policy is not None
-            or arguments.transport is not None
         ):
             raise SystemExit(
-                "--shard-timeout/--retries/--failure-policy/--transport "
+                "--shard-timeout/--retries/--failure-policy "
                 "require --backend parallel (or --stream)"
             )
 
@@ -504,7 +495,6 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
         runs: List[Any] = [None] * len(states)
         with QueryService(
             workers=arguments.workers,
-            transport=arguments.transport,
             max_inflight_states=arguments.max_inflight,
             shard_timeout=arguments.shard_timeout,
             max_retries=arguments.retries,
@@ -522,7 +512,6 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
         elapsed = time.perf_counter() - start
         stream_info = {
             "routing": streamed.decision.as_dict(),
-            "transport": streamed.transport,
             "shard_count": streamed.shard_count,
             "first_item_s": first_item_s,
         }
@@ -535,7 +524,6 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
             shard_timeout=arguments.shard_timeout,
             max_retries=arguments.retries,
             failure_policy=arguments.failure_policy,
-            transport=arguments.transport,
         )
         elapsed = time.perf_counter() - start
     # Under --failure-policy degrade, quarantined input positions come back
@@ -603,9 +591,6 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
                 "shard_count": parallel_stats.shard_count,
                 "shard_sizes": parallel_stats.shard_sizes,
                 "plan_compiles": parallel_stats.plan_compiles,
-                "transport": parallel_stats.transport,
-                "shm_segments": parallel_stats.shm_segments,
-                "shm_bytes": parallel_stats.shm_bytes,
                 "routed_in_process": parallel_stats.routed_in_process,
                 "per_worker": {
                     str(pid): dict(info)
@@ -662,7 +647,6 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
         )
         print(
             f"stream: routed {routing['backend']} ({routing['rule']}), "
-            f"transport {stream_info['transport']}, "
             f"{stream_info['shard_count']} shard(s), {first_text}"
         )
         if stream_errors:

@@ -53,7 +53,7 @@ from ..relational.relation import Relation, semijoin_key_layout
 from ..relational.yannakakis import YannakakisRun
 from ..treefication.single import treefying_relation
 from ..treeproj.tree_projection import find_tree_projection
-from .prepared import PreparedQuery, resolve_backend, resolve_backend_for
+from .prepared import PreparedQuery, _execute_many, resolve_backend_for
 
 __all__ = [
     "CyclicPreparedQuery",
@@ -402,9 +402,9 @@ class _CyclicPlanAdapter:
     touch — ``execute_state``, ``execute_batch``, ``max_interned_values`` —
     but runs the owner's classic prologue (node materialization + guard
     semijoins) before handing the *derived* state to the inner tree-schema
-    plan.  This is what lets the parallel shard body, the shm fallback path,
-    the in-process executor and the routing prober run a cyclic plan without
-    knowing it is one.
+    plan.  This is what lets the parallel shard body, the in-process
+    executor and the routing prober run a cyclic plan without knowing it is
+    one.
     """
 
     __slots__ = ("_owner", "_plan", "_backend")
@@ -514,8 +514,8 @@ class CyclicPreparedQuery:
     )
 
     #: Marks this plan as cyclic for duck-typed dispatch
-    #: (:meth:`~repro.engine.parallel.PlanSpec.of` and the shm transport
-    #: check this instead of importing the class).
+    #: (:meth:`~repro.engine.parallel.PlanSpec.of` checks this instead of
+    #: importing the class).
     is_cyclic_plan = True
 
     def __init__(
@@ -863,7 +863,6 @@ class CyclicPreparedQuery:
         shard_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         failure_policy: Optional[str] = None,
-        transport: Optional[str] = None,
     ) -> List[YannakakisRun]:
         """Execute the plan against each state, amortizing the planning cost.
 
@@ -873,57 +872,15 @@ class CyclicPreparedQuery:
         dedup of repeated states before the prologue runs), and
         ``backend="parallel"`` ships the plan to the process pool as a cyclic
         :class:`~repro.engine.parallel.PlanSpec` (workers rebuild via
-        ``prepare_cyclic`` and run the same prologue per shard; the shm
-        transport's zero-copy vectorized attach is skipped, since the wire
-        format carries the *original* relations, not the node states).
+        ``prepare_cyclic`` and run the same prologue per shard).
         """
-        resolved = resolve_backend(backend)
-        if executor is not None and backend not in ("parallel", "auto"):
-            raise ValueError("executor= requires backend='parallel' (or 'auto')")
-        if executor is not None or resolved == "parallel":
-            overrides = {}
-            if shard_timeout is not None:
-                overrides["shard_timeout"] = shard_timeout
-            if max_retries is not None:
-                overrides["max_retries"] = max_retries
-            if failure_policy is not None:
-                overrides["failure_policy"] = failure_policy
-            if transport is not None:
-                overrides["transport"] = transport
-            if executor is not None:
-                if workers is not None:
-                    raise ValueError(
-                        "workers= cannot be combined with executor=; the "
-                        "executor's pool width applies"
-                    )
-                return executor.execute_many(self, states, **overrides)
-            state_list = list(states)
-            if not state_list:
-                return []
-            from .parallel import ParallelExecutor, execute_in_process
-            from .routing import RoutingPolicy
-
-            if not overrides and RoutingPolicy().is_degenerate(state_list):
-                return execute_in_process(self, state_list)
-            with ParallelExecutor(workers=workers) as pool:
-                return pool.execute_many(self, state_list, **overrides)
-        if workers is not None:
-            raise ValueError("workers= requires backend='parallel'")
-        if (
-            shard_timeout is not None
-            or max_retries is not None
-            or failure_policy is not None
-            or transport is not None
-        ):
-            raise ValueError(
-                "shard_timeout=/max_retries=/failure_policy=/transport= "
-                "require backend='parallel'; the serial backends run "
-                "in-process"
-            )
-        state_list = states if isinstance(states, list) else list(states)
-        resolved = resolve_backend_for(backend, state_list)
-        if resolved == "vectorized" and len(self._schema) > 0:
-            return self.vectorized.execute_batch(state_list)
-        if resolved == "compiled" and len(self._schema) > 0:
-            return self.compiled.execute_batch(state_list)
-        return [self.execute(state, backend=resolved) for state in state_list]
+        return _execute_many(
+            self,
+            states,
+            backend=backend,
+            workers=workers,
+            executor=executor,
+            shard_timeout=shard_timeout,
+            max_retries=max_retries,
+            failure_policy=failure_policy,
+        )

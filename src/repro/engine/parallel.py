@@ -85,11 +85,9 @@ constructor argument.  Failure semantics are documented end to end in
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import pickle
-import secrets
 import sys
 import time
 from collections import OrderedDict, deque
@@ -102,7 +100,6 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from multiprocessing import shared_memory
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import (
@@ -112,33 +109,24 @@ from ..exceptions import (
     StatePicklingError,
     WorkerCrashError,
 )
-from ..relational.compiled import (
-    DEFAULT_MAX_INTERNED_VALUES,
-    ExecutionStats,
-    shm_decode_state,
-    shm_encode_state,
-)
+from ..relational.compiled import DEFAULT_MAX_INTERNED_VALUES, ExecutionStats
 from ..relational.database import DatabaseState
-from ..relational.vectorized import numpy_available, shm_attach_state
 from ..relational.yannakakis import YannakakisRun
-from ..hypergraph.schema import DatabaseSchema, RelationSchema
+from ..hypergraph.schema import RelationSchema
 from . import faults
 
-# Module-level on purpose: the shard body and the shm attach consult the
-# shape-aware profitability gate on every shard, and ``prepared`` imports
-# this module only lazily, so the import is cycle-free and hoisting it out
-# of the per-shard hot path costs nothing at import time.
-from .prepared import resolve_backend_for, vectorized_batch_profitable
+# Module-level on purpose: the shard body consults the shape-aware
+# profitability gate on every shard, and ``prepared`` imports this module
+# only lazily, so the import is cycle-free and hoisting it out of the
+# per-shard hot path costs nothing at import time.
+from .prepared import resolve_backend, resolve_backend_for
 
 __all__ = [
     "ENV_MAX_RETRIES",
     "ENV_MAX_WORKERS",
     "ENV_SHARD_TIMEOUT",
     "ENV_START_METHOD",
-    "ENV_TRANSPORT",
     "FAILURE_POLICIES",
-    "SHM_NAME_PREFIX",
-    "TRANSPORTS",
     "ParallelExecutor",
     "ParallelStats",
     "PlanSpec",
@@ -148,7 +136,6 @@ __all__ = [
     "resolve_max_retries",
     "resolve_shard_timeout",
     "resolve_start_method",
-    "resolve_transport",
     "resolve_worker_count",
 ]
 
@@ -164,24 +151,8 @@ ENV_SHARD_TIMEOUT = "REPRO_PARALLEL_SHARD_TIMEOUT"
 #: Environment variable holding the default per-shard retry budget.
 ENV_MAX_RETRIES = "REPRO_PARALLEL_MAX_RETRIES"
 
-#: Environment variable holding the default state transport.
-ENV_TRANSPORT = "REPRO_PARALLEL_TRANSPORT"
-
 #: Accepted values for ``failure_policy``.
 FAILURE_POLICIES = ("raise", "degrade")
-
-#: Accepted values for ``transport``: ``pickle`` ships shard states through
-#: the pool's argument pipe; ``shm`` packs them into one
-#: ``multiprocessing.shared_memory`` segment per shard (see the codec notes
-#: in :mod:`repro.relational.compiled`).
-TRANSPORTS = ("pickle", "shm")
-
-#: Name prefix of every shared-memory segment this module creates.  The
-#: leak-check tests (and operators) can audit ``/dev/shm`` for leftovers by
-#: this prefix; cleanup is wired into every executor exit path.
-SHM_NAME_PREFIX = "repro-shm-"
-
-_SHM_COUNTER = itertools.count()
 
 #: Default per-shard retry budget (attempts beyond the first).
 DEFAULT_MAX_RETRIES = 2
@@ -301,19 +272,6 @@ def resolve_failure_policy(policy: str) -> str:
     return policy
 
 
-def resolve_transport(transport: Optional[str]) -> str:
-    """Resolve a state transport: explicit beats :data:`ENV_TRANSPORT` beats
-    ``pickle`` (the conservative default — ``shm`` wins on value-heavy
-    batches but needs a POSIX shared-memory filesystem)."""
-    if transport is None:
-        transport = os.environ.get(ENV_TRANSPORT) or "pickle"
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {', '.join(TRANSPORTS)}, got {transport!r}"
-        )
-    return transport
-
-
 @dataclass(frozen=True)
 class PlanSpec:
     """The picklable identity of a prepared query.
@@ -349,17 +307,14 @@ class PlanSpec:
     serial_backend: str = "compiled"
     #: True when the spec identifies a cyclic plan
     #: (:class:`~repro.engine.cyclic.CyclicPreparedQuery`): workers rebuild
-    #: through ``prepare_cyclic`` (treefication prologue + inner tree plan)
-    #: and the shm transport's zero-copy vectorized attach is skipped — the
-    #: wire carries the *original* relations, while the vectorized plan runs
-    #: over the projection's node schema.
+    #: through ``prepare_cyclic`` (treefication prologue + inner tree plan).
     cyclic: bool = False
 
     @classmethod
     def of(cls, prepared) -> "PlanSpec":
         """The spec of a :class:`~repro.engine.prepared.PreparedQuery`
         (normally reached through ``prepared.plan_spec()``)."""
-        serial = _default_serial_backend()
+        serial = resolve_backend("auto")
         # Carry the interner cap of the serial plan the workers will run;
         # when only the *other* serial plan is resident (a caller configured
         # prepared.compiled directly, say), its cap still describes the
@@ -396,13 +351,6 @@ class PlanSpec:
 
 
 # -- worker side ---------------------------------------------------------------
-
-
-def _default_serial_backend() -> str:
-    """The serial kernel ``backend="auto"`` resolves to in this process
-    (mirrors :func:`repro.engine.prepared.resolve_backend`, without the
-    import cycle: ``prepared`` imports this module lazily)."""
-    return "vectorized" if numpy_available() else "compiled"
 
 
 def _serial_plan(prepared, serial_backend: str):
@@ -482,10 +430,10 @@ def _plan_for_spec(spec: PlanSpec) -> Tuple[Any, int]:
     return prepared, compiled_now
 
 
-def _run_shard(
+def _execute_shard(
     spec: PlanSpec, states: Tuple[DatabaseState, ...]
 ) -> Tuple[int, int, List[YannakakisRun], ExecutionStats]:
-    """Shared worker body: execute one shard against the cached plan.
+    """Worker entry point: execute one shard against the cached plan.
 
     Returns ``(pid, plans_compiled, runs, shard_stats)``; runs are decoded
     (plain-value relations) before pickling back, so worker-local interner
@@ -507,144 +455,6 @@ def _run_shard(
             faults.check_state(state)
         runs.append(plan.execute_state(state, stats=stats))
     return os.getpid(), compiled_now, runs, stats
-
-
-def _execute_shard(
-    spec: PlanSpec, states: Tuple[DatabaseState, ...]
-) -> Tuple[int, int, List[YannakakisRun], ExecutionStats]:
-    """Worker entry point for the pickle transport (states arrive as args)."""
-    return _run_shard(spec, states)
-
-
-def _execute_shard_shm(
-    spec: PlanSpec, segment_name: str, extents: Tuple[Tuple[int, int], ...]
-) -> Tuple[int, int, List[YannakakisRun], ExecutionStats]:
-    """Worker entry point for the shm transport.
-
-    Attaches the parent's segment by name, decodes one state per
-    ``(offset, length)`` extent through the value-level codec
-    (:func:`repro.relational.compiled.shm_decode_state`), detaches, and runs
-    the shared shard body.  The attach must *not* register with the resource
-    tracker: on CPython < 3.13 attaching registers the segment (there is no
-    ``track=False`` yet), and under the fork start method the worker shares
-    the parent's tracker process — a worker-side registration/unregistration
-    would race the parent's ``unlink`` into double-UNREGISTER tracebacks,
-    while under spawn the worker's own tracker would try to unlink a segment
-    it does not own at worker exit.  Registration is therefore suppressed
-    for the duration of the attach (workers run tasks serially, so the
-    temporary patch cannot leak into another attach).  The parent is the
-    sole owner of segment lifetime — workers never unlink.
-    """
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        segment = shared_memory.SharedMemory(name=segment_name)
-    finally:
-        resource_tracker.register = original_register
-    try:
-        schema = DatabaseSchema(spec.relations)
-        buf = segment.buf
-        if (
-            spec.serial_backend == "vectorized"
-            and spec.relations
-            and not spec.cyclic
-            and numpy_available()
-            and not faults.any_active()
-        ):
-            attached = _attach_shard_vectorized(spec, buf, extents)
-            if attached is not None:
-                return attached
-        states = []
-        for offset, length in extents:
-            chunk = buf[offset : offset + length]
-            try:
-                states.append(shm_decode_state(schema, chunk))
-            finally:
-                # Decode copies everything out, so the exported view can be
-                # dropped eagerly — close() below would otherwise raise
-                # BufferError over a still-exported buffer.
-                chunk.release()
-    finally:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
-    return _run_shard(spec, tuple(states))
-
-
-def _attach_shard_vectorized(
-    spec: PlanSpec, buf, extents: Tuple[Tuple[int, int], ...]
-) -> Optional[Tuple[int, int, List[YannakakisRun], ExecutionStats]]:
-    """Zero-copy shm fast path: feed the wire's raw-int64 blocks straight
-    into vectorized encodings, skipping value decode + re-encode entirely.
-
-    Returns ``None`` — and the caller falls back to the value-level decode
-    path — when any state carries a non-INT64 block or the plan has
-    dictionary-mode attributes (:func:`shm_attach_state` refuses both).
-    States never materialize as :class:`DatabaseState` here, so the
-    fault-injection hooks cannot see them; the caller therefore only takes
-    this path when no faults are armed.  Encode-side stats count each
-    attached slot as an encode (the wire block *is* the encoding); the
-    worker's slot cache is bypassed, so repeated relations across a shard's
-    states count as encodes rather than cache hits.
-    """
-    prepared, compiled_now = _plan_for_spec(spec)
-    plan = prepared.vectorized
-    vstates = []
-    for offset, length in extents:
-        chunk = buf[offset : offset + length]
-        try:
-            vstate = shm_attach_state(plan, chunk)
-        finally:
-            try:
-                chunk.release()
-            except BufferError:  # pragma: no cover - defensive
-                pass
-        if vstate is None:
-            return None
-        vstates.append(vstate)
-    if vstates:
-        total = sum(
-            sum(encoding.n for encoding in vstate.encodings)
-            for vstate in vstates
-        )
-        if not vectorized_batch_profitable(
-            len(vstates), total, len(spec.relations)
-        ):
-            # Unprofitable shard (tiny states, or a wide schema of many
-            # small relations): the array kernel's per-join toll outweighs
-            # the zero-copy attach; let the caller decode values and run the
-            # gated shard body (which will pick compiled).
-            return None
-    stats = ExecutionStats()
-    runs = []
-    for vstate in vstates:
-        stats.states += 1
-        stats.encoded_slots += len(spec.relations)
-        runs.append(plan.execute(vstate, stats=stats))
-    return os.getpid(), compiled_now, runs, stats
-
-
-def _destroy_segment(segment: "shared_memory.SharedMemory") -> None:
-    """Detach and unlink a parent-owned segment, surviving every race.
-
-    ``close`` can raise ``BufferError`` if a view is still exported and
-    ``unlink`` raises ``FileNotFoundError`` if the segment is already gone
-    (double-release on overlapping cleanup paths); both are safe to ignore
-    because the only goal is "no file left under /dev/shm afterwards".
-    """
-    try:
-        segment.close()
-    except Exception:  # pragma: no cover - defensive
-        pass
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
-    except Exception:  # pragma: no cover - defensive
-        pass
 
 
 def _warmup() -> int:
@@ -722,9 +532,6 @@ class ParallelStats(ExecutionStats):
         "quarantined",
         "quarantine_causes",
         "worker_crashes",
-        "transport",
-        "shm_segments",
-        "shm_bytes",
         "routed_in_process",
     )
 
@@ -749,13 +556,6 @@ class ParallelStats(ExecutionStats):
         #: streaming service can surface typed error items).
         self.quarantine_causes: Dict[int, BaseException] = {}
         self.worker_crashes: Dict[int, int] = {}
-        #: State transport the batch used: ``pickle``, ``shm``, or ``none``
-        #: (batch routed in-process without touching the pool).
-        self.transport = "pickle"
-        #: Shared-memory segments created for the batch (shm transport only).
-        self.shm_segments = 0
-        #: Total payload bytes shipped through shared memory.
-        self.shm_bytes = 0
         #: States served on the in-process compiled backend because routing
         #: classified the batch as degenerate (no pool was spawned for them).
         self.routed_in_process = 0
@@ -890,7 +690,6 @@ class ParallelExecutor:
         failure_policy: str = "raise",
         max_respawns: Optional[int] = None,
         retry_backoff: Optional[float] = None,
-        transport: Optional[str] = None,
     ) -> None:
         self._workers = resolve_worker_count(workers)
         self._start_method = resolve_start_method(start_method)
@@ -905,7 +704,6 @@ class ParallelExecutor:
         self._shard_timeout = resolve_shard_timeout(shard_timeout)
         self._max_retries = resolve_max_retries(max_retries)
         self._failure_policy = resolve_failure_policy(failure_policy)
-        self._transport = resolve_transport(transport)
         respawns = DEFAULT_MAX_RESPAWNS if max_respawns is None else max_respawns
         if respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {respawns}")
@@ -917,10 +715,6 @@ class ParallelExecutor:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
         self._restarts = 0
-        #: Live shm segments keyed by the future whose shard reads them.
-        #: Every exit path — normal harvest, respawn, timeout kill, close —
-        #: drains this map, so a BrokenProcessPool can never leak /dev/shm.
-        self._segments: Dict[Future, shared_memory.SharedMemory] = {}
         #: Stats of the most recent completed :meth:`execute_many` batch.
         #: Callers that serialize batches (the executor is not thread-safe)
         #: read quarantine causes here even when a degraded batch returned
@@ -986,52 +780,15 @@ class ParallelExecutor:
             future.result()
         return self._workers
 
-    # -- shm segment lifetime --------------------------------------------------
-
-    def _create_segment(self, nbytes: int) -> "shared_memory.SharedMemory":
-        """Create a parent-owned shm segment with a collision-proof name.
-
-        Named explicitly (pid + counter + random token) rather than letting
-        the stdlib pick, so leak-check tests can find strays by the
-        ``repro-shm-`` prefix and operators can attribute /dev/shm entries
-        to a process.
-        """
-        while True:
-            name = (
-                f"{SHM_NAME_PREFIX}{os.getpid()}-"
-                f"{next(_SHM_COUNTER)}-{secrets.token_hex(4)}"
-            )
-            try:
-                return shared_memory.SharedMemory(
-                    name=name, create=True, size=max(1, nbytes)
-                )
-            except FileExistsError:  # pragma: no cover - 32-bit token collision
-                continue
-
-    def _release_segment(self, future: Future) -> None:
-        """Unlink the segment backing one harvested future, if any."""
-        segment = self._segments.pop(future, None)
-        if segment is not None:
-            _destroy_segment(segment)
-
-    def _release_all_segments(self) -> None:
-        """Unlink every live segment (respawn, close, and error backstop)."""
-        segments, self._segments = self._segments, {}
-        for segment in segments.values():
-            _destroy_segment(segment)
-
     def _kill_pool(self) -> None:
         """Tear the current pool down hard, surviving a broken one.
 
         Hung or dead workers are terminated directly (``shutdown`` alone
         would block behind a sleeping worker); every error is swallowed
         because the pool being un-shutdown-ably broken is exactly the case
-        this path exists for.  Live shm segments go with the pool: the
-        futures that were reading them are dead, and resubmission writes
-        fresh segments.
+        this path exists for.
         """
         pool, self._pool = self._pool, None
-        self._release_all_segments()
         if pool is None:
             return
         processes = getattr(pool, "_processes", None) or {}
@@ -1050,8 +807,7 @@ class ParallelExecutor:
 
         Safe on a broken pool: shutdown errors from already-dead workers are
         swallowed, so ``close()``/``__exit__`` never raise over a crash that
-        execution already reported.  Any shm segments still tracked (possible
-        only if a batch aborted mid-flight) are unlinked here.
+        execution already reported.
         """
         self._closed = True
         pool, self._pool = self._pool, None
@@ -1060,7 +816,6 @@ class ParallelExecutor:
                 pool.shutdown(wait=True)
             except Exception:
                 pass
-        self._release_all_segments()
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -1086,7 +841,6 @@ class ParallelExecutor:
         shard_timeout: Any = _UNSET,
         max_retries: Any = _UNSET,
         failure_policy: Any = _UNSET,
-        transport: Any = _UNSET,
     ) -> List[Optional[YannakakisRun]]:
         """Execute a prepared query against every state across the pool.
 
@@ -1095,13 +849,6 @@ class ParallelExecutor:
         verbatim duplicate states are executed once and share a run.  Every
         returned run reports ``backend="parallel"`` and carries one shared
         :class:`ParallelStats` for the batch.
-
-        ``transport`` picks how states cross the process boundary for this
-        batch: ``"pickle"`` ships them as task arguments, ``"shm"`` writes
-        the value-level columnar encoding into one
-        ``multiprocessing.shared_memory`` segment per shard and ships only
-        ``(segment_name, extents)``.  Results always return over the pickle
-        channel — only the (much larger) input states ride shared memory.
 
         The keyword arguments override the executor-wide defaults for this
         batch.  Under ``failure_policy="degrade"`` the returned list holds
@@ -1131,11 +878,6 @@ class ParallelExecutor:
             if failure_policy is self._UNSET
             else resolve_failure_policy(failure_policy)
         )
-        wire = (
-            self._transport
-            if transport is self._UNSET
-            else resolve_transport(transport)
-        )
 
         # Verbatim-duplicate dedup (mirrors CompiledPlan.execute_batch):
         # duplicate requests ride along for free and never cross the wire
@@ -1159,7 +901,6 @@ class ParallelExecutor:
 
         stats = ParallelStats(self._workers)
         stats.failure_policy = policy
-        stats.transport = wire
         unique_runs: List[Optional[YannakakisRun]] = [None] * len(unique_states)
         quarantine: Dict[int, BaseException] = {}
         #: First input position per unique state, for human-facing attribution.
@@ -1290,165 +1031,112 @@ class ParallelExecutor:
             stats.respawns += 1
             return self._ensure_pool()
 
-        def submit_task(
-            pool: ProcessPoolExecutor, task: _ShardTask
-        ) -> Optional[Future]:
-            """Submit one shard over the selected transport.
-
-            Returns ``None`` when the shard could not even be *encoded* for
-            the shm transport (an unpicklable state fails synchronously in
-            the parent, unlike the pickle transport where the same failure
-            surfaces lazily from the submission) — the task has already been
-            routed onward through ``fail_task``.  Pool-level submission
-            errors propagate to the caller exactly as before.
-            """
-            if wire != "shm":
-                return pool.submit(
-                    _execute_shard,
-                    spec,
-                    tuple(unique_states[index] for index in task.indices),
-                )
-            try:
-                blobs = [
-                    shm_encode_state(unique_states[index]) for index in task.indices
-                ]
-            except Exception as error:
-                fail_task(task, error)
-                return None
-            extents: List[Tuple[int, int]] = []
-            offset = 0
-            for blob in blobs:
-                extents.append((offset, len(blob)))
-                offset += len(blob)
-            segment = self._create_segment(offset)
-            try:
-                position = 0
-                for blob in blobs:
-                    segment.buf[position : position + len(blob)] = blob
-                    position += len(blob)
-                future = pool.submit(
-                    _execute_shard_shm, spec, segment.name, tuple(extents)
-                )
-            except BaseException:
-                _destroy_segment(segment)
-                raise
-            self._segments[future] = segment
-            stats.shm_segments += 1
-            stats.shm_bytes += offset
-            return future
-
         pool = self._ensure_pool()
-        try:
-            while tasks or inflight:
-                # -- dispatch --------------------------------------------------
-                submit_failure: Optional[BaseException] = None
-                while tasks and (
-                    max_inflight is None or len(inflight) < max_inflight
-                ):
-                    task = tasks.popleft()
-                    if not task.indices:
-                        continue
-                    try:
-                        future = submit_task(pool, task)
-                    except BrokenExecutor as error:
-                        tasks.appendleft(task)
-                        submit_failure = error
-                        break
-                    except RuntimeError as error:
-                        # A pool shut down underneath us (closed concurrently).
-                        tasks.appendleft(task)
-                        raise ExecutionError(
-                            f"pool rejected shard submission: {error}"
-                        ) from error
-                    if future is None:
-                        continue
-                    inflight[future] = task
-                    if timeout is not None:
-                        deadlines[future] = time.monotonic() + timeout
-                if submit_failure is not None:
-                    lost = list(inflight.values())
-                    inflight.clear()
-                    deadlines.clear()
-                    pool = respawn(submit_failure)
-                    for task in lost:
-                        fail_task(task, submit_failure, pessimistic=True)
+        while tasks or inflight:
+            # -- dispatch ------------------------------------------------------
+            submit_failure: Optional[BaseException] = None
+            while tasks and (
+                max_inflight is None or len(inflight) < max_inflight
+            ):
+                task = tasks.popleft()
+                if not task.indices:
                     continue
-                if not inflight:
-                    continue
-
-                # -- harvest ---------------------------------------------------
-                wait_timeout = None
-                if deadlines:
-                    wait_timeout = max(
-                        0.0, min(deadlines.values()) - time.monotonic()
+                try:
+                    future = pool.submit(
+                        _execute_shard,
+                        spec,
+                        tuple(unique_states[index] for index in task.indices),
                     )
-                done, _ = wait(
-                    set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
+                except BrokenExecutor as error:
+                    tasks.appendleft(task)
+                    submit_failure = error
+                    break
+                except RuntimeError as error:
+                    # A pool shut down underneath us (closed concurrently).
+                    tasks.appendleft(task)
+                    raise ExecutionError(
+                        f"pool rejected shard submission: {error}"
+                    ) from error
+                inflight[future] = task
+                if timeout is not None:
+                    deadlines[future] = time.monotonic() + timeout
+            if submit_failure is not None:
+                lost = list(inflight.values())
+                inflight.clear()
+                deadlines.clear()
+                pool = respawn(submit_failure)
+                for task in lost:
+                    fail_task(task, submit_failure, pessimistic=True)
+                continue
+            if not inflight:
+                continue
+
+            # -- harvest -------------------------------------------------------
+            wait_timeout = None
+            if deadlines:
+                wait_timeout = max(
+                    0.0, min(deadlines.values()) - time.monotonic()
                 )
-                breakage: Optional[BaseException] = None
-                broken_tasks: List[_ShardTask] = []
-                for future in done:
-                    task = inflight.pop(future)
-                    deadlines.pop(future, None)
-                    self._release_segment(future)
-                    try:
-                        pid, compiled_now, runs, shard_stats = future.result()
-                    except BrokenExecutor as error:
-                        breakage = error
-                        broken_tasks.append(task)
-                    except Exception as error:
-                        fail_task(task, error)
-                    else:
-                        stats.record_shard(
-                            pid, compiled_now, len(task.indices), shard_stats
-                        )
-                        for index, run in zip(task.indices, runs):
-                            unique_runs[index] = run
-                if breakage is not None:
-                    # The pool is dead: every other in-flight future is doomed
-                    # too.  Reclaim them all; attribution is pessimistic (see
-                    # the module docstring) but never wrong.
-                    broken_tasks.extend(inflight.values())
+            done, _ = wait(
+                set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
+            )
+            breakage: Optional[BaseException] = None
+            broken_tasks: List[_ShardTask] = []
+            for future in done:
+                task = inflight.pop(future)
+                deadlines.pop(future, None)
+                try:
+                    pid, compiled_now, runs, shard_stats = future.result()
+                except BrokenExecutor as error:
+                    breakage = error
+                    broken_tasks.append(task)
+                except Exception as error:
+                    fail_task(task, error)
+                else:
+                    stats.record_shard(
+                        pid, compiled_now, len(task.indices), shard_stats
+                    )
+                    for index, run in zip(task.indices, runs):
+                        unique_runs[index] = run
+            if breakage is not None:
+                # The pool is dead: every other in-flight future is doomed
+                # too.  Reclaim them all; attribution is pessimistic (see
+                # the module docstring) but never wrong.
+                broken_tasks.extend(inflight.values())
+                inflight.clear()
+                deadlines.clear()
+                pool = respawn(breakage)
+                for task in broken_tasks:
+                    fail_task(task, breakage, pessimistic=True)
+                continue
+
+            # -- timeout scan --------------------------------------------------
+            if deadlines:
+                now = time.monotonic()
+                overdue = [
+                    future
+                    for future, deadline in deadlines.items()
+                    if deadline <= now
+                ]
+                if overdue:
+                    overdue_tasks = [inflight[future] for future in overdue]
+                    innocent = [
+                        inflight[future]
+                        for future in inflight
+                        if future not in set(overdue)
+                    ]
                     inflight.clear()
                     deadlines.clear()
-                    pool = respawn(breakage)
-                    for task in broken_tasks:
-                        fail_task(task, breakage, pessimistic=True)
-                    continue
-
-                # -- timeout scan ----------------------------------------------
-                if deadlines:
-                    now = time.monotonic()
-                    overdue = [
-                        future
-                        for future, deadline in deadlines.items()
-                        if deadline <= now
-                    ]
-                    if overdue:
-                        overdue_tasks = [inflight[future] for future in overdue]
-                        innocent = [
-                            inflight[future]
-                            for future in inflight
-                            if future not in set(overdue)
-                        ]
-                        inflight.clear()
-                        deadlines.clear()
-                        hang = ShardTimeoutError(
-                            f"shard exceeded shard_timeout={timeout:g}s; "
-                            f"worker killed"
-                        )
-                        pool = respawn(hang)
-                        for task in overdue_tasks:
-                            fail_task(task, hang, timed_out=True)
-                        # We killed the innocents ourselves — resubmit without
-                        # charging an attempt.
-                        tasks.extend(innocent)
-        finally:
-            # Backstop for every abnormal exit (spec-level pickling raise,
-            # concurrent close, respawn-budget exhaustion): the segments of
-            # doomed futures must not outlive the batch.  On the normal path
-            # this is a no-op — every segment was released at harvest.
-            self._release_all_segments()
+                    hang = ShardTimeoutError(
+                        f"shard exceeded shard_timeout={timeout:g}s; "
+                        f"worker killed"
+                    )
+                    pool = respawn(hang)
+                    for task in overdue_tasks:
+                        fail_task(task, hang, timed_out=True)
+                    # We killed the innocents ourselves — resubmit without
+                    # charging an attempt.
+                    tasks.extend(innocent)
 
         stats.deduped_states += len(state_list) - len(unique_states)
 
@@ -1498,8 +1186,8 @@ def execute_in_process(prepared, states: Iterable[DatabaseState]) -> List[Yannak
     states — where spawning worker processes costs orders of magnitude more
     than just executing.  Results are indistinguishable from a real pool
     run: input order, duplicate dedup, ``backend="parallel"`` retagging, one
-    shared :class:`ParallelStats` whose ``workers=0`` / ``transport="none"``
-    / ``routed_in_process`` fields record that no pool was involved.  The
+    shared :class:`ParallelStats` whose ``workers=0`` / ``routed_in_process``
+    fields record that no pool was involved.  The
     serial kernel is the one ``backend="auto"`` resolves to for this batch
     (vectorized when numpy imports and the states are big enough to amortize
     the array toll), matching what the pool's workers would have run.
@@ -1509,10 +1197,7 @@ def execute_in_process(prepared, states: Iterable[DatabaseState]) -> List[Yannak
         return []
     unique_runs: Dict[DatabaseState, YannakakisRun] = {}
     stats = ParallelStats(0)
-    stats.transport = "none"
-    plan = _serial_plan(
-        prepared, _shard_backend(_default_serial_backend(), state_list)
-    )
+    plan = _serial_plan(prepared, resolve_backend_for("auto", state_list))
     for state in state_list:
         if state not in unique_runs:
             unique_runs[state] = plan.execute_state(state, stats=stats)

@@ -59,21 +59,24 @@ def resolve_backend(backend: str) -> str:
 
     With numpy importable that is the array-backed vectorized kernel of
     :mod:`repro.relational.vectorized`; without it, the compiled
-    interned-value backend (the vectorized row-program fallback adds
-    indirection over the same step program, so ``auto`` does not pay for
-    it).  Both compute exactly what the classic object-tuple operators
-    compute — the equivalence suites hold on every exposed entry point —
-    so ``auto`` always takes a fast path; ``classic`` remains available as
-    the oracle and for A/B timing.  ``parallel`` (the sharded process-pool
-    layer of :mod:`repro.engine.parallel`) resolves to itself — it batches
-    states across workers and is therefore accepted only by
+    interned-value backend — and an explicit ``"vectorized"`` request maps
+    to compiled too, since the array kernel needs numpy.  Both compute
+    exactly what the classic object-tuple operators compute — the
+    equivalence suites hold on every exposed entry point — so ``auto``
+    always takes a fast path; ``classic`` remains available as the oracle
+    and for A/B timing.  ``parallel`` (the sharded process-pool layer of
+    :mod:`repro.engine.parallel`) resolves to itself — it batches states
+    across workers and is therefore accepted only by
     :meth:`PreparedQuery.execute_many`.
+
+    This is the one place the serial-backend default is decided; the
+    parallel layer's plan specs and in-process routing call it too.
     """
     if backend not in _BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {', '.join(_BACKENDS)}"
         )
-    if backend == "auto":
+    if backend in ("auto", "vectorized"):
         return "vectorized" if numpy_available() else "compiled"
     return backend
 
@@ -125,9 +128,8 @@ def vectorized_batch_profitable(
     ``(relation_count − VECTORIZED_NARROW_RELATIONS)`` (wide schemas of
     many small relations lose to the per-join array-setup toll even when
     total rows look large; narrow schemas are floor-only).  This single
-    predicate backs the serial seam (:func:`resolve_backend_for`), the
-    parallel shard downgrade and the shm zero-copy attach, so the three
-    routing points cannot drift.
+    predicate backs the serial seam (:func:`resolve_backend_for`) and the
+    parallel shard downgrade, so the two routing points cannot drift.
     """
     if state_count <= 0:
         return False
@@ -394,9 +396,9 @@ class PreparedQuery:
         """The array-backed vectorized plan, built lazily and cached.
 
         Like :attr:`compiled`, the plan owns its interner and per-slot
-        encoding cache, shared by every state this query executes.  It is
-        built against the numpy kernel when numpy imports and against the
-        stdlib ``array`` row-program fallback otherwise; see
+        encoding cache, shared by every state this query executes.  It
+        requires numpy (``ImportError`` otherwise — the ``auto`` and
+        ``vectorized`` backend names route to :attr:`compiled` instead); see
         :mod:`repro.relational.vectorized`.
         """
         plan = self._vectorized
@@ -558,7 +560,6 @@ class PreparedQuery:
         shard_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         failure_policy: Optional[str] = None,
-        transport: Optional[str] = None,
     ) -> List[YannakakisRun]:
         """Execute the plan against each state, amortizing the planning cost.
 
@@ -568,8 +569,7 @@ class PreparedQuery:
         otherwise) this is a true batch: all states share the plan's
         interning dictionaries and per-slot encoding cache, so a slot whose
         rows repeat across states is encoded — and its key indexes built —
-        once for the whole batch.  The
-        returned runs all carry one shared
+        once for the whole batch.  The returned runs all carry one shared
         :class:`~repro.relational.compiled.ExecutionStats` describing the
         batch; with ``backend="classic"`` each state is executed
         independently by the object-tuple operators.
@@ -589,11 +589,10 @@ class PreparedQuery:
         The robustness knobs — ``shard_timeout`` (seconds per shard attempt),
         ``max_retries`` (resubmissions before bisection) and
         ``failure_policy`` (``"raise"`` or ``"degrade"``) — apply to parallel
-        execution only and are rejected for the serial backends, as is
-        ``transport`` (``"pickle"`` or ``"shm"``), which picks how states
-        cross the process boundary.  When an ``executor`` is supplied they
-        override its configured defaults for this batch; left ``None``, the
-        executor's (or the environment's) defaults apply.  Under
+        execution only and are rejected for the serial backends.  When an
+        ``executor`` is supplied they override its configured defaults for
+        this batch; left ``None``, the executor's (or the environment's)
+        defaults apply.  Under
         ``failure_policy="degrade"`` the returned list contains ``None`` at
         quarantined input positions; see :mod:`repro.engine.parallel` and
         ``docs/robustness.md``.
@@ -605,65 +604,88 @@ class PreparedQuery:
         paying a pool spawn that would dwarf the work.  Pass an ``executor``
         to pin execution to a real pool unconditionally.
         """
-        resolved = resolve_backend(backend)
-        # Validate the *raw* backend string: "auto" may opt into the pool an
-        # executor provides, but an explicit "compiled"/"classic" request
-        # must not be silently upgraded to parallel execution.
-        if executor is not None and backend not in ("parallel", "auto"):
-            raise ValueError("executor= requires backend='parallel' (or 'auto')")
-        if executor is not None or resolved == "parallel":
-            overrides = {}
-            if shard_timeout is not None:
-                overrides["shard_timeout"] = shard_timeout
-            if max_retries is not None:
-                overrides["max_retries"] = max_retries
-            if failure_policy is not None:
-                overrides["failure_policy"] = failure_policy
-            if transport is not None:
-                overrides["transport"] = transport
-            if executor is not None:
-                if workers is not None:
-                    raise ValueError(
-                        "workers= cannot be combined with executor=; the "
-                        "executor's pool width applies"
-                    )
-                return executor.execute_many(self, states, **overrides)
-            state_list = list(states)
-            if not state_list:
-                # An empty batch must not spawn a pool (or even import the
-                # parallel machinery) just to discover there is no work.
-                return []
-            from .parallel import ParallelExecutor, execute_in_process
-            from .routing import RoutingPolicy
+        return _execute_many(
+            self,
+            states,
+            backend=backend,
+            workers=workers,
+            executor=executor,
+            shard_timeout=shard_timeout,
+            max_retries=max_retries,
+            failure_policy=failure_policy,
+        )
 
-            # Robustness overrides pin the batch to a real pool: the
-            # in-process shortcut could honor neither shard_timeout (no
-            # supervisor above the serving process) nor degrade-mode
-            # quarantine semantics.
-            if (
-                not overrides
-                and RoutingPolicy().is_degenerate(state_list)
-            ):
-                return execute_in_process(self, state_list)
-            with ParallelExecutor(workers=workers) as pool:
-                return pool.execute_many(self, state_list, **overrides)
-        if workers is not None:
-            raise ValueError("workers= requires backend='parallel'")
-        if (
-            shard_timeout is not None
-            or max_retries is not None
-            or failure_policy is not None
-            or transport is not None
-        ):
-            raise ValueError(
-                "shard_timeout=/max_retries=/failure_policy=/transport= "
-                "require backend='parallel'; the serial backends run "
-                "in-process"
-            )
-        state_list = states if isinstance(states, list) else list(states)
-        resolved = resolve_backend_for(backend, state_list)
-        if resolved == "vectorized" and len(self._schema) > 0:
-            return self.vectorized.execute_batch(state_list)
-        if resolved == "compiled" and len(self._schema) > 0:
-            return self.compiled.execute_batch(state_list)
-        return [self.execute(state, backend=resolved) for state in state_list]
+
+def _execute_many(
+    query,
+    states: Iterable[DatabaseState],
+    *,
+    backend: str,
+    workers: Optional[int],
+    executor: Optional[object],
+    shard_timeout: Optional[float],
+    max_retries: Optional[int],
+    failure_policy: Optional[str],
+) -> List[YannakakisRun]:
+    """The batch entry shared by :meth:`PreparedQuery.execute_many` and
+    :meth:`~repro.engine.cyclic.CyclicPreparedQuery.execute_many`.
+
+    ``query`` is either plan class; both expose ``execute``, ``compiled``,
+    ``vectorized``, ``plan_spec`` and ``_schema``, which is all the serial
+    and parallel dispatch below touches.
+    """
+    resolved = resolve_backend(backend)
+    # Validate the *raw* backend string: "auto" may opt into the pool an
+    # executor provides, but an explicit "compiled"/"classic" request
+    # must not be silently upgraded to parallel execution.
+    if executor is not None and backend not in ("parallel", "auto"):
+        raise ValueError("executor= requires backend='parallel' (or 'auto')")
+    if executor is not None or resolved == "parallel":
+        overrides = {}
+        if shard_timeout is not None:
+            overrides["shard_timeout"] = shard_timeout
+        if max_retries is not None:
+            overrides["max_retries"] = max_retries
+        if failure_policy is not None:
+            overrides["failure_policy"] = failure_policy
+        if executor is not None:
+            if workers is not None:
+                raise ValueError(
+                    "workers= cannot be combined with executor=; the "
+                    "executor's pool width applies"
+                )
+            return executor.execute_many(query, states, **overrides)
+        state_list = list(states)
+        if not state_list:
+            # An empty batch must not spawn a pool (or even import the
+            # parallel machinery) just to discover there is no work.
+            return []
+        from .parallel import ParallelExecutor, execute_in_process
+        from .routing import RoutingPolicy
+
+        # Robustness overrides pin the batch to a real pool: the
+        # in-process shortcut could honor neither shard_timeout (no
+        # supervisor above the serving process) nor degrade-mode
+        # quarantine semantics.
+        if not overrides and RoutingPolicy().is_degenerate(state_list):
+            return execute_in_process(query, state_list)
+        with ParallelExecutor(workers=workers) as pool:
+            return pool.execute_many(query, state_list, **overrides)
+    if workers is not None:
+        raise ValueError("workers= requires backend='parallel'")
+    if (
+        shard_timeout is not None
+        or max_retries is not None
+        or failure_policy is not None
+    ):
+        raise ValueError(
+            "shard_timeout=/max_retries=/failure_policy= require "
+            "backend='parallel'; the serial backends run in-process"
+        )
+    state_list = states if isinstance(states, list) else list(states)
+    resolved = resolve_backend_for(backend, state_list)
+    if resolved == "vectorized" and len(query._schema) > 0:
+        return query.vectorized.execute_batch(state_list)
+    if resolved == "compiled" and len(query._schema) > 0:
+        return query.compiled.execute_batch(state_list)
+    return [query.execute(state, backend=resolved) for state in state_list]

@@ -72,7 +72,7 @@ DEFAULT_PROBE_STATES = 3
 
 #: Cross-process cost charged per unique state: dispatch pickling, result
 #: unpickling and reassembly.  Seeded from the PR-5 measurement (~86 µs per
-#: msmall state over the pickle transport).
+#: msmall state pickled to a worker and back).
 DEFAULT_DISPATCH_PER_STATE_S = 86e-6
 
 #: Fixed per-batch cost of the supervised dispatch loop (sharding, submit,

@@ -25,10 +25,7 @@ Three ideas compose here:
 * **Worker affinity.**  Parallel batches run on *spec-pinned* executors: one
   :class:`~repro.engine.parallel.ParallelExecutor` per plan spec (bounded
   LRU of ``max_pinned_pools``), so a (worker, spec) pair keeps its interner
-  epoch and compiled-plan cache warm across batches.  Pinned pools inherit
-  the service's ``transport`` — with ``transport="shm"`` state payloads
-  cross the process boundary through ``multiprocessing.shared_memory``
-  segments instead of pickle.
+  epoch and compiled-plan cache warm across batches.
 
 :meth:`QueryService.stream` is the streaming API: it splits a batch into
 cost-balanced shards and yields :class:`StreamItem` results *as each shard
@@ -63,7 +60,6 @@ from .parallel import (
     execute_in_process,
     plan_shards,
     resolve_failure_policy,
-    resolve_transport,
     resolve_worker_count,
 )
 from .prepared import resolve_backend
@@ -94,7 +90,7 @@ DEFAULT_STREAM_SHARDS_PER_WORKER = 2
 _DISPATCH_THREADS = 8
 
 #: Fixed per-tuple estimate used by admission byte accounting: eight bytes
-#: per value (the int64 shm encoding) plus per-row container overhead.
+#: per value (one int64) plus per-row container overhead.
 _BYTES_PER_VALUE = 8
 _BYTES_PER_ROW_OVERHEAD = 16
 _BYTES_PER_STATE_OVERHEAD = 128
@@ -115,8 +111,8 @@ def estimate_state_bytes(state: DatabaseState) -> int:
     """Deterministic payload estimate for admission accounting.
 
     Counts eight bytes per value plus small per-row/per-state overheads —
-    the same order as the shm wire encoding for pure-int states, a safe
-    under-estimate for pickled mixed-type rows.  Admission is a load-shed
+    the size of a pure-int state packed as int64, a safe under-estimate
+    for pickled rows.  Admission is a load-shed
     mechanism, not an allocator, so a consistent estimate beats an exact
     (and expensive) serialization pass.  Estimates are memoized per state
     *identity* (states are immutable), so resubmitting the same object is a
@@ -231,14 +227,10 @@ class ServiceHandle:
     ``failure_policy="degrade"``.
     """
 
-    __slots__ = ("decision", "transport", "_future")
+    __slots__ = ("decision", "_future")
 
-    def __init__(
-        self, decision: RoutingDecision, transport: str, future: Future
-    ) -> None:
+    def __init__(self, decision: RoutingDecision, future: Future) -> None:
         self.decision = decision
-        #: Transport a parallel route would use ("none" for in-process).
-        self.transport = transport
         self._future = future
 
     def result(
@@ -272,17 +264,15 @@ class ServiceStream:
     undispatched shards and releases their admission.
     """
 
-    __slots__ = ("decision", "transport", "shard_count", "_iterator")
+    __slots__ = ("decision", "shard_count", "_iterator")
 
     def __init__(
         self,
         decision: RoutingDecision,
-        transport: str,
         shard_count: int,
         iterator: Iterator[StreamItem],
     ) -> None:
         self.decision = decision
-        self.transport = transport
         #: Number of shards the batch was split into for streaming.
         self.shard_count = shard_count
         self._iterator = iterator
@@ -310,8 +300,8 @@ class QueryService:
     pools.  All public methods are safe to call from any thread.
 
     Parameters mirror the executor's where they overlap; ``workers``,
-    ``shard_timeout``, ``max_retries``, ``failure_policy`` and ``transport``
-    become the defaults for every pinned pool.  ``routing=None`` installs a
+    ``shard_timeout``, ``max_retries`` and ``failure_policy`` become the
+    defaults for every pinned pool.  ``routing=None`` installs a
     default :class:`~repro.engine.routing.RoutingPolicy`;
     ``max_inflight_states`` / ``max_inflight_bytes`` of ``None`` disable the
     respective admission limit.
@@ -321,7 +311,6 @@ class QueryService:
         self,
         *,
         workers: Optional[int] = None,
-        transport: Optional[str] = None,
         routing: Optional[RoutingPolicy] = None,
         max_inflight_states: Optional[int] = None,
         max_inflight_bytes: Optional[int] = None,
@@ -348,7 +337,6 @@ class QueryService:
                 f"got {stream_shards_per_worker}"
             )
         self._workers = resolve_worker_count(workers)
-        self._transport = resolve_transport(transport)
         self._routing = routing if routing is not None else RoutingPolicy()
         self._failure_policy = resolve_failure_policy(failure_policy)
         self._shard_timeout = shard_timeout
@@ -451,7 +439,7 @@ class QueryService:
             status = "closed" if self._closed else "open"
         return (
             f"QueryService(workers={self._workers}, "
-            f"transport={self._transport!r}, pinned_pools={pools}, {status})"
+            f"pinned_pools={pools}, {status})"
         )
 
     # -- admission -------------------------------------------------------------
@@ -600,8 +588,8 @@ class QueryService:
 
         Pinning is the affinity mechanism: a spec always lands on the same
         pool, so that pool's workers keep their interner epoch and compiled
-        plan for the spec warm across batches — exactly what makes the shm
-        transport's re-adoption fast path pay off.
+        plan for the spec warm across batches, so only a spec's first batch
+        on a pool pays plan compilation.
         """
         spec = prepared.plan_spec()
         evicted: List[_PinnedPool] = []
@@ -613,7 +601,6 @@ class QueryService:
                 pool = _PinnedPool(
                     ParallelExecutor(
                         workers=self._workers,
-                        transport=self._transport,
                         shard_timeout=self._shard_timeout,
                         max_retries=self._max_retries,
                         failure_policy=self._failure_policy,
@@ -686,7 +673,6 @@ class QueryService:
         states: Iterable[DatabaseState],
         *,
         backend: str = "auto",
-        transport: Optional[str] = None,
         failure_policy: Optional[str] = None,
         wait: bool = True,
         timeout: Optional[float] = None,
@@ -697,19 +683,15 @@ class QueryService:
         available immediately — then the batch is admitted (blocking for
         capacity if ``wait``, else raising
         :class:`~repro.exceptions.AdmissionError`) and dispatched.
-        ``handle.result()`` yields the runs in input order.  ``backend``,
-        ``transport`` and ``failure_policy`` override the service defaults
-        for this batch only.
+        ``handle.result()`` yields the runs in input order.  ``backend`` and
+        ``failure_policy`` override the service defaults for this batch
+        only.
         """
         state_list = list(states)
         decision = self._decide(prepared, state_list, backend)
         self._record_decision(decision, len(state_list))
         nbytes = sum(estimate_state_bytes(state) for state in state_list)
-        overrides: Dict[str, object] = {
-            "transport": resolve_transport(transport)
-            if transport is not None
-            else self._transport,
-        }
+        overrides: Dict[str, object] = {}
         if failure_policy is not None:
             overrides["failure_policy"] = resolve_failure_policy(failure_policy)
         self._admit(len(state_list), nbytes, wait=wait, timeout=timeout)
@@ -723,10 +705,7 @@ class QueryService:
         future.add_done_callback(
             lambda _f, n=len(state_list), b=nbytes: self._release(n, b)
         )
-        effective_transport = (
-            overrides["transport"] if decision.backend == "parallel" else "none"
-        )
-        return ServiceHandle(decision, str(effective_transport), future)
+        return ServiceHandle(decision, future)
 
     def execute_many(
         self,
@@ -734,7 +713,6 @@ class QueryService:
         states: Iterable[DatabaseState],
         *,
         backend: str = "auto",
-        transport: Optional[str] = None,
         failure_policy: Optional[str] = None,
         wait: bool = True,
         timeout: Optional[float] = None,
@@ -744,7 +722,6 @@ class QueryService:
             prepared,
             states,
             backend=backend,
-            transport=transport,
             failure_policy=failure_policy,
             wait=wait,
             timeout=timeout,
@@ -758,7 +735,6 @@ class QueryService:
         states: Iterable[DatabaseState],
         *,
         backend: str = "auto",
-        transport: Optional[str] = None,
         failure_policy: Optional[str] = None,
         wait: bool = True,
         timeout: Optional[float] = None,
@@ -789,12 +765,7 @@ class QueryService:
             if failure_policy is not None
             else self._failure_policy
         )
-        overrides: Dict[str, object] = {
-            "transport": resolve_transport(transport)
-            if transport is not None
-            else self._transport,
-            "failure_policy": policy,
-        }
+        overrides: Dict[str, object] = {"failure_policy": policy}
 
         # -- shard the *input positions* (duplicates dedup inside each
         # shard's executor call; cross-shard duplicates re-execute, which
@@ -884,11 +855,4 @@ class QueryService:
                 for future in inflight:
                     future.cancel()
 
-        return ServiceStream(
-            decision,
-            str(overrides["transport"])
-            if decision.backend == "parallel"
-            else "none",
-            len(shards),
-            generate(),
-        )
+        return ServiceStream(decision, len(shards), generate())

@@ -26,9 +26,10 @@ kernel against them on random schemas and states.
 Since PR 8 :mod:`repro.relational.vectorized` layers an array-backed kernel
 over the same interned encoding: contiguous int64 code columns, semijoins as
 membership masks over sorted key arrays, joins as ``searchsorted`` bucket
-matches plus index gathers (numpy when importable, a stdlib ``array``
-row-program fallback otherwise).  ``backend="auto"`` prefers it when numpy
-is present; classic and compiled stay as the property-test oracles.
+matches plus index gathers (it requires numpy; without numpy every
+backend name that would reach it resolves to compiled).  ``backend="auto"``
+prefers it for large states; classic and compiled stay as the property-test
+oracles.
 """
 
 from .relation import Relation, Row

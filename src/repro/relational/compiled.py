@@ -74,16 +74,13 @@ results.
 
 from __future__ import annotations
 
-import pickle
-import struct
 import threading
-from array import array
 from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemaError
-from ..hypergraph.schema import Attribute, DatabaseSchema
+from ..hypergraph.schema import Attribute
 from .database import DatabaseState
 from .relation import Relation, _tuple_getter, pure_int_column, pure_int_rows
 from .yannakakis import YannakakisRun
@@ -95,8 +92,6 @@ __all__ = [
     "ExecutionStats",
     "compile_plan",
     "plan_layout",
-    "shm_encode_state",
-    "shm_decode_state",
 ]
 
 #: Default cap on distinct interned values per plan (dictionary-mode codes
@@ -567,9 +562,7 @@ def build_row_ops(layout: _PlanLayout):
     """Compile a positional layout into row-tuple step programs.
 
     Returns ``(semijoin_ops, join_ops, final_get)`` — the ``itemgetter``
-    programs :func:`execute_row_program` runs.  Shared by the compiled
-    backend and the vectorized backend's no-numpy fallback (which executes
-    the same row program over its column-built encodings).
+    programs :func:`execute_row_program` runs.
     """
     semijoin_ops = tuple(
         _SemijoinOp(sj.target, sj.source, sj.tkey, sj.skey)
@@ -1062,16 +1055,15 @@ def execute_row_program(
 ) -> Tuple[Iterable, int, int]:
     """Run the row-tuple reducer + bottom-up join program over ``views``.
 
-    The execution core of the compiled backend, shared with the vectorized
-    backend's no-numpy fallback: ``views`` holds one encoding-like object
-    per slot (anything exposing ``rows``/``keysets``/``buckets``, filled
-    lazily) and is mutated in place as steps replace slot views.  Returns
+    The execution core of the compiled backend: ``views`` holds one
+    encoding per slot (its ``keysets``/``buckets`` filled lazily) and is
+    mutated in place as steps replace slot views.  Returns
     ``(final_rows, join_count, max_intermediate)`` with ``final_rows`` still
     interned — the caller decodes against its own epoch decoders.
 
     Semantics — result, semijoin/join counts and the intermediate-size
-    accounting — match the classic executor exactly; the equivalence suites
-    check this on random schemas and states for both consuming backends.
+    accounting — match the classic executor exactly; the equivalence suite
+    checks this on random schemas and states.
     """
     # Phase 1: the full-reducer semijoin program.  Key-set lookups are
     # inlined (this loop runs per state on the serving path).
@@ -1309,116 +1301,3 @@ def compile_plan(
     (:data:`DEFAULT_MAX_INTERNED_VALUES` when omitted, ``None`` = unbounded).
     """
     return CompiledPlan(prepared, max_interned_values=max_interned_values)
-
-
-# -- shared-memory transport codec ---------------------------------------------
-#
-# The parallel layer's shm transport (`transport="shm"` in
-# :mod:`repro.engine.parallel`) ships states through one
-# ``multiprocessing.shared_memory`` segment per shard instead of the pickle
-# pipe.  The wire format is *value-level*, not code-level: interner codes are
-# process-private (each worker owns an independent interner and epoch), so
-# shipping codes would be unsound.  What makes this columnar transfer rather
-# than a renamed pickle is the identity fast path above: for pure-int
-# relations the value rows ARE the compiled encoding (value == code in
-# identity mode), so packing them as a flat int64 buffer ships exactly the
-# columnar code tuples, and the receiving worker's ``_encode_relation``
-# re-adopts them at near-zero cost through the same fast path.  Relations
-# with any non-int cell (or an int outside int64) fall back to a pickled
-# block *embedded in the same segment* — still one segment per shard, never
-# a second channel.
-#
-# The format is a same-host handoff between one parent and its live workers
-# (native int64 byte order, no versioning); it is not a storage format.
-
-#: Per-relation block tags of the shm wire format.
-_SHM_KIND_INT64 = 0  # flat native int64 rows (pure-int relation)
-_SHM_KIND_PICKLED = 1  # pickled row tuple (anything else)
-
-_SHM_STATE_HEADER = struct.Struct("<I")  # relation count
-_SHM_INT64_HEADER = struct.Struct("<BII")  # kind, n_rows, width
-_SHM_PICKLED_HEADER = struct.Struct("<BQ")  # kind, payload length
-
-
-def shm_encode_state(state: DatabaseState) -> bytes:
-    """Encode a database state into the flat shm wire format.
-
-    Pure-int relations (every cell a native ``int`` fitting int64) pack as
-    flat int64 buffers — the identity-mode columnar encoding itself; all
-    other relations embed as pickled row tuples.  The schema is *not*
-    shipped: the receiver already holds it (via ``PlanSpec``) and passes it
-    to :func:`shm_decode_state`.
-    """
-    parts: List[bytes] = [_SHM_STATE_HEADER.pack(len(state.relations))]
-    for relation in state.relations:
-        rows = relation.rows
-        width = len(relation.schema)
-        packed: Optional[array] = None
-        if pure_int_rows(rows):
-            flat = array("q")
-            try:
-                for row in rows:
-                    flat.extend(row)
-            except OverflowError:
-                packed = None  # an int outside int64: fall back to pickle
-            else:
-                packed = flat
-        if packed is not None:
-            parts.append(_SHM_INT64_HEADER.pack(_SHM_KIND_INT64, len(rows), width))
-            parts.append(packed.tobytes())
-        else:
-            payload = pickle.dumps(tuple(rows), protocol=pickle.HIGHEST_PROTOCOL)
-            parts.append(_SHM_PICKLED_HEADER.pack(_SHM_KIND_PICKLED, len(payload)))
-            parts.append(payload)
-    return b"".join(parts)
-
-
-def shm_decode_state(schema: DatabaseSchema, buffer) -> DatabaseState:
-    """Decode one :func:`shm_encode_state` payload back into a state.
-
-    ``buffer`` is any bytes-like view of the payload (typically a slice of a
-    shared-memory segment).  Rows round-trip exactly —
-    ``shm_decode_state(schema, shm_encode_state(state)) == state`` — and
-    relations are rebuilt through the trusted constructor, so decode does no
-    row re-validation.
-    """
-    view = memoryview(buffer)
-    (count,) = _SHM_STATE_HEADER.unpack_from(view, 0)
-    if count != len(schema):
-        raise ValueError(
-            f"shm payload carries {count} relation(s) but the schema "
-            f"expects {len(schema)}"
-        )
-    offset = _SHM_STATE_HEADER.size
-    relations: List[Relation] = []
-    for relation_schema in schema.relations:
-        kind = view[offset]
-        if kind == _SHM_KIND_INT64:
-            _, n_rows, width = _SHM_INT64_HEADER.unpack_from(view, offset)
-            offset += _SHM_INT64_HEADER.size
-            if width:
-                flat = array("q")
-                size = n_rows * width * flat.itemsize
-                flat.frombytes(view[offset : offset + size])
-                offset += size
-                values = flat.tolist()
-                rows = frozenset(
-                    tuple(values[start : start + width])
-                    for start in range(0, len(values), width)
-                )
-            else:
-                # Nullary relation: n_rows is 0 or 1 and carries no payload.
-                rows = frozenset([()]) if n_rows else frozenset()
-        elif kind == _SHM_KIND_PICKLED:
-            _, length = _SHM_PICKLED_HEADER.unpack_from(view, offset)
-            offset += _SHM_PICKLED_HEADER.size
-            rows = frozenset(pickle.loads(view[offset : offset + length]))
-            offset += length
-        else:
-            raise ValueError(f"unknown shm block kind {kind}")
-        relations.append(
-            Relation._from_trusted(
-                relation_schema, relation_schema.sorted_attributes(), rows
-            )
-        )
-    return DatabaseState(schema, relations)

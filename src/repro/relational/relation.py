@@ -68,8 +68,8 @@ def pure_int_column(column: Iterable[Any]) -> bool:
     """True when every cell is a *native* ``int`` (``bool`` excluded).
 
     The per-column form of :func:`pure_int_rows`; such a column of interned
-    codes is its own decoding (value == code in identity mode), so decode and
-    wire paths can skip per-cell work entirely.
+    codes is its own decoding (value == code in identity mode), so decode
+    can skip per-cell work entirely.
     """
     return all(type(value) is int for value in column)
 
@@ -77,13 +77,11 @@ def pure_int_column(column: Iterable[Any]) -> bool:
 def pure_int_rows(rows: Iterable[Tuple[Any, ...]]) -> bool:
     """True when every cell of every row is a native ``int``.
 
-    This is the wire-format classifier shared by the shm transport
-    (:func:`repro.relational.compiled.shm_encode_state` packs such relations
-    as flat int64 buffers), the compiled backend's identity encode fast path,
-    and the vectorized backend's array adoption: for pure-int rows the values
-    *are* the identity-mode codes.  ``bool`` is deliberately excluded
-    (``type(True) is int`` is false): booleans join with their int values but
-    must round-trip through the interner, not the raw buffer.
+    This is the classifier behind the compiled backend's identity encode
+    fast path: for pure-int rows the values *are* the identity-mode codes.
+    ``bool`` is deliberately excluded (``type(True) is int`` is false):
+    booleans join with their int values but must round-trip through the
+    interner.
     """
     return all(type(value) is int for row in rows for value in row)
 
@@ -252,8 +250,8 @@ class Relation:
 
         Decoders marked ``identity_when_int`` (the compiled backend's
         identity-mode stray unwrapper) additionally skip the decode map
-        whenever the column at hand is classified pure-int by the shm
-        wire-format classifier (:func:`pure_int_column`): the attribute may
+        whenever the column at hand is classified pure-int
+        (:func:`pure_int_column`): the attribute may
         have interned strays plan-wide, but *this* result column carries only
         native ints, which are their own values.
         """

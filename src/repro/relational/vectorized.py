@@ -11,11 +11,10 @@ shared verbatim, so the step semantics — and the stats lineages — are
 identical by construction) over contiguous int64 **code arrays**:
 
 * **Representation.**  Each relation slot encodes column-major into one
-  contiguous int64 array per column (`numpy` when importable; the stdlib
-  ``array`` module otherwise, so the dependency stays optional).  Composite
-  join keys pack their columns into a C-contiguous ``(n, k)`` block viewed as
-  a ``numpy`` void dtype — one fixed-width scalar per row — so every kernel
-  below works uniformly for single- and multi-column keys.
+  contiguous int64 numpy array per column.  Composite join keys pack their
+  columns into a C-contiguous ``(n, k)`` block viewed as a ``numpy`` void
+  dtype — one fixed-width scalar per row — so every kernel below works
+  uniformly for single- and multi-column keys.
 * **Semijoins as membership masks.**  A key set is the sorted unique key
   array (``np.unique``); membership is a batch binary search
   (``searchsorted`` + one vectorized equality), and filtering is a boolean
@@ -57,20 +56,13 @@ a new interner epoch at the next state-encode boundary, and per-state
 decoders captured at encode time so in-flight states decode against the
 epoch that minted their codes.
 
-**No-numpy fallback.**  Without numpy, columns encode into ``array('q')``
-buffers and execution zips them back to code-tuple rows, running the *exact*
-compiled row program (:func:`repro.relational.compiled.execute_row_program`
-over :func:`~repro.relational.compiled.build_row_ops` programs) — a
-correctness-grade engine proving the dependency optional, equivalence-tested
-on the same suite.
+**numpy is required.**  Building a plan without numpy raises
+``ImportError``; without it :func:`repro.engine.prepared.resolve_backend`
+maps both ``"vectorized"`` and ``"auto"`` to the compiled backend, so no
+entry point ever reaches that error.
 
 **Process boundaries.**  Like a ``CompiledPlan``, a ``VectorizedPlan`` never
-crosses a process boundary; workers rebuild plans from ``PlanSpec``.  The
-shm transport's raw-int64 blocks are *exactly* this backend's identity-mode
-column encoding, so :func:`shm_attach_state` adopts a shard payload into
-column arrays directly — one ``frombuffer`` + transpose copy per relation,
-no ``DatabaseState`` detour — whenever every block is int64 and no attribute
-has gone dictionary-mode.
+crosses a process boundary; workers rebuild plans from ``PlanSpec``.
 
 The classic executor remains the property-test oracle
 (``tests/relational/test_vectorized_equivalence.py``), with the compiled
@@ -80,7 +72,6 @@ backend as a second cross-check.
 from __future__ import annotations
 
 import threading
-from array import array
 from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -99,23 +90,17 @@ from .compiled import (
     _JOIN_SEMI_MOTHER,
     _MODE_DICT,
     _MODE_IDENTITY,
-    _SHM_INT64_HEADER,
-    _SHM_KIND_INT64,
-    _SHM_STATE_HEADER,
     _USE_DEFAULT_CAP,
-    build_row_ops,
-    execute_row_program,
     plan_layout,
 )
 from .database import DatabaseState
-from .relation import Relation, pure_int_column
+from .relation import Relation
 from .yannakakis import YannakakisRun
 
 __all__ = [
     "VectorizedPlan",
     "VectorizedState",
     "numpy_available",
-    "shm_attach_state",
     "vectorize_plan",
 ]
 
@@ -143,21 +128,16 @@ class _PromoteToDict(Exception):
 class _VecEncoding:
     """Encoded columns of one relation slot plus its reusable key indexes.
 
-    ``columns`` holds one contiguous int64 code array per column (numpy
-    arrays or ``array('q')`` buffers, matching the owning plan's engine) and
-    ``n`` the row count — kept explicitly so zero-width (nullary) slots
-    still know their cardinality.  ``keysets`` caches sorted-unique key
-    arrays per key-position tuple (plain Python sets in the fallback
-    engine); ``keyarrays`` caches packed per-row key arrays; ``buckets``
-    caches per-join-step structures.  Encodings held in a batch cache are
-    shared across states, so cached indexes amortize exactly like the
-    compiled backend's.
-
-    ``rows`` materializes code-tuple rows lazily — only the no-numpy
-    fallback engine (which runs the compiled row program) ever touches it.
+    ``columns`` holds one contiguous int64 code array per column and ``n``
+    the row count — kept explicitly so zero-width (nullary) slots still
+    know their cardinality.  ``keysets`` caches sorted-unique key arrays
+    per key-position tuple; ``keyarrays`` caches packed per-row key arrays;
+    ``buckets`` caches per-join-step structures.  Encodings held in a batch
+    cache are shared across states, so cached indexes amortize exactly like
+    the compiled backend's.
     """
 
-    __slots__ = ("columns", "n", "keysets", "keyarrays", "buckets", "_rows")
+    __slots__ = ("columns", "n", "keysets", "keyarrays", "buckets")
 
     def __init__(self, columns: Tuple[Any, ...], n: int) -> None:
         self.columns = columns
@@ -165,18 +145,6 @@ class _VecEncoding:
         self.keysets: Dict[Tuple[int, ...], Any] = {}
         self.keyarrays: Dict[Tuple[int, ...], Any] = {}
         self.buckets: Dict[int, Any] = {}
-        self._rows: Optional[Tuple[Tuple[int, ...], ...]] = None
-
-    @property
-    def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        rows = self._rows
-        if rows is None:
-            if self.columns:
-                rows = tuple(zip(*self.columns))
-            else:
-                rows = ((),) * self.n
-            self._rows = rows
-        return rows
 
 
 # -- numpy kernels ---------------------------------------------------------------
@@ -362,9 +330,6 @@ class VectorizedPlan:
         "_final_permutes",
         "_final_schema",
         "_final_columns",
-        "_row_semijoin_ops",
-        "_row_join_ops",
-        "_row_final_get",
         "_slot_cache",
         "_cache_meta",
         "max_interned_values",
@@ -375,13 +340,14 @@ class VectorizedPlan:
     def __init__(
         self, prepared, *, max_interned_values: Optional[int] = _USE_DEFAULT_CAP
     ) -> None:
+        if _np is None:
+            raise ImportError("the vectorized backend requires numpy")
         schema = prepared.schema
         self.schema = schema
         self.target = prepared.target
         self.root = prepared.root
-        #: The array engine is pinned at construction so a plan's behaviour
-        #: never changes under it (tests patch the module global before
-        #: building a plan to exercise the fallback).
+        #: numpy is pinned at construction so a plan keeps working when tests
+        #: patch the module global to simulate its absence.
         self._np = _np
         columns = tuple(
             relation.sorted_attributes() for relation in schema.relations
@@ -424,17 +390,6 @@ class VectorizedPlan:
         final = prepared.final_projection
         self._final_schema = final
         self._final_columns = final.sorted_attributes()
-        if self._np is None:
-            # Fallback engine: the compiled row program over zipped columns.
-            (
-                self._row_semijoin_ops,
-                self._row_join_ops,
-                self._row_final_get,
-            ) = build_row_ops(layout)
-        else:
-            self._row_semijoin_ops = ()
-            self._row_join_ops = ()
-            self._row_final_get = None
 
     # -- encoding --------------------------------------------------------------
 
@@ -486,12 +441,10 @@ class VectorizedPlan:
             except KeyError:
                 pass
             else:
-                if np is not None:
-                    return np.asarray(codes, dtype=np.int64)
-                return array("q", codes)
+                return np.asarray(codes, dtype=np.int64)
         # The type scan runs as C-level ``map``; mixed columns must never
         # reach ``np.asarray`` below, which would silently stringify them.
-        if np is not None and set(map(type, column)) == {str}:
+        if set(map(type, column)) == {str}:
             uniques, inverse = np.unique(np.asarray(column), return_inverse=True)
             unique_codes = np.empty(len(uniques), dtype=np.int64)
             get = intern_map.get
@@ -513,9 +466,7 @@ class VectorizedPlan:
                 intern_map[value] = code
                 values.append(value)
             append(code)
-        if np is not None:
-            return np.asarray(codes, dtype=np.int64)
-        return array("q", codes)
+        return np.asarray(codes, dtype=np.int64)
 
     def _encode_relation(self, slot: int, relation: Relation) -> _VecEncoding:
         """Encode one relation column-major into int64 code arrays."""
@@ -526,82 +477,61 @@ class VectorizedPlan:
         if not attrs:
             return _VecEncoding((), n)
         if not n:
-            if np is not None:
-                empty = np.empty(0, dtype=np.int64)
-                return _VecEncoding(tuple(empty for _ in attrs), 0)
-            return _VecEncoding(tuple(array("q") for _ in attrs), 0)
+            empty = np.empty(0, dtype=np.int64)
+            return _VecEncoding(tuple(empty for _ in attrs), 0)
         rows_t = tuple(rows)
         modes = self._modes
-        if np is not None:
-            # Whole-slot identity fast path: one 2-D classify-and-convert
-            # (see ``_int64_or_none``) + transpose copy turns the value rows
-            # into contiguous per-column arrays — value == code in identity
-            # mode, no per-cell Python at all.
-            if all(modes[a] != _MODE_DICT for a in attrs):
-                block = self._int64_or_none(rows_t)
-                if block is not None and block.ndim == 2:
-                    for a in attrs:
-                        if modes[a] is None:
-                            modes[a] = _MODE_IDENTITY
-                    transposed = np.ascontiguousarray(block.T)
-                    return _VecEncoding(
-                        tuple(transposed[j] for j in range(len(attrs))), n
-                    )
-            # Columns extract via ``map(itemgetter, ...)`` pipelines instead
-            # of a ``zip(*rows)`` transpose: star-unpacking tens of
-            # thousands of rows costs more than one C pass per column, and
-            # the warm dictionary path below never materializes the column
-            # at all — extraction and interning fuse into nested C maps.
-            coded: List[Any] = []
-            for position, attribute in enumerate(attrs):
-                getter = itemgetter(position)
-                mode = modes[attribute]
-                if mode == _MODE_DICT:
-                    intern_map = self._intern[attribute]
-                    if intern_map:
-                        try:
-                            codes = list(
-                                map(intern_map.__getitem__, map(getter, rows_t))
-                            )
-                        except KeyError:
-                            pass
-                        else:
-                            coded.append(np.asarray(codes, dtype=np.int64))
-                            continue
-                    coded.append(
-                        self._encode_dict_column(
-                            attribute, tuple(map(getter, rows_t))
-                        )
-                    )
-                    continue
-                column = tuple(map(getter, rows_t))
-                converted = self._int64_or_none(column)
-                if converted is not None and converted.ndim == 1:
-                    if mode is None:
-                        modes[attribute] = _MODE_IDENTITY
-                    coded.append(converted)
-                    continue
-                if mode is None:
-                    modes[attribute] = _MODE_DICT
-                else:
-                    # Pinned identity met a column int64 cannot carry.
-                    raise _PromoteToDict(attribute)
-                coded.append(self._encode_dict_column(attribute, column))
-            return _VecEncoding(tuple(coded), n)
-        coded = []
-        for attribute, column in zip(attrs, zip(*rows_t)):
+        # Whole-slot identity fast path: one 2-D classify-and-convert (see
+        # ``_int64_or_none``) + transpose copy turns the value rows into
+        # contiguous per-column arrays — value == code in identity mode, no
+        # per-cell Python at all.
+        if all(modes[a] != _MODE_DICT for a in attrs):
+            block = self._int64_or_none(rows_t)
+            if block is not None and block.ndim == 2:
+                for a in attrs:
+                    if modes[a] is None:
+                        modes[a] = _MODE_IDENTITY
+                transposed = np.ascontiguousarray(block.T)
+                return _VecEncoding(
+                    tuple(transposed[j] for j in range(len(attrs))), n
+                )
+        # Columns extract via ``map(itemgetter, ...)`` pipelines instead of a
+        # ``zip(*rows)`` transpose: star-unpacking tens of thousands of rows
+        # costs more than one C pass per column, and the warm dictionary
+        # path below never materializes the column at all — extraction and
+        # interning fuse into nested C maps.
+        coded: List[Any] = []
+        for position, attribute in enumerate(attrs):
+            getter = itemgetter(position)
             mode = modes[attribute]
-            if mode is None:
-                mode = _MODE_IDENTITY if pure_int_column(column) else _MODE_DICT
-                modes[attribute] = mode
-            if mode == _MODE_IDENTITY:
-                if not pure_int_column(column):
-                    raise _PromoteToDict(attribute)
-                try:
-                    coded.append(array("q", column))
-                except OverflowError:
-                    raise _PromoteToDict(attribute) from None
+            if mode == _MODE_DICT:
+                intern_map = self._intern[attribute]
+                if intern_map:
+                    try:
+                        codes = list(
+                            map(intern_map.__getitem__, map(getter, rows_t))
+                        )
+                    except KeyError:
+                        pass
+                    else:
+                        coded.append(np.asarray(codes, dtype=np.int64))
+                        continue
+                coded.append(
+                    self._encode_dict_column(attribute, tuple(map(getter, rows_t)))
+                )
                 continue
+            column = tuple(map(getter, rows_t))
+            converted = self._int64_or_none(column)
+            if converted is not None and converted.ndim == 1:
+                if mode is None:
+                    modes[attribute] = _MODE_IDENTITY
+                coded.append(converted)
+                continue
+            if mode is None:
+                modes[attribute] = _MODE_DICT
+            else:
+                # Pinned identity met a column int64 cannot carry.
+                raise _PromoteToDict(attribute)
             coded.append(self._encode_dict_column(attribute, column))
         return _VecEncoding(tuple(coded), n)
 
@@ -720,38 +650,7 @@ class VectorizedPlan:
                 backend="vectorized",
                 stats=stats,
             )
-        if self._np is not None:
-            return self._execute_arrays(vectorized_state, stats)
-        return self._execute_rows(vectorized_state, stats)
-
-    def _execute_rows(
-        self, vectorized_state: "VectorizedState", stats: Optional[ExecutionStats]
-    ) -> YannakakisRun:
-        """Fallback engine: the compiled row program over zipped columns."""
-        final_rows, join_count, max_intermediate = execute_row_program(
-            self._row_semijoin_ops,
-            self._row_join_ops,
-            self.root,
-            self._row_final_get,
-            list(vectorized_state.encodings),
-            stats,
-        )
-        result = Relation.from_interned(
-            self._final_schema,
-            self._final_columns,
-            final_rows,
-            vectorized_state.decoders,
-        )
-        if len(result) > max_intermediate:
-            max_intermediate = len(result)
-        return YannakakisRun(
-            result=result,
-            semijoin_count=len(self._semijoins),
-            join_count=join_count,
-            max_intermediate_size=max_intermediate,
-            backend="vectorized",
-            stats=stats,
-        )
+        return self._execute_arrays(vectorized_state, stats)
 
     def _execute_arrays(
         self, vectorized_state: "VectorizedState", stats: Optional[ExecutionStats]
@@ -1043,10 +942,9 @@ class VectorizedPlan:
         return sum(len(intern_map) for intern_map in self._intern.values())
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        engine = "numpy" if self._np is not None else "array"
         return (
             f"VectorizedPlan(schema={self.schema.to_notation()!r}, "
-            f"target={self.target.to_notation()!r}, engine={engine!r}, "
+            f"target={self.target.to_notation()!r}, "
             f"semijoins={len(self._semijoins)}, joins={len(self._joins)})"
         )
 
@@ -1056,11 +954,9 @@ class VectorizedState:
 
     Holds one (possibly cache-shared) :class:`_VecEncoding` per relation
     slot plus the decoders of the interner epoch that minted its codes.
-    ``state`` is the source :class:`DatabaseState`, or ``None`` for states
-    adopted straight off the shm wire by :func:`shm_attach_state`.
-    Immutable from the executor's point of view — execution replaces slot
-    views instead of mutating them — so it can be executed any number of
-    times.
+    ``state`` is the source :class:`DatabaseState`.  Immutable from the
+    executor's point of view — execution replaces slot views instead of
+    mutating them — so it can be executed any number of times.
     """
 
     __slots__ = ("plan", "state", "encodings", "decoders")
@@ -1068,7 +964,7 @@ class VectorizedState:
     def __init__(
         self,
         plan: VectorizedPlan,
-        state: Optional[DatabaseState],
+        state: DatabaseState,
         encodings: Tuple[_VecEncoding, ...],
         decoders: Optional[Tuple[Optional[Any], ...]] = None,
     ) -> None:
@@ -1109,68 +1005,3 @@ def vectorize_plan(
     notes; normally reached through ``prepared.vectorized``)."""
     return VectorizedPlan(prepared, max_interned_values=max_interned_values)
 
-
-def shm_attach_state(
-    plan: VectorizedPlan, buffer
-) -> Optional[VectorizedState]:
-    """Adopt one shm wire payload straight into column arrays, if possible.
-
-    The shm transport's int64 blocks (:func:`~repro.relational.compiled
-    .shm_encode_state`) carry exactly this backend's identity-mode column
-    encoding, so an all-int64 payload attaches as one ``frombuffer`` +
-    transpose copy per relation — no ``DatabaseState`` reconstruction, no
-    per-cell encode.  Returns ``None`` when the fast path does not apply
-    (no numpy, any pickled block, or any attribute already promoted to
-    dictionary mode) — the caller then falls back to
-    :func:`~repro.relational.compiled.shm_decode_state` + a normal encode.
-
-    The returned state carries ``state=None`` and bypasses the slot caches:
-    it is a transient per-shard handoff, and the arrays are copied out of
-    the segment so the caller may release it immediately.
-    """
-    np = plan._np
-    if np is None:
-        return None
-    view = memoryview(buffer)
-    (count,) = _SHM_STATE_HEADER.unpack_from(view, 0)
-    if count != len(plan.slot_columns):
-        raise ValueError(
-            f"shm payload carries {count} relation(s) but the plan "
-            f"expects {len(plan.slot_columns)}"
-        )
-    blocks: List[Tuple[int, int, int]] = []
-    offset = _SHM_STATE_HEADER.size
-    for attrs in plan.slot_columns:
-        if view[offset] != _SHM_KIND_INT64:
-            return None
-        _, n_rows, width = _SHM_INT64_HEADER.unpack_from(view, offset)
-        if width != len(attrs):
-            return None
-        offset += _SHM_INT64_HEADER.size
-        blocks.append((offset, n_rows, width))
-        offset += n_rows * width * 8
-    with plan._encode_lock:
-        for attrs in plan.slot_columns:
-            for attribute in attrs:
-                if plan._modes[attribute] == _MODE_DICT:
-                    return None
-        encodings: List[_VecEncoding] = []
-        for block_offset, n_rows, width in blocks:
-            if width:
-                flat = np.frombuffer(
-                    view, dtype=np.int64, count=n_rows * width, offset=block_offset
-                )
-                transposed = np.ascontiguousarray(flat.reshape(n_rows, width).T)
-                encodings.append(
-                    _VecEncoding(
-                        tuple(transposed[j] for j in range(width)), n_rows
-                    )
-                )
-            else:
-                encodings.append(_VecEncoding((), n_rows))
-        for attrs in plan.slot_columns:
-            for attribute in attrs:
-                if plan._modes[attribute] is None:
-                    plan._modes[attribute] = _MODE_IDENTITY
-        decoders = plan._decoders()
-    return VectorizedState(plan, None, tuple(encodings), decoders)

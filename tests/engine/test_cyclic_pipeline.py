@@ -301,10 +301,9 @@ class TestHypothesisEquivalence:
 
 
 class TestParallelCyclic:
-    """Cyclic plans ship through the parallel executor on both transports."""
+    """Cyclic plans ship through the parallel executor."""
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_parallel_matches_classic(self, transport):
+    def test_parallel_matches_classic(self):
         schema = aring(4)
         target = RelationSchema("ac")
         states = [
@@ -313,9 +312,7 @@ class TestParallelCyclic:
         ]
         prepared = analyze(schema).prepare_cyclic(target)
         expected = [prepared.execute(s, backend="classic").result for s in states]
-        runs = prepared.execute_many(
-            states, backend="parallel", workers=2, transport=transport
-        )
+        runs = prepared.execute_many(states, backend="parallel", workers=2)
         assert [run.result for run in runs] == expected
         assert all(run.backend == "parallel" for run in runs)
 

@@ -12,7 +12,7 @@ import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import (
     ParallelExecutor,
@@ -85,6 +85,23 @@ def tree_instances(draw, max_states: int = 1):
     return schema, target, states
 
 
+def _mixed_value_instance():
+    """Strings, ``None``, floats and an int past int64 in every relation:
+    values no int64 column encoding can carry, shipped to the workers."""
+    schema = chain_schema(3)
+    states = [
+        DatabaseState(
+            schema,
+            [
+                Relation(relation, [("a", 1), (None, 2.5), (1 << 70, index)])
+                for relation in schema.relations
+            ],
+        )
+        for index in range(3)
+    ]
+    return schema, RelationSchema({"x0", "x3"}), states
+
+
 @pytest.fixture(scope="module")
 def pool():
     with ParallelExecutor(workers=2) as executor:
@@ -105,6 +122,7 @@ def _assert_parallel_matches_classic(classic_runs, parallel_runs) -> None:
 class TestParallelEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(tree_instances(max_states=6))
+    @example(_mixed_value_instance())
     def test_parallel_matches_classic_in_input_order(self, pool, instance):
         """Random tree schemas/states (empty relations, dangling tuples,
         mixed value types, repeated states): parallel ≡ classic, and the

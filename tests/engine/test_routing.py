@@ -217,7 +217,6 @@ class TestDegenerate:
         assert [run.result for run in runs] == [expected.result] * 3
         assert all(run.backend == "parallel" for run in runs)
         stats = runs[0].stats
-        assert stats.transport == "none"
         assert stats.workers == 0
         assert stats.routed_in_process == 1
         assert stats.deduped_states == 2
@@ -263,5 +262,5 @@ class TestValidation:
 def test_prepared_imports_executor_lazily():
     import inspect
 
-    source = inspect.getsource(prepared_module.PreparedQuery.execute_many)
+    source = inspect.getsource(prepared_module._execute_many)
     assert "from .parallel import" in source

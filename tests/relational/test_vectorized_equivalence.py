@@ -8,8 +8,8 @@ on random tree schemas and random states (empty relations, dangling tuples,
 mixed value types across the numeric tower, repeated states) is strong
 evidence the vectorization is faithful.  The suite also pins the vectorized
 backend to the *compiled* backend's execution accounting (stats parity), and
-re-runs the core equivalence with numpy masked out, proving the stdlib
-``array`` fallback computes the same answers.
+re-runs the core equivalence with numpy masked out, where every vectorized
+request resolves to the compiled backend.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.relational.vectorized as vectorized_module
-from repro.engine import analyze, clear_analysis_cache
+from repro.engine import analyze, clear_analysis_cache, resolve_backend
 from repro.hypergraph import (
     DatabaseSchema,
     RelationSchema,
@@ -34,12 +34,7 @@ from repro.relational import (
     numpy_available,
     vectorize_plan,
 )
-from repro.relational.compiled import (
-    ExecutionStats,
-    compile_plan,
-    shm_encode_state,
-)
-from repro.relational.vectorized import shm_attach_state
+from repro.relational.compiled import ExecutionStats, compile_plan
 
 #: Value pool spanning the numeric tower (1 == 1.0 == True) plus strings and
 #: None — both interner modes — extended with an int64-overflowing integer
@@ -100,7 +95,15 @@ def _assert_runs_agree(classic, vectorized) -> None:
     assert vectorized.backend == "vectorized"
 
 
+#: The array kernel itself needs numpy; without it these tests have nothing
+#: to run (``TestWithoutNumpy`` covers what the other backend names do then).
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the vectorized kernel requires numpy"
+)
+
+
 class TestExecuteEquivalence:
+    @requires_numpy
     @settings(max_examples=80, deadline=None)
     @given(tree_instances())
     def test_execute_matches_classic(self, instance):
@@ -110,6 +113,7 @@ class TestExecuteEquivalence:
         run = prepared.execute(state, backend="vectorized")
         _assert_runs_agree(classic, run)
 
+    @requires_numpy
     @settings(max_examples=40, deadline=None)
     @given(tree_instances(max_states=4))
     def test_execute_many_matches_classic(self, instance):
@@ -127,6 +131,7 @@ class TestExecuteEquivalence:
         stats = runs[0].stats
         assert stats.states + stats.deduped_states == len(states)
 
+    @requires_numpy
     @settings(max_examples=30, deadline=None)
     @given(tree_instances())
     def test_fresh_plan_equivalence(self, instance):
@@ -159,6 +164,7 @@ class TestExecuteEquivalence:
         assert prepared.execute(tiny).backend == "compiled"
 
 
+@requires_numpy
 class TestCompiledStatsParity:
     """The vectorized kernel reproduces the compiled backend's execution
     accounting, not just its answers: same keyset/bucket build schedule,
@@ -196,49 +202,44 @@ class TestCompiledStatsParity:
             )
 
 
-class TestArrayFallback:
-    """numpy masked out: plans must build on the stdlib ``array`` fallback
-    and compute exactly what the classic operators compute."""
+class TestWithoutNumpy:
+    """numpy masked out: the array kernel is unavailable, so every backend
+    name that would reach it resolves to compiled — and computes exactly
+    what the classic operators compute, int64-overflowing values included."""
 
     @settings(max_examples=40, deadline=None)
     @given(tree_instances(max_states=2))
-    def test_fallback_matches_classic(self, instance):
+    def test_vectorized_requests_run_compiled(self, instance):
         schema, target, states = instance
         prepared = analyze(schema).prepare(target)
-        classic_runs = [
-            prepared.execute(state, backend="classic") for state in states
-        ]
+        classic_runs = prepared.execute_many(states, backend="classic")
+        big_schema = DatabaseSchema([RelationSchema("ab")])
+        big_prepared = analyze(big_schema).prepare(RelationSchema("ab"))
+        big = DatabaseState(
+            big_schema, [Relation(big_schema[0], [(1 << 70, 2), (1, 2)])]
+        )
         saved = vectorized_module._np
         vectorized_module._np = None
         try:
             assert not numpy_available()
-            plan = vectorize_plan(prepared)
-            runs = plan.execute_batch(states)
+            assert resolve_backend("vectorized") == "compiled"
+            assert resolve_backend("auto") == "compiled"
+            with pytest.raises(ImportError):
+                vectorize_plan(prepared)
+            runs = prepared.execute_many(states, backend="vectorized")
+            big_run = big_prepared.execute_many([big], backend="vectorized")[0]
         finally:
             vectorized_module._np = saved
         for classic, run in zip(classic_runs, runs):
-            _assert_runs_agree(classic, run)
-
-    def test_fallback_promotes_on_big_ints(self):
-        schema = DatabaseSchema([RelationSchema("ab")])
-        prepared = analyze(schema).prepare(RelationSchema("ab"))
-        saved = vectorized_module._np
-        vectorized_module._np = None
-        try:
-            plan = vectorize_plan(prepared)
-            small = DatabaseState(
-                schema, [Relation(schema[0], [(1, 2)])]
-            )
-            assert plan.execute_state(small).result == small.relations[0]
-            big = DatabaseState(
-                schema, [Relation(schema[0], [(1 << 70, 2)])]
-            )
-            assert plan.execute_state(big).result == big.relations[0]
-            assert plan.mode_promotions >= 1
-        finally:
-            vectorized_module._np = saved
+            assert run.result == classic.result
+            assert run.semijoin_count == classic.semijoin_count
+            assert run.join_count == classic.join_count
+            assert run.max_intermediate_size == classic.max_intermediate_size
+            assert run.backend == "compiled"
+        assert big_run.result == big.relations[0]
 
 
+@requires_numpy
 class TestValueSemantics:
     def test_numeric_tower_joins_across_relations(self):
         schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
@@ -337,6 +338,7 @@ class TestValueSemantics:
             _assert_runs_agree(classic, run)
 
 
+@requires_numpy
 class TestInternerLifecycle:
     def test_interner_epoch_rollover(self):
         schema = DatabaseSchema([RelationSchema("ab")])
@@ -363,43 +365,3 @@ class TestInternerLifecycle:
         runs = plan.execute_batch([state, state, state])
         assert runs[0] is runs[1] is runs[2]
         assert runs[0].stats.deduped_states == 2
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy kernel not available")
-class TestShmAttach:
-    def test_attach_matches_decode_execute(self):
-        schema = chain_schema(2)
-        attrs = schema.attributes.sorted_attributes()
-        prepared = analyze(schema).prepare(RelationSchema((attrs[0],)))
-        rng = random.Random(7)
-        relations = [
-            Relation(
-                rs,
-                [
-                    tuple(rng.randrange(30) for _ in rs.sorted_attributes())
-                    for _ in range(40)
-                ],
-            )
-            for rs in schema.relations
-        ]
-        state = DatabaseState(schema, relations)
-        classic = prepared.execute(state, backend="classic")
-        plan = vectorize_plan(prepared)
-        payload = shm_encode_state(state)
-        vstate = shm_attach_state(plan, memoryview(payload))
-        assert vstate is not None
-        run = plan.execute(vstate)
-        assert run.result == classic.result
-        assert run.backend == "vectorized"
-
-    def test_attach_refuses_dictionary_mode(self):
-        schema = DatabaseSchema([RelationSchema("ab")])
-        prepared = analyze(schema).prepare(RelationSchema("ab"))
-        plan = vectorize_plan(prepared)
-        strings = DatabaseState(
-            schema, [Relation(schema[0], [("x", "y")])]
-        )
-        plan.execute_state(strings)  # pins dictionary mode
-        ints = DatabaseState(schema, [Relation(schema[0], [(1, 2)])])
-        payload = shm_encode_state(ints)
-        assert shm_attach_state(plan, memoryview(payload)) is None
