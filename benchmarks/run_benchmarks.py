@@ -892,7 +892,7 @@ def bench_service(repeats: int) -> List[Dict[str, Any]]:
             ]
 
         with QueryService(workers=SERVICE_WORKERS) as service:
-            # Warm the spec's pinned pool so the router sees the long-lived
+            # Warm the service's pool so the router sees the long-lived
             # serving shape (pool_live) instead of charging a spawn.
             warmup = _serving_states(
                 schema, "distinct", tuple_count, domain_size, 40, 11_000_000

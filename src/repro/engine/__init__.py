@@ -38,8 +38,9 @@ This package is the primary public API of the library:
 * :class:`QueryService` — the long-lived streaming serving front end
   (:mod:`repro.engine.service`): thread-safe ``submit``/``stream`` APIs with
   bounded admission control, adaptive compiled-vs-parallel routing from a
-  per-plan cost probe (:mod:`repro.engine.routing`) and spec-pinned worker
-  pools for plan-cache affinity.  See ``docs/serving.md``.
+  per-plan cost probe (:mod:`repro.engine.routing`) and one long-lived
+  worker pool whose per-spec plan caches give affinity.  See
+  ``docs/serving.md``.
 
 The classic free functions (``gyo_reduce``, ``canonical_connection``,
 ``plan_join_query``, ``yannakakis``) remain available and now delegate here,

@@ -14,12 +14,13 @@ This module puts that behind two entry points:
 **The serialization boundary.**  Compiled plans hold ``itemgetter`` programs
 and closures and are deliberately not picklable, so nothing plan-shaped ever
 crosses a process boundary.  What does cross is a :class:`PlanSpec` — the
-ordered relation tuple, the target, the root and the backend knobs — plus the
-shard's database states; each worker rebuilds the prepared query from the
-spec through :func:`repro.engine.analysis.prepared_from_spec` (hitting the
-worker's own analysis LRU) and caches it in worker-local storage keyed by the
-spec.  The first shard a worker sees for a spec pays analysis + compilation
-once; every later shard is pure execution.  Worker interners are independent
+ordered relation tuple, the target, the root and the interner cap — plus the
+serial kernel the parent picked for the batch and the shard's database
+states; each worker rebuilds the prepared query from the spec through
+:func:`repro.engine.analysis.prepared_from_spec` (hitting the worker's own
+analysis LRU) and caches it in worker-local storage keyed by the spec.  The
+first shard a worker sees for a spec pays analysis + compilation once; every
+later shard is pure execution.  Worker interners are independent
 by construction, which is sound because integer codes are a process-private
 encoding detail: answers are decoded to plain values inside the worker before
 they are shipped back (see the lifecycle notes in
@@ -115,11 +116,10 @@ from ..relational.yannakakis import YannakakisRun
 from ..hypergraph.schema import RelationSchema
 from . import faults
 
-# Module-level on purpose: the shard body consults the shape-aware
-# profitability gate on every shard, and ``prepared`` imports this module
-# only lazily, so the import is cycle-free and hoisting it out of the
-# per-shard hot path costs nothing at import time.
-from .prepared import resolve_backend, resolve_backend_for
+# Module-level on purpose: every batch consults the shape-aware
+# profitability gate, and ``prepared`` imports this module only lazily, so
+# the import is cycle-free.
+from .prepared import resolve_backend_for
 
 __all__ = [
     "ENV_MAX_RETRIES",
@@ -279,13 +279,13 @@ class PlanSpec:
     Everything a worker needs to rebuild (and cache) the plan: the **ordered**
     relation tuple (plans are positional — order is part of the identity, see
     the analysis-cache notes in :mod:`repro.engine.analysis`), the projection
-    target, the qual-tree root, and the backend knobs.
+    target, the qual-tree root, and the interner cap.
     ``max_interned_values`` is carried *resolved* (the literal cap, ``None``
-    meaning unbounded); it **seeds** the plan a worker builds fresh for this
-    spec.  A plan already resident in the worker — inherited over ``fork``,
-    or shared through the analysis LRU with a spec differing only in cap —
-    keeps its existing policy (one plan has one interner and therefore one
-    rollover policy; see ``_plan_for_spec``).
+    meaning unbounded); it **seeds** whichever serial plan a worker builds
+    fresh for this spec.  A plan already resident in the worker — inherited
+    over ``fork``, or shared through the analysis LRU with a spec differing
+    only in cap — keeps its existing policy (one plan has one interner and
+    therefore one rollover policy; see ``_plan_for_spec``).
 
     Specs are frozen, hashable and comparable, which makes them directly
     usable as worker-side cache keys; an unpickled spec compares equal to the
@@ -296,15 +296,6 @@ class PlanSpec:
     target: RelationSchema
     root: int = 0
     max_interned_values: Optional[int] = DEFAULT_MAX_INTERNED_VALUES
-    #: Serial kernel the workers *prefer* for shards (``"compiled"`` or
-    #: ``"vectorized"``): the capability verdict of the parent process,
-    #: carried so every worker agrees with what the parent would have
-    #: picked serially.  Workers still downgrade a vectorized preference to
-    #: compiled shard by shard when the states are too small to amortize
-    #: the array toll (``_shard_backend``) — a batch-dependent verdict that
-    #: must not live in the spec, which keys pinned pools and worker plan
-    #: caches.
-    serial_backend: str = "compiled"
     #: True when the spec identifies a cyclic plan
     #: (:class:`~repro.engine.cyclic.CyclicPreparedQuery`): workers rebuild
     #: through ``prepare_cyclic`` (treefication prologue + inner tree plan).
@@ -314,25 +305,16 @@ class PlanSpec:
     def of(cls, prepared) -> "PlanSpec":
         """The spec of a :class:`~repro.engine.prepared.PreparedQuery`
         (normally reached through ``prepared.plan_spec()``)."""
-        serial = resolve_backend("auto")
-        # Carry the interner cap of the serial plan the workers will run;
-        # when only the *other* serial plan is resident (a caller configured
-        # prepared.compiled directly, say), its cap still describes the
-        # intent and seeds the workers.
-        preferred = (
-            prepared._vectorized
-            if serial == "vectorized"
-            else prepared._compiled
-        )
-        fallback = (
-            prepared._compiled
-            if serial == "vectorized"
-            else prepared._vectorized
-        )
-        plan = preferred if preferred is not None else fallback
-        cap = (
-            plan.max_interned_values
+        # Carry the interner cap of a resident serial plan (a caller may
+        # have configured either one); it seeds the workers' plans.
+        resident = [
+            plan
+            for plan in (prepared._compiled, prepared._vectorized)
             if plan is not None
+        ]
+        cap = (
+            resident[0].max_interned_values
+            if resident
             else DEFAULT_MAX_INTERNED_VALUES
         )
         return cls(
@@ -340,7 +322,6 @@ class PlanSpec:
             target=prepared.target,
             root=prepared.root,
             max_interned_values=cap,
-            serial_backend=serial,
             cyclic=bool(getattr(prepared, "is_cyclic_plan", False)),
         )
 
@@ -353,88 +334,64 @@ class PlanSpec:
 # -- worker side ---------------------------------------------------------------
 
 
-def _serial_plan(prepared, serial_backend: str):
-    """The prepared query's plan object for a spec's serial backend."""
-    if serial_backend == "vectorized":
+def _serial_plan(prepared, backend: str):
+    """The prepared query's plan object for a serial kernel."""
+    if backend == "vectorized":
         return prepared.vectorized
     return prepared.compiled
 
 
-def _shard_backend(
-    preferred: str, states: Sequence[DatabaseState]
-) -> str:
-    """The serial kernel for one shard: the spec's preference, downgraded
-    to compiled for shards of tiny states.
-
-    The spec carries the *capability* preference (``"vectorized"`` whenever
-    the parent had numpy) so it stays a stable cache key for pinned pools
-    and worker plan caches; profitability is per batch, so each shard
-    applies the same mean-rows gate the serial ``auto`` path applies
-    (:func:`repro.engine.prepared.resolve_backend_for`).
-    """
-    if preferred != "vectorized":
-        return preferred
-    return resolve_backend_for("auto", states)
-
-#: Worker-local plan cache: spec → PreparedQuery (with its compiled plan
-#: forced).  Lives in the worker process's module globals; bounded so a
-#: worker serving many distinct plans cannot grow without limit.  Within the
-#: bound, each spec is compiled at most once per worker — the property the
-#: call-count tests pin down.
+#: Worker-local plan cache: spec → PreparedQuery (holding the serial plans
+#: its shards built).  Lives in the worker process's module globals; bounded
+#: so a worker serving many distinct plans cannot grow without limit.
+#: Within the bound, each spec's plan for a kernel is built at most once per
+#: worker — the property the call-count tests pin down.
 _PLAN_CACHE_MAX = 128
 _worker_plans: "OrderedDict[PlanSpec, Any]" = OrderedDict()
 
 
-def _plan_for_spec(spec: PlanSpec) -> Tuple[Any, int]:
-    """The worker's prepared query for ``spec`` plus a did-compile flag (0/1).
+def _plan_for_spec(spec: PlanSpec, backend: str) -> Tuple[Any, int]:
+    """The worker's ``backend`` serial plan for ``spec`` plus a did-build
+    flag (0/1).
 
     On a miss the query is rebuilt through the analysis LRU
-    (:func:`~repro.engine.analysis.prepared_from_spec`) and its compiled plan
-    is forced immediately, so the compile cost lands on the first shard and
-    later shards are pure execution.
+    (:func:`~repro.engine.analysis.prepared_from_spec`) and the requested
+    plan is built immediately, so the build cost lands on the first shard
+    and later shards are pure execution.
     """
     prepared = _worker_plans.get(spec)
-    if prepared is not None:
-        _worker_plans.move_to_end(spec)
-        return prepared, 0
-    from .analysis import prepared_from_spec
+    if prepared is None:
+        from .analysis import prepared_from_spec
 
-    prepared = prepared_from_spec(spec)
-    # `compiled_now` counts *actual* plan builds: a fork-started worker
-    # inherits the parent's analysis LRU, so the rebuilt query may already
-    # carry its serial plan and the first shard pays nothing.
+        prepared = prepared_from_spec(spec)
+        _worker_plans[spec] = prepared
+        if len(_worker_plans) > _PLAN_CACHE_MAX:
+            _worker_plans.popitem(last=False)
+    else:
+        _worker_plans.move_to_end(spec)
+    # The flag counts *actual* plan builds: a fork-started worker inherits
+    # the parent's analysis LRU, so the rebuilt query may already carry the
+    # plan and the first shard pays nothing.  Such a resident plan keeps its
+    # existing interner cap: a plan has one interner and therefore one
+    # rollover policy, and silently overwriting it would re-enable (or
+    # un-bound) epochs behind the back of whichever client configured it
+    # first.  Only a plan built here is seeded with the spec's cap.
     resident = (
-        prepared._vectorized
-        if spec.serial_backend == "vectorized"
-        else prepared._compiled
+        prepared._vectorized if backend == "vectorized" else prepared._compiled
     )
-    compiled_now = 1 if resident is None else 0
-    # The spec's interner cap *seeds* a freshly built plan.  A plan already
-    # resident in this process — inherited over fork, or shared through the
-    # analysis LRU with a spec differing only in cap — keeps its existing
-    # policy: a plan has one interner and therefore one rollover policy, and
-    # silently overwriting it would re-enable (or un-bound) epochs behind
-    # the back of whichever client configured it first.
-    if compiled_now:
-        _serial_plan(prepared, spec.serial_backend).max_interned_values = (
-            spec.max_interned_values
-        )
-        if spec.serial_backend == "vectorized" and prepared._compiled is None:
-            # A vectorized-preferring worker still runs compiled on tiny
-            # shards (``_shard_backend``); seed that plan's cap too so the
-            # downgrade cannot un-bound the interner.
-            prepared.compiled.max_interned_values = spec.max_interned_values
-    _worker_plans[spec] = prepared
-    if len(_worker_plans) > _PLAN_CACHE_MAX:
-        _worker_plans.popitem(last=False)
-    return prepared, compiled_now
+    if resident is not None:
+        return resident, 0
+    plan = _serial_plan(prepared, backend)
+    plan.max_interned_values = spec.max_interned_values
+    return plan, 1
 
 
 def _execute_shard(
-    spec: PlanSpec, states: Tuple[DatabaseState, ...]
+    spec: PlanSpec, backend: str, states: Tuple[DatabaseState, ...]
 ) -> Tuple[int, int, List[YannakakisRun], ExecutionStats]:
-    """Worker entry point: execute one shard against the cached plan.
+    """Worker entry point: execute one shard on the batch's serial kernel.
 
+    ``backend`` is the kernel the parent picked once for the whole batch.
     Returns ``(pid, plans_compiled, runs, shard_stats)``; runs are decoded
     (plain-value relations) before pickling back, so worker-local interner
     codes never leave the process.  The injectable fault points of
@@ -444,11 +401,10 @@ def _execute_shard(
     inject = faults.any_active()
     if inject:
         faults.on_shard_start()
-    prepared, compiled_now = _plan_for_spec(spec)
-    stats = ExecutionStats()
     # Both serial plans handle every schema, the empty one included, and
     # their encode paths are what keep ``stats.states`` accounting truthful.
-    plan = _serial_plan(prepared, _shard_backend(spec.serial_backend, states))
+    plan, compiled_now = _plan_for_spec(spec, backend)
+    stats = ExecutionStats()
     runs = []
     for state in states:
         if inject:
@@ -893,6 +849,8 @@ class ParallelExecutor:
                 unique_states.append(state)
             positions.append(index)
 
+        # One kernel for the whole batch, the one the serial paths pick.
+        backend = resolve_backend_for("auto", unique_states)
         costs = [state.total_rows() for state in unique_states]
         shards = plan_shards(costs, self._workers * self._shards_per_worker)
         # Heaviest shard first: it starts executing while the rest are still
@@ -1045,6 +1003,7 @@ class ParallelExecutor:
                     future = pool.submit(
                         _execute_shard,
                         spec,
+                        backend,
                         tuple(unique_states[index] for index in task.indices),
                     )
                 except BrokenExecutor as error:
@@ -1179,7 +1138,7 @@ class ParallelExecutor:
 
 
 def execute_in_process(prepared, states: Iterable[DatabaseState]) -> List[YannakakisRun]:
-    """Run a "parallel" batch on the in-process compiled backend, no pool.
+    """Run a "parallel" batch on the in-process serial kernel, no pool.
 
     The adaptive router calls this when a batch bound for the parallel
     backend is degenerate — empty, a single unique state, or all-empty

@@ -69,8 +69,9 @@ def resolve_backend(backend: str) -> str:
     across workers and is therefore accepted only by
     :meth:`PreparedQuery.execute_many`.
 
-    This is the one place the serial-backend default is decided; the
-    parallel layer's plan specs and in-process routing call it too.
+    This is the one place the serial-backend default is decided;
+    :func:`resolve_backend_for` and the router's override validation call
+    it too.
     """
     if backend not in _BACKENDS:
         raise ValueError(
@@ -128,8 +129,9 @@ def vectorized_batch_profitable(
     ``(relation_count − VECTORIZED_NARROW_RELATIONS)`` (wide schemas of
     many small relations lose to the per-join array-setup toll even when
     total rows look large; narrow schemas are floor-only).  This single
-    predicate backs the serial seam (:func:`resolve_backend_for`) and the
-    parallel shard downgrade, so the two routing points cannot drift.
+    predicate backs the one kernel seam, :func:`resolve_backend_for`, which
+    serial batches, in-process ``"parallel"`` batches and pool batches all
+    call once per batch.
     """
     if state_count <= 0:
         return False
@@ -482,11 +484,13 @@ class PreparedQuery:
         ``backend`` selects the execution kernel: ``"auto"`` (the default)
         routes through the array-backed vectorized kernel of
         :mod:`repro.relational.vectorized` when numpy is importable *and*
-        the state is large enough to amortize the array toll
-        (:data:`VECTORIZED_MIN_STATE_ROWS` total rows), and the
-        interned-value columnar backend of :mod:`repro.relational.compiled`
-        otherwise; ``"vectorized"``/``"compiled"`` request those kernels
-        explicitly and ``"classic"`` forces the object-tuple
+        the state is large enough to amortize the array toll — the
+        shape-aware :func:`vectorized_batch_profitable` gate, which adds a
+        per-relation term to the :data:`VECTORIZED_MIN_STATE_ROWS` floor —
+        and the interned-value columnar backend of
+        :mod:`repro.relational.compiled` otherwise;
+        ``"vectorized"``/``"compiled"`` request those kernels explicitly and
+        ``"classic"`` forces the object-tuple
         :class:`~repro.relational.relation.Relation` operators.  All
         backends return the same :class:`~repro.relational.yannakakis.
         YannakakisRun` — result, semijoin/join counts and intermediate-size
@@ -564,8 +568,8 @@ class PreparedQuery:
         """Execute the plan against each state, amortizing the planning cost.
 
         With a serial columnar backend (``"auto"`` picks the vectorized
-        kernel when numpy is importable and the batch's mean state size
-        clears :data:`VECTORIZED_MIN_STATE_ROWS`, the compiled backend
+        kernel when numpy is importable and the batch passes the shape-aware
+        :func:`vectorized_batch_profitable` gate, the compiled backend
         otherwise) this is a true batch: all states share the plan's
         interning dictionaries and per-slot encoding cache, so a slot whose
         rows repeat across states is encoded — and its key indexes built —
@@ -599,10 +603,11 @@ class PreparedQuery:
 
         One-shot parallel batches (no ``executor``) are cost-routed: an
         empty batch returns immediately and a *degenerate* batch — a single
-        unique state, or states with no rows at all — runs on the in-process
-        compiled backend (still retagged ``backend="parallel"``) instead of
-        paying a pool spawn that would dwarf the work.  Pass an ``executor``
-        to pin execution to a real pool unconditionally.
+        unique state, or states with no rows at all — runs in-process on the
+        serial kernel ``"auto"`` resolves to for the batch (still retagged
+        ``backend="parallel"``) instead of paying a pool spawn that would
+        dwarf the work.  Pass an ``executor`` to pin execution to a real pool
+        unconditionally.
         """
         return _execute_many(
             self,
@@ -667,8 +672,12 @@ def _execute_many(
         # in-process shortcut could honor neither shard_timeout (no
         # supervisor above the serving process) nor degrade-mode
         # quarantine semantics.
-        if not overrides and RoutingPolicy().is_degenerate(state_list):
-            return execute_in_process(query, state_list)
+        if not overrides:
+            decision = RoutingPolicy().decide(
+                query, state_list, backend="parallel"
+            )
+            if decision.rule == "override-degenerate":
+                return execute_in_process(query, state_list)
         with ParallelExecutor(workers=workers) as pool:
             return pool.execute_many(query, state_list, **overrides)
     if workers is not None:

@@ -9,12 +9,14 @@ exactly the kind of decision the plan-once economy can make *once*: plan
 shape is fixed at prepare time, so one tiny timing probe per plan calibrates
 a cost model that every later batch reuses.
 
-:class:`RoutingPolicy` implements that model:
+:meth:`RoutingPolicy.decide` is the one place that chooses between the pool
+and in-process execution (the serial kernel itself is always
+:func:`~repro.engine.prepared.resolve_backend_for`'s verdict):
 
 * **Probe.**  The first decision for a plan times a few executions of the
-  serial kernel ``auto`` resolves to — vectorized when numpy imports,
-  compiled otherwise (:data:`DEFAULT_PROBE_STATES` sample states) — and
-  caches the measured per-row seconds on the plan's
+  serial kernel :func:`~repro.engine.prepared.resolve_backend_for` picks for
+  the batch (:data:`DEFAULT_PROBE_STATES` sample states) and caches the
+  measured per-row seconds on the plan's
   :class:`~repro.engine.analysis.AnalyzedSchema`
   (:meth:`~repro.engine.analysis.AnalyzedSchema.cached_cost_probe`), keyed by
   ``(target, root, backend)`` — shared across services, threads and batches.
@@ -31,10 +33,14 @@ a cost model that every later batch reuses.
   seconds never routes to the pool (process parallelism cannot amortize at
   that scale), and degenerate batches — empty, all-empty-rows, or a single
   unique state — are in-process by construction.
+* **Overrides.**  An explicit ``backend=`` bypasses the model and is
+  recorded as rule ``override``; an explicit ``"parallel"`` on a degenerate
+  batch is recorded as ``override-degenerate`` and served in-process.
 
-Every knob is a constructor argument, so tests (and unusual deployments) can
-force either outcome deterministically; ``backend=`` on the service API
-remains an explicit override that bypasses the model entirely.
+The gate constants are module-level ``DEFAULT_*`` values read at decision
+time; tests pin them (and the probe, through
+:meth:`~repro.engine.analysis.AnalyzedSchema.store_cost_probe`) to force
+either outcome deterministically.
 
 The policy is plan-shape agnostic: it touches only the ``plan_spec`` /
 ``compiled`` / ``vectorized`` / ``execute`` surface both
@@ -53,7 +59,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..relational.database import DatabaseState
 from .analysis import analyze
-from .prepared import resolve_backend_for
+from .prepared import resolve_backend, resolve_backend_for
 
 __all__ = [
     "DEFAULT_BATCH_OVERHEAD_S",
@@ -64,7 +70,6 @@ __all__ = [
     "DEFAULT_SPAWN_S",
     "RoutingDecision",
     "RoutingPolicy",
-    "override_decision",
 ]
 
 #: Sample states timed by the calibration probe (spread across the batch).
@@ -101,14 +106,15 @@ _MIN_PER_ROW_S = 1e-9
 class RoutingDecision:
     """One routing verdict with the evidence that produced it.
 
-    ``backend`` is the resolved execution backend — the serial kernel
-    ``auto`` resolves to (``"vectorized"`` when numpy imports, else
-    ``"compiled"``) or ``"parallel"``; an explicit override may carry any
-    backend name, ``"classic"`` included.  ``rule``
+    ``backend`` is the resolved execution backend — ``"parallel"``, or the
+    serial kernel :func:`~repro.engine.prepared.resolve_backend_for` picks
+    for the batch (``"vectorized"`` or ``"compiled"``); an explicit override
+    may carry any backend name, ``"classic"`` included.  ``rule``
     is a stable machine-readable tag naming the branch that decided
-    (``"override"``, ``"empty"``, ``"single-unique"``, ``"all-empty"``,
-    ``"narrow-pool"``, ``"small-batch"``, ``"thin-serial"``,
-    ``"parallel-wins"``, ``"parallel-loses"``); ``reason`` is the human
+    (``"override"``, ``"override-degenerate"``, ``"empty"``,
+    ``"single-unique"``, ``"all-empty"``, ``"narrow-pool"``,
+    ``"small-batch"``, ``"thin-serial"``, ``"parallel-wins"``,
+    ``"parallel-loses"``); ``reason`` is the human
     sentence.  The estimate fields are ``None`` on branches that never
     reached the cost comparison.
     """
@@ -138,21 +144,6 @@ class RoutingDecision:
         }
 
 
-def override_decision(
-    backend: str, states: Sequence[DatabaseState]
-) -> RoutingDecision:
-    """The decision recorded when the caller forced ``backend=`` explicitly."""
-    unique_states, unique_rows = _dedup_profile(states)
-    return RoutingDecision(
-        backend=backend,
-        rule="override",
-        reason=f"backend={backend!r} requested explicitly",
-        states=len(states),
-        unique_states=unique_states,
-        unique_rows=unique_rows,
-    )
-
-
 def _dedup_profile(states: Sequence[DatabaseState]) -> Tuple[int, int]:
     """(unique state count, total rows across unique states)."""
     seen = set()
@@ -165,49 +156,14 @@ def _dedup_profile(states: Sequence[DatabaseState]) -> Tuple[int, int]:
 
 
 class RoutingPolicy:
-    """The adaptive cost model; every constant is a constructor knob.
+    """The adaptive cost model.
 
     Stateless apart from the probe cache it shares through
     :class:`~repro.engine.analysis.AnalyzedSchema`, so one policy instance
-    can be shared by any number of threads and services.  ``per_row_s``
-    pins the compiled per-row cost and disables probing entirely — tests and
-    benchmarks use it to make decisions deterministic.
+    can be shared by any number of threads and services.  Subclassing is
+    the substitution point: :class:`~repro.engine.service.QueryService`
+    accepts any policy through ``routing=``.
     """
-
-    def __init__(
-        self,
-        *,
-        probe_states: int = DEFAULT_PROBE_STATES,
-        dispatch_per_state_s: float = DEFAULT_DISPATCH_PER_STATE_S,
-        batch_overhead_s: float = DEFAULT_BATCH_OVERHEAD_S,
-        spawn_s: float = DEFAULT_SPAWN_S,
-        min_parallel_states: int = DEFAULT_MIN_PARALLEL_STATES,
-        min_parallel_serial_s: float = DEFAULT_MIN_PARALLEL_SERIAL_S,
-        per_row_s: Optional[float] = None,
-    ) -> None:
-        if probe_states < 1:
-            raise ValueError(f"probe_states must be >= 1, got {probe_states}")
-        if min_parallel_states < 2:
-            raise ValueError(
-                f"min_parallel_states must be >= 2, got {min_parallel_states}"
-            )
-        for name, value in (
-            ("dispatch_per_state_s", dispatch_per_state_s),
-            ("batch_overhead_s", batch_overhead_s),
-            ("spawn_s", spawn_s),
-            ("min_parallel_serial_s", min_parallel_serial_s),
-        ):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if per_row_s is not None and per_row_s <= 0:
-            raise ValueError(f"per_row_s must be > 0, got {per_row_s}")
-        self.probe_states = probe_states
-        self.dispatch_per_state_s = dispatch_per_state_s
-        self.batch_overhead_s = batch_overhead_s
-        self.spawn_s = spawn_s
-        self.min_parallel_states = min_parallel_states
-        self.min_parallel_serial_s = min_parallel_serial_s
-        self.per_row_s = per_row_s
 
     # -- calibration -----------------------------------------------------------
 
@@ -216,18 +172,16 @@ class RoutingPolicy:
     ) -> float:
         """Per-row serial cost for ``prepared``, probing at most once.
 
-        Returns the pinned ``per_row_s`` if configured, else the value cached
-        on the plan's analysis, else times up to ``probe_states`` sample
-        states (spread across the batch) on the serial kernel ``auto``
-        resolves to *for this batch* — the vectorized backend when numpy
-        imports and the states are big enough to amortize the array toll,
-        compiled otherwise — and caches the result keyed by that backend,
-        so a vectorized calibration never masquerades as a compiled one.  The
-        probed executions go through the plan's encode cache, so a following
-        batch re-executes them nearly for free.
+        Returns the value cached on the plan's analysis, else times up to
+        :data:`DEFAULT_PROBE_STATES` sample states (spread across the
+        batch) on the serial kernel ``auto`` resolves to *for this batch* —
+        the vectorized backend when numpy imports and the states are big
+        enough to amortize the array toll, compiled otherwise — and caches
+        the result keyed by that backend, so a vectorized calibration never
+        masquerades as a compiled one.  The probed executions go through the
+        plan's encode cache, so a following batch re-executes them nearly
+        for free.
         """
-        if self.per_row_s is not None:
-            return self.per_row_s
         serial = resolve_backend_for("auto", states)
         analysis = analyze(prepared.schema)
         cached = analysis.cached_cost_probe(
@@ -238,8 +192,8 @@ class RoutingPolicy:
         count = len(states)
         picks = sorted(
             {
-                index * (count - 1) // max(1, self.probe_states - 1)
-                for index in range(min(self.probe_states, count))
+                index * (count - 1) // max(1, DEFAULT_PROBE_STATES - 1)
+                for index in range(min(DEFAULT_PROBE_STATES, count))
             }
         )
         samples = [states[index] for index in picks]
@@ -259,40 +213,36 @@ class RoutingPolicy:
 
     # -- decisions -------------------------------------------------------------
 
-    def is_degenerate(self, states: Sequence[DatabaseState]) -> bool:
-        """True for batches where spawning a pool can never pay: empty, a
-        single unique state, or no rows at all.  This is the (deliberately
-        narrow) test the one-shot ``backend="parallel"`` path applies — an
-        explicit parallel request is otherwise honored as given."""
-        if not states:
-            return True
-        unique_states, unique_rows = _dedup_profile(states)
-        return unique_states <= 1 or unique_rows == 0
-
     def decide(
         self,
         prepared,
         states: Sequence[DatabaseState],
         *,
-        workers: int,
+        workers: int = 1,
         pool_live: bool = False,
+        backend: str = "auto",
     ) -> RoutingDecision:
         """Route a batch: the in-process serial kernel vs the supervised pool.
 
         ``workers`` is the pool width a parallel route would use;
         ``pool_live`` suppresses the spawn charge when a warm pool already
-        exists (the long-lived service case).
+        exists (the long-lived service case).  Any ``backend`` other than
+        ``"auto"`` is an explicit override: it is validated and recorded as
+        given (rule ``override``), except that ``"parallel"`` on an empty,
+        single-unique or all-empty batch — which no pool can shard — is
+        recorded as ``override-degenerate`` for in-process execution.
         """
         state_list = (
             states if isinstance(states, (list, tuple)) else list(states)
         )
         count = len(state_list)
         unique_states, unique_rows = _dedup_profile(state_list)
-        serial_backend = resolve_backend_for("auto", state_list)
 
-        def compiled(rule: str, reason: str, **estimates) -> RoutingDecision:
+        def verdict(
+            chosen: str, rule: str, reason: str, **estimates
+        ) -> RoutingDecision:
             return RoutingDecision(
-                backend=serial_backend,
+                backend=chosen,
                 rule=rule,
                 reason=reason,
                 states=count,
@@ -301,71 +251,80 @@ class RoutingPolicy:
                 **estimates,
             )
 
+        if backend != "auto":
+            resolved = resolve_backend(backend)
+            if resolved == "parallel" and (unique_states <= 1 or unique_rows == 0):
+                return verdict(
+                    "parallel",
+                    "override-degenerate",
+                    "backend='parallel' requested but the batch is "
+                    "degenerate; serving in-process",
+                )
+            return verdict(
+                resolved, "override", f"backend={resolved!r} requested explicitly"
+            )
+
+        kernel = resolve_backend_for("auto", state_list)
         if count == 0:
-            return compiled("empty", "empty batch: nothing to execute")
+            return verdict(kernel, "empty", "empty batch: nothing to execute")
         if unique_states <= 1:
-            return compiled(
+            return verdict(
+                kernel,
                 "single-unique",
                 "a single unique state cannot be parallelized across shards",
             )
         if unique_rows == 0:
-            return compiled(
-                "all-empty", "all states are empty; execution is trivial"
+            return verdict(
+                kernel, "all-empty", "all states are empty; execution is trivial"
             )
         if workers < 2:
-            return compiled(
+            return verdict(
+                kernel,
                 "narrow-pool",
                 f"pool width {workers} offers no parallelism",
             )
-        if unique_states < self.min_parallel_states:
-            return compiled(
+        if unique_states < DEFAULT_MIN_PARALLEL_STATES:
+            return verdict(
+                kernel,
                 "small-batch",
                 f"{unique_states} unique state(s) is below the "
-                f"min_parallel_states={self.min_parallel_states} gate",
+                f"min_parallel_states={DEFAULT_MIN_PARALLEL_STATES} gate",
             )
         per_row = self.probe(prepared, state_list)
         serial = per_row * unique_rows
-        if serial < self.min_parallel_serial_s:
-            return compiled(
+        if serial < DEFAULT_MIN_PARALLEL_SERIAL_S:
+            return verdict(
+                kernel,
                 "thin-serial",
                 f"estimated serial cost {serial * 1e3:.2f} ms is below the "
-                f"min_parallel_serial_s={self.min_parallel_serial_s * 1e3:g} ms gate",
+                f"min_parallel_serial_s="
+                f"{DEFAULT_MIN_PARALLEL_SERIAL_S * 1e3:g} ms gate",
                 per_row_s=per_row,
                 estimated_serial_s=serial,
             )
         parallel = (
-            self.batch_overhead_s
-            + self.dispatch_per_state_s * unique_states
+            DEFAULT_BATCH_OVERHEAD_S
+            + DEFAULT_DISPATCH_PER_STATE_S * unique_states
             + serial / workers
-            + (0.0 if pool_live else self.spawn_s)
+            + (0.0 if pool_live else DEFAULT_SPAWN_S)
         )
-        if parallel < serial:
-            return RoutingDecision(
-                backend="parallel",
-                rule="parallel-wins",
-                reason=(
-                    f"estimated {parallel * 1e3:.1f} ms on {workers} workers "
-                    f"vs {serial * 1e3:.1f} ms in-process"
-                ),
-                states=count,
-                unique_states=unique_states,
-                unique_rows=unique_rows,
-                per_row_s=per_row,
-                estimated_serial_s=serial,
-                estimated_parallel_s=parallel,
-            )
-        return compiled(
-            "parallel-loses",
-            f"estimated {parallel * 1e3:.1f} ms on {workers} workers does "
-            f"not beat {serial * 1e3:.1f} ms in-process",
+        estimates = dict(
             per_row_s=per_row,
             estimated_serial_s=serial,
             estimated_parallel_s=parallel,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"RoutingPolicy(min_parallel_states={self.min_parallel_states}, "
-            f"min_parallel_serial_s={self.min_parallel_serial_s}, "
-            f"dispatch_per_state_s={self.dispatch_per_state_s})"
+        if parallel < serial:
+            return verdict(
+                "parallel",
+                "parallel-wins",
+                f"estimated {parallel * 1e3:.1f} ms on {workers} workers "
+                f"vs {serial * 1e3:.1f} ms in-process",
+                **estimates,
+            )
+        return verdict(
+            kernel,
+            "parallel-loses",
+            f"estimated {parallel * 1e3:.1f} ms on {workers} workers does "
+            f"not beat {serial * 1e3:.1f} ms in-process",
+            **estimates,
         )

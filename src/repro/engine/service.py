@@ -13,7 +13,9 @@ Three ideas compose here:
   model calibrates itself from a tiny per-plan timing probe cached on the
   plan's :class:`~repro.engine.analysis.AnalyzedSchema`, so the probe cost is
   paid once per plan — not per batch, not per service.  ``backend=`` remains
-  an explicit override that bypasses the model.
+  an explicit override that bypasses the model; the policy records it too,
+  so every batch's verdict comes from the same
+  :meth:`~repro.engine.routing.RoutingPolicy.decide` call.
 
 * **Bounded admission.**  ``max_inflight_states`` / ``max_inflight_bytes``
   cap what the service will hold in flight.  ``submit(..., wait=True)``
@@ -22,10 +24,11 @@ Three ideas compose here:
   :class:`~repro.exceptions.AdmissionError` carrying the sizes involved so
   callers can shed load intelligently.
 
-* **Worker affinity.**  Parallel batches run on *spec-pinned* executors: one
-  :class:`~repro.engine.parallel.ParallelExecutor` per plan spec (bounded
-  LRU of ``max_pinned_pools``), so a (worker, spec) pair keeps its interner
-  epoch and compiled-plan cache warm across batches.
+* **Worker affinity.**  Parallel batches run on one
+  :class:`~repro.engine.parallel.ParallelExecutor`, spawned by the first
+  parallel batch and kept for the service's lifetime.  Its workers cache
+  plans per spec (up to 128 specs each), so a (worker, spec) pair keeps its
+  interner epoch and compiled plan warm across batches of any mix of specs.
 
 :meth:`QueryService.stream` is the streaming API: it splits a batch into
 cost-balanced shards and yields :class:`StreamItem` results *as each shard
@@ -36,8 +39,9 @@ supervision ladder recorded) instead of poisoning the whole stream.
 
 Cyclic plans (:class:`~repro.engine.cyclic.CyclicPreparedQuery`) serve
 through every one of these paths unchanged: the service only touches
-``plan_spec()`` (whose ``cyclic`` flag keys distinct pinned pools) and the
-``execute_many`` knob matrix, both of which the cyclic plan mirrors.
+``plan_spec()`` (whose ``cyclic`` flag keys distinct worker plan-cache
+entries) and the ``execute_many`` knob matrix, both of which the cyclic plan
+mirrors.
 """
 
 from __future__ import annotations
@@ -45,10 +49,9 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as wait_futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import AdmissionError, ExecutionError
@@ -62,12 +65,9 @@ from .parallel import (
     resolve_failure_policy,
     resolve_worker_count,
 )
-from .prepared import resolve_backend
-from .routing import RoutingDecision, RoutingPolicy, override_decision
+from .routing import RoutingDecision, RoutingPolicy
 
 __all__ = [
-    "DEFAULT_MAX_PINNED_POOLS",
-    "DEFAULT_STREAM_SHARDS_PER_WORKER",
     "QueryService",
     "ServiceHandle",
     "ServiceStats",
@@ -76,13 +76,10 @@ __all__ = [
     "estimate_state_bytes",
 ]
 
-#: Spec-pinned parallel pools kept alive at once (LRU beyond this).
-DEFAULT_MAX_PINNED_POOLS = 4
-
 #: Streaming granularity: target shards per pool worker.  More shards mean
 #: earlier first results and finer admission release; fewer amortize batch
 #: overhead better.
-DEFAULT_STREAM_SHARDS_PER_WORKER = 2
+_STREAM_SHARDS_PER_WORKER = 2
 
 #: Dispatcher threads: enough to overlap a few batches and stream shards
 #: without unbounded thread growth (threads block, the GIL is released in
@@ -170,7 +167,6 @@ class ServiceStats:
         "streamed_items",
         "admission_waits",
         "admission_rejections",
-        "pool_evictions",
         "backends",
         "rules",
         "catalog",
@@ -185,7 +181,6 @@ class ServiceStats:
         self.admission_waits = 0
         #: Structured AdmissionErrors raised (wait=False or timeout).
         self.admission_rejections = 0
-        self.pool_evictions = 0
         #: Batches per executed backend ("compiled"/"parallel"/"classic").
         self.backends: Dict[str, int] = {}
         #: Batches per routing rule ("parallel-wins", "small-batch", ...).
@@ -205,7 +200,6 @@ class ServiceStats:
             "streamed_items": self.streamed_items,
             "admission_waits": self.admission_waits,
             "admission_rejections": self.admission_rejections,
-            "pool_evictions": self.pool_evictions,
             "backends": dict(self.backends),
             "rules": dict(self.rules),
             "catalog": None if self.catalog is None else self.catalog.as_dict(),
@@ -281,27 +275,18 @@ class ServiceStream:
         return self._iterator
 
 
-@dataclass
-class _PinnedPool:
-    """A spec-pinned executor plus the lock that serializes batches on it
-    (:class:`~repro.engine.parallel.ParallelExecutor` is not thread-safe)."""
-
-    executor: ParallelExecutor
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-
 class QueryService:
     """Thread-safe, long-lived serving front end over the execution backends.
 
     One service owns: a routing policy (shared cost model), an admission
     gate (bounded in-flight states/bytes with blocking backpressure), a
-    small dispatcher thread pool (asynchronous ``submit``), and a bounded
-    LRU of spec-pinned :class:`~repro.engine.parallel.ParallelExecutor`
-    pools.  All public methods are safe to call from any thread.
+    small dispatcher thread pool (asynchronous ``submit``), and one lazily
+    spawned :class:`~repro.engine.parallel.ParallelExecutor` shared by every
+    parallel batch.  All public methods are safe to call from any thread.
 
     Parameters mirror the executor's where they overlap; ``workers``,
-    ``shard_timeout``, ``max_retries`` and ``failure_policy`` become the
-    defaults for every pinned pool.  ``routing=None`` installs a
+    ``shard_timeout``, ``max_retries`` and ``failure_policy`` configure
+    that pool.  ``routing=None`` installs a
     default :class:`~repro.engine.routing.RoutingPolicy`;
     ``max_inflight_states`` / ``max_inflight_bytes`` of ``None`` disable the
     respective admission limit.
@@ -314,11 +299,9 @@ class QueryService:
         routing: Optional[RoutingPolicy] = None,
         max_inflight_states: Optional[int] = None,
         max_inflight_bytes: Optional[int] = None,
-        max_pinned_pools: int = DEFAULT_MAX_PINNED_POOLS,
         shard_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         failure_policy: str = "raise",
-        stream_shards_per_worker: int = DEFAULT_STREAM_SHARDS_PER_WORKER,
         catalog=None,
     ) -> None:
         if max_inflight_states is not None and max_inflight_states < 1:
@@ -329,13 +312,6 @@ class QueryService:
             raise ValueError(
                 f"max_inflight_bytes must be >= 1, got {max_inflight_bytes}"
             )
-        if max_pinned_pools < 1:
-            raise ValueError(f"max_pinned_pools must be >= 1, got {max_pinned_pools}")
-        if stream_shards_per_worker < 1:
-            raise ValueError(
-                f"stream_shards_per_worker must be >= 1, "
-                f"got {stream_shards_per_worker}"
-            )
         self._workers = resolve_worker_count(workers)
         self._routing = routing if routing is not None else RoutingPolicy()
         self._failure_policy = resolve_failure_policy(failure_policy)
@@ -343,8 +319,6 @@ class QueryService:
         self._max_retries = max_retries
         self._max_inflight_states = max_inflight_states
         self._max_inflight_bytes = max_inflight_bytes
-        self._max_pinned_pools = max_pinned_pools
-        self._stream_shards = stream_shards_per_worker
         #: The persistent plan catalog this service reports on (an instance,
         #: a directory path, or ``None`` for the ``REPRO_CATALOG_DIR``
         #: default).  The serving path itself never blocks on the catalog —
@@ -364,9 +338,14 @@ class QueryService:
         self._closed = False
         #: True only inside close(drain=True), between refusing new
         #: submissions and the dispatcher running dry: in-flight batches may
-        #: still acquire pinned pools during this window.
+        #: still acquire (even spawn) the pool during this window.
         self._draining = False
-        self._pools: "OrderedDict[object, _PinnedPool]" = OrderedDict()
+        #: The process pool of every parallel batch, spawned by the first
+        #: one; ``_pool_lock`` serializes batches on it
+        #: (:class:`~repro.engine.parallel.ParallelExecutor` is not
+        #: thread-safe).
+        self._pool: Optional[ParallelExecutor] = None
+        self._pool_lock = threading.Lock()
         #: Serializes in-process (compiled/classic) batches: the compiled
         #: kernel's caches are guarded for encoding but batch execution is
         #: not designed for concurrent mutation, and in-process routes are
@@ -380,12 +359,12 @@ class QueryService:
 
     @property
     def healthy(self) -> bool:
-        """True while the service is open and every pinned pool is usable."""
+        """True while the service is open and its pool (if spawned) is usable."""
         with self._lock:
             if self._closed:
                 return False
-            pools = list(self._pools.values())
-        return all(pool.executor.healthy for pool in pools)
+            pool = self._pool
+        return pool is None or pool.healthy
 
     @property
     def catalog(self):
@@ -396,7 +375,7 @@ class QueryService:
         """Shut the service down (idempotent).
 
         ``drain=True`` (the default) finishes every in-flight batch and
-        stream shard before closing the pinned pools, so handles returned
+        stream shard before closing the pool, so handles returned
         earlier still resolve and already-dispatched stream shards still
         yield — the graceful shutdown a serving process wants on SIGTERM.
         ``drain=False`` cancels everything not yet executing and tears the
@@ -412,20 +391,20 @@ class QueryService:
             # Unblock admission waiters so they observe the closure.
             self._admission.notify_all()
         if drain:
-            # In-flight work may still acquire (even create) pinned pools
-            # while the dispatcher drains — _pinned_pool admits them via the
-            # draining flag — so the pools are collected and closed only
-            # after the last dispatched batch has finished.
+            # In-flight work may still acquire (even spawn) the pool while
+            # the dispatcher drains — _parallel_executor admits it via the
+            # draining flag — so the pool is collected and closed only after
+            # the last dispatched batch has finished.
             self._dispatcher.shutdown(wait=True)
         else:
             self._dispatcher.shutdown(wait=False, cancel_futures=True)
         with self._lock:
             self._draining = False
-            pools = list(self._pools.values())
-            self._pools.clear()
-        for pool in pools:
-            with pool.lock:
-                pool.executor.close()
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            # Waits for a batch still running on the pool.
+            with self._pool_lock:
+                pool.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -435,12 +414,9 @@ class QueryService:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         with self._lock:
-            pools = len(self._pools)
+            pool = "idle" if self._pool is None else "spawned"
             status = "closed" if self._closed else "open"
-        return (
-            f"QueryService(workers={self._workers}, "
-            f"pinned_pools={pools}, {status})"
-        )
+        return f"QueryService(workers={self._workers}, pool={pool}, {status})"
 
     # -- admission -------------------------------------------------------------
 
@@ -545,29 +521,14 @@ class QueryService:
     def _decide(
         self, prepared, states: Sequence[DatabaseState], backend: str
     ) -> RoutingDecision:
-        if backend != "auto":
-            resolved = resolve_backend(backend)
-            if backend == "parallel" and self._routing.is_degenerate(states):
-                # Even an explicit parallel request cannot shard an empty or
-                # single-unique batch; run it in-process, tagged parallel.
-                return RoutingDecision(
-                    backend="parallel",
-                    rule="override-degenerate",
-                    reason=(
-                        "backend='parallel' requested but the batch is "
-                        "degenerate; serving in-process"
-                    ),
-                    states=len(states),
-                    unique_states=0,
-                    unique_rows=0,
-                )
-            return override_decision(resolved, states)
         with self._lock:
-            pool_live = any(
-                pool.executor.healthy for pool in self._pools.values()
-            )
+            pool_live = self._pool is not None and self._pool.healthy
         return self._routing.decide(
-            prepared, states, workers=self._workers, pool_live=pool_live
+            prepared,
+            states,
+            workers=self._workers,
+            pool_live=pool_live,
+            backend=backend,
         )
 
     def _record_decision(self, decision: RoutingDecision, states: int) -> None:
@@ -581,49 +542,26 @@ class QueryService:
                 self.stats.rules.get(decision.rule, 0) + 1
             )
 
-    # -- pinned pools ----------------------------------------------------------
+    # -- the pool --------------------------------------------------------------
 
-    def _pinned_pool(self, prepared) -> _PinnedPool:
-        """The executor pinned to this plan spec (created/LRU-bumped).
+    def _parallel_executor(self) -> ParallelExecutor:
+        """The service's pool, spawned by the first parallel batch.
 
-        Pinning is the affinity mechanism: a spec always lands on the same
-        pool, so that pool's workers keep their interner epoch and compiled
-        plan for the spec warm across batches, so only a spec's first batch
-        on a pool pays plan compilation.
+        One pool serves every spec: its workers cache plans per spec, so
+        affinity needs no pool per spec, and batches of different specs
+        queue on it in turn.
         """
-        spec = prepared.plan_spec()
-        evicted: List[_PinnedPool] = []
         with self._lock:
             if self._closed and not self._draining:
                 raise RuntimeError("QueryService is closed")
-            pool = self._pools.get(spec)
-            if pool is None:
-                pool = _PinnedPool(
-                    ParallelExecutor(
-                        workers=self._workers,
-                        shard_timeout=self._shard_timeout,
-                        max_retries=self._max_retries,
-                        failure_policy=self._failure_policy,
-                    )
+            if self._pool is None:
+                self._pool = ParallelExecutor(
+                    workers=self._workers,
+                    shard_timeout=self._shard_timeout,
+                    max_retries=self._max_retries,
+                    failure_policy=self._failure_policy,
                 )
-                self._pools[spec] = pool
-                while len(self._pools) > self._max_pinned_pools:
-                    _, old = self._pools.popitem(last=False)
-                    evicted.append(old)
-                    self.stats.pool_evictions += 1
-            else:
-                self._pools.move_to_end(spec)
-        for old in evicted:
-            # Outside the service lock: closing waits for any batch running
-            # on the evicted pool (its lock serializes batches).
-            with old.lock:
-                old.executor.close()
-        return pool
-
-    def pinned_pool_count(self) -> int:
-        """Number of spec-pinned pools currently alive."""
-        with self._lock:
-            return len(self._pools)
+            return self._pool
 
     # -- execution -------------------------------------------------------------
 
@@ -640,30 +578,18 @@ class QueryService:
             if decision.rule == "override-degenerate":
                 with self._in_process_lock:
                     return execute_in_process(prepared, states)
-
-            def run_on(pool: _PinnedPool) -> List[Optional[YannakakisRun]]:
-                # Called under pool.lock, which serializes batches — reading
-                # last_batch_stats right after the call is race-free.  The
-                # read matters when a degraded batch quarantined *every*
-                # state: the returned runs are all None, so the stats (and
-                # their quarantine causes) are reachable nowhere else.
-                runs = pool.executor.execute_many(prepared, states, **overrides)
+            pool = self._parallel_executor()
+            with self._pool_lock:
+                runs = pool.execute_many(prepared, states, **overrides)
+                # Read under the lock, which serializes batches.  The read
+                # matters when a degraded batch quarantined *every* state:
+                # the returned runs are all None, so the stats (and their
+                # quarantine causes) are reachable nowhere else.
                 if causes_out is not None:
-                    stats = pool.executor.last_batch_stats
+                    stats = pool.last_batch_stats
                     if stats is not None and stats.quarantine_causes:
                         causes_out.update(stats.quarantine_causes)
                 return runs
-
-            pool = self._pinned_pool(prepared)
-            with pool.lock:
-                if pool.executor.healthy:
-                    return run_on(pool)
-            # Rare race: the pool was LRU-evicted (and closed) between the
-            # lookup and the lock.  One fresh lookup settles it — the new
-            # pool cannot be evicted while we hold its lock.
-            pool = self._pinned_pool(prepared)
-            with pool.lock:
-                return run_on(pool)
         with self._in_process_lock:
             return prepared.execute_many(states, backend=backend)
 
@@ -742,7 +668,7 @@ class QueryService:
         """Execute a batch, yielding results as shards complete.
 
         The batch is split into cost-balanced shards
-        (``stream_shards_per_worker × workers``, capped so every shard fits
+        (two per pool worker, capped so every shard fits
         the admission limits); each shard is admitted, dispatched, and its
         :class:`StreamItem` results yielded the moment it finishes — the
         first results arrive while later shards are still queued or
@@ -771,7 +697,7 @@ class QueryService:
         # shard's executor call; cross-shard duplicates re-execute, which
         # preserves correctness and keeps reassembly trivial).
         costs = [max(1, state.total_rows()) for state in state_list]
-        shard_count = max(2, self._workers * self._stream_shards)
+        shard_count = max(2, self._workers * _STREAM_SHARDS_PER_WORKER)
         shards = plan_shards(costs, shard_count)
         if self._max_inflight_states is not None:
             shards = [
@@ -784,14 +710,7 @@ class QueryService:
             positions: List[int],
         ) -> List[Tuple[int, Optional[YannakakisRun], Optional[BaseException]]]:
             shard_states = [state_list[position] for position in positions]
-            shard_decision = RoutingDecision(
-                backend=decision.backend,
-                rule=decision.rule,
-                reason=decision.reason,
-                states=len(shard_states),
-                unique_states=decision.unique_states,
-                unique_rows=decision.unique_rows,
-            )
+            shard_decision = replace(decision, states=len(shard_states))
             causes: Dict[int, BaseException] = {}
             runs = self._execute_batch(
                 prepared, shard_states, shard_decision, overrides, causes

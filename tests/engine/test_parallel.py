@@ -293,39 +293,37 @@ class TestPlanSpec:
         assert PlanSpec.of(prepared).describe()
 
     def test_spec_cap_seeds_fresh_plans_only(self):
-        """The cap configures a plan the worker builds; a resident plan
-        (shared via the analysis LRU with a cap-only-different spec) keeps
-        the policy it was built with."""
+        """The cap configures whichever serial plan the worker builds; a
+        resident plan (shared via the analysis LRU with a cap-only-different
+        spec) keeps the policy it was built with."""
         from dataclasses import replace as dc_replace
 
-        from repro.engine.parallel import (
-            _plan_for_spec,
-            _serial_plan,
-            _worker_plans,
-        )
+        from repro.engine.parallel import _plan_for_spec, _worker_plans
+        from repro.engine.prepared import resolve_backend
 
         schema = chain_schema(2)
         prepared = analyze(schema).prepare(RelationSchema({"x0", "x2"}))
-        prepared.reset_compiled()
         spec = prepared.plan_spec()
         first = dc_replace(spec, max_interned_values=None)
         second = dc_replace(spec, max_interned_values=11)
-        _worker_plans.pop(first, None)
-        _worker_plans.pop(second, None)
-        try:
-            plan_a, compiled_a = _plan_for_spec(first)
-            assert compiled_a == 1
-            serial_a = _serial_plan(plan_a, spec.serial_backend)
-            assert serial_a.max_interned_values is None
-            plan_b, _ = _plan_for_spec(second)
-            # Same resident plan; the later spec must not overwrite its policy.
-            serial_b = _serial_plan(plan_b, spec.serial_backend)
-            assert serial_b is serial_a
-            assert serial_b.max_interned_values is None
-        finally:
+        for backend in {resolve_backend("compiled"), resolve_backend("vectorized")}:
+            prepared.reset_compiled()
             _worker_plans.pop(first, None)
             _worker_plans.pop(second, None)
-            prepared.reset_compiled()
+            try:
+                serial_a, compiled_a = _plan_for_spec(first, backend)
+                assert compiled_a == 1
+                assert serial_a.max_interned_values is None
+                serial_b, compiled_b = _plan_for_spec(second, backend)
+                # Same resident plan; the later spec must not overwrite its
+                # policy.
+                assert compiled_b == 0
+                assert serial_b is serial_a
+                assert serial_b.max_interned_values is None
+            finally:
+                _worker_plans.pop(first, None)
+                _worker_plans.pop(second, None)
+                prepared.reset_compiled()
 
     def test_spec_of_unbuilt_plan_uses_default_cap(self):
         from repro.relational.compiled import DEFAULT_MAX_INTERNED_VALUES

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import analyze
+from repro.engine import analyze, clear_analysis_cache
 from repro.engine import parallel as parallel_module
 from repro.engine import prepared as prepared_module
-from repro.engine.routing import (
-    DEFAULT_MIN_PARALLEL_STATES,
-    RoutingPolicy,
-    override_decision,
-)
+from repro.engine import routing
+from repro.engine.prepared import resolve_backend_for
+from repro.engine.routing import DEFAULT_MIN_PARALLEL_STATES, RoutingPolicy
 from repro.hypergraph import RelationSchema, chain_schema
 from repro.relational import DatabaseState, Relation, numpy_available
 
@@ -40,23 +38,50 @@ def _empty_state(schema):
 
 @pytest.fixture()
 def prepared():
+    # A fresh analysis per test: probe results (pinned or measured) are
+    # cached on it and must not leak between tests.
+    clear_analysis_cache()
     schema = chain_schema(3)
-    return analyze(schema).prepare(RelationSchema({"x0", "x3"}))
+    yield analyze(schema).prepare(RelationSchema({"x0", "x3"}))
+    clear_analysis_cache()
+
+
+def _pin_per_row(prepared, states, per_row_s):
+    """Prime the plan's probe cache so ``decide`` reads ``per_row_s``
+    instead of timing anything."""
+    analyze(prepared.schema).store_cost_probe(
+        prepared.target,
+        per_row_s,
+        root=prepared.root,
+        backend=resolve_backend_for("auto", states),
+    )
+
+
+@pytest.fixture()
+def gates(monkeypatch):
+    """Pin routing's gate constants for one test."""
+
+    def pin(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(routing, f"DEFAULT_{name.upper()}", value)
+
+    return pin
 
 
 class TestGates:
     """Each rule in the gate cascade, decided deterministically via a pinned
-    per-row cost (``per_row_s=``) so no timing noise enters the verdict."""
+    per-row cost (primed into the probe cache) and pinned gate constants,
+    so no timing noise enters the verdict."""
 
     def test_empty_batch(self, prepared):
-        decision = RoutingPolicy(per_row_s=1.0).decide(prepared, [], workers=2)
+        decision = RoutingPolicy().decide(prepared, [], workers=2)
         assert decision.backend == "compiled"
         assert decision.rule == "empty"
 
     def test_single_unique_state(self, prepared):
         schema = prepared.schema
         state = _states(schema, 1)[0]
-        decision = RoutingPolicy(per_row_s=1.0).decide(
+        decision = RoutingPolicy().decide(
             prepared, [state, state, state], workers=2
         )
         assert decision.backend == "compiled"
@@ -71,7 +96,7 @@ class TestGates:
         partial = DatabaseState(
             schema, [Relation(relation, []) for relation in schema.relations]
         )
-        decision = RoutingPolicy(per_row_s=1.0).decide(
+        decision = RoutingPolicy().decide(
             prepared, empties + [partial], workers=2
         )
         # Verbatim-equal empties dedup to one: the single-unique gate fires
@@ -81,47 +106,46 @@ class TestGates:
 
     def test_narrow_pool(self, prepared):
         states = _states(prepared.schema, 4)
-        decision = RoutingPolicy(per_row_s=1.0).decide(prepared, states, workers=1)
+        decision = RoutingPolicy().decide(prepared, states, workers=1)
         assert decision.backend == "compiled"
         assert decision.rule == "narrow-pool"
 
     def test_small_batch_gate(self, prepared):
         states = _states(prepared.schema, 4)
-        decision = RoutingPolicy(per_row_s=1.0).decide(prepared, states, workers=2)
+        decision = RoutingPolicy().decide(prepared, states, workers=2)
         assert decision.backend == "compiled"
         assert decision.rule == "small-batch"
         assert decision.unique_states == 4 < DEFAULT_MIN_PARALLEL_STATES
 
-    def test_thin_serial_gate(self, prepared):
+    def test_thin_serial_gate(self, prepared, gates):
         # Many unique states, but a pinned per-row cost so tiny the whole
         # batch is cheaper than one round of pool bookkeeping.
         states = _states(prepared.schema, 40)
-        decision = RoutingPolicy(
-            per_row_s=1e-9, min_parallel_states=2
-        ).decide(prepared, states, workers=2)
+        _pin_per_row(prepared, states, 1e-9)
+        gates(min_parallel_states=2)
+        decision = RoutingPolicy().decide(prepared, states, workers=2)
         assert decision.backend == "compiled"
         assert decision.rule == "thin-serial"
         assert decision.estimated_serial_s is not None
 
-    def test_parallel_wins(self, prepared):
+    def test_parallel_wins(self, prepared, gates):
         states = _states(prepared.schema, 40)
-        decision = RoutingPolicy(
-            per_row_s=1.0, min_parallel_states=2, min_parallel_serial_s=0.0
-        ).decide(prepared, states, workers=2, pool_live=True)
+        _pin_per_row(prepared, states, 1.0)
+        gates(min_parallel_states=2, min_parallel_serial_s=0.0)
+        decision = RoutingPolicy().decide(
+            prepared, states, workers=2, pool_live=True
+        )
         assert decision.backend == "parallel"
         assert decision.rule == "parallel-wins"
         assert decision.estimated_parallel_s < decision.estimated_serial_s
 
-    def test_parallel_loses_on_spawn_cost(self, prepared):
+    def test_parallel_loses_on_spawn_cost(self, prepared, gates):
         # Same batch, but a cold pool: the spawn charge flips the verdict
         # when the serial estimate is smaller than the spawn.
         states = _states(prepared.schema, 40)
-        policy = RoutingPolicy(
-            per_row_s=1e-4,
-            min_parallel_states=2,
-            min_parallel_serial_s=0.0,
-            spawn_s=1e9,
-        )
+        _pin_per_row(prepared, states, 1e-4)
+        gates(min_parallel_states=2, min_parallel_serial_s=0.0, spawn_s=1e9)
+        policy = RoutingPolicy()
         decision = policy.decide(prepared, states, workers=2, pool_live=False)
         assert decision.backend == "compiled"
         assert decision.rule == "parallel-loses"
@@ -130,7 +154,7 @@ class TestGates:
 
     def test_as_dict_is_json_shaped(self, prepared):
         states = _states(prepared.schema, 4)
-        decision = RoutingPolicy(per_row_s=1.0).decide(prepared, states, workers=2)
+        decision = RoutingPolicy().decide(prepared, states, workers=2)
         payload = decision.as_dict()
         assert payload["backend"] == "compiled"
         assert payload["rule"] == "small-batch"
@@ -141,18 +165,26 @@ class TestGates:
         # in-process verdict names the vectorized kernel whenever numpy
         # imports; tiny batches (every other test here) stay compiled.
         states = _states(prepared.schema, 4, rows=200)
-        decision = RoutingPolicy(per_row_s=1.0).decide(prepared, states, workers=2)
+        decision = RoutingPolicy().decide(prepared, states, workers=2)
         expected = "vectorized" if numpy_available() else "compiled"
         assert decision.backend == expected
         assert decision.rule == "small-batch"
 
     def test_override_decision(self, prepared):
         states = _states(prepared.schema, 3) * 2
-        decision = override_decision("parallel", states)
+        policy = RoutingPolicy()
+        decision = policy.decide(prepared, states, backend="parallel")
         assert decision.backend == "parallel"
         assert decision.rule == "override"
         assert decision.states == 6
         assert decision.unique_states == 3
+        assert decision.unique_rows == sum(s.total_rows() for s in states[:3])
+        # An override bypasses the model whatever the pool width, and
+        # validates the name it is given.
+        classic = policy.decide(prepared, states, workers=2, backend="classic")
+        assert (classic.backend, classic.rule) == ("classic", "override")
+        with pytest.raises(ValueError, match="unknown backend"):
+            policy.decide(prepared, states, backend="gpu")
 
 
 class TestProbe:
@@ -171,14 +203,11 @@ class TestProbe:
         assert policy.probe(prepared, states) == 123.0
 
     def test_pinned_per_row_skips_probe(self, prepared):
-        analysis = analyze(prepared.schema)
-        policy = RoutingPolicy(per_row_s=7.0)
-        assert policy.probe(prepared, _states(prepared.schema, 2)) == 7.0
-        # Pinning must not populate the shared cache.
-        schema = chain_schema(4)
-        other = analyze(schema).prepare(RelationSchema({"x0"}))
-        assert analyze(schema).cached_cost_probe(other.target, root=other.root) is None
-        del analysis
+        states = _states(prepared.schema, 2)
+        _pin_per_row(prepared, states, 7.0)
+        assert RoutingPolicy().probe(prepared, states) == 7.0
+        # Nothing was timed: timing would have built the fresh plan's kernel.
+        assert prepared._compiled is None and prepared._vectorized is None
 
     def test_probe_cache_is_per_target(self, prepared):
         analysis = analyze(prepared.schema)
@@ -192,11 +221,20 @@ class TestDegenerate:
     def test_degenerate_shapes(self, prepared):
         schema = prepared.schema
         policy = RoutingPolicy()
-        assert policy.is_degenerate([])
+
+        def parallel(states):
+            return policy.decide(prepared, states, backend="parallel")
+
         state = _states(schema, 1)[0]
-        assert policy.is_degenerate([state, state])
-        assert policy.is_degenerate([_empty_state(schema)])
-        assert not policy.is_degenerate(_states(schema, 2))
+        for states in ([], [state, state], [_empty_state(schema)]):
+            decision = parallel(states)
+            assert decision.backend == "parallel"
+            assert decision.rule == "override-degenerate"
+        repeated = parallel([state, state])
+        assert repeated.states == 2
+        assert repeated.unique_states == 1
+        assert repeated.unique_rows == state.total_rows()
+        assert parallel(_states(schema, 2)).rule == "override"
 
     def test_one_shot_empty_batch_never_touches_parallel(self, prepared, monkeypatch):
         monkeypatch.setattr(
@@ -241,18 +279,6 @@ class TestDegenerate:
 
 def _raise_if_constructed(*args, **kwargs):
     raise AssertionError("degenerate batch must not construct a pool")
-
-
-class TestValidation:
-    def test_constructor_rejects_bad_knobs(self):
-        with pytest.raises(ValueError, match="probe_states"):
-            RoutingPolicy(probe_states=0)
-        with pytest.raises(ValueError, match="min_parallel_states"):
-            RoutingPolicy(min_parallel_states=1)
-        with pytest.raises(ValueError, match="spawn_s"):
-            RoutingPolicy(spawn_s=-1.0)
-        with pytest.raises(ValueError, match="per_row_s"):
-            RoutingPolicy(per_row_s=0.0)
 
 
 # The degenerate one-shot path imports ParallelExecutor from the *module*, so

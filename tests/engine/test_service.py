@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import contextlib
 import os
+import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import QueryService, analyze
+from repro.engine import QueryService, analyze, clear_analysis_cache
 from repro.engine import faults
+from repro.engine import service as service_module
+from repro.engine.prepared import resolve_backend_for
 from repro.engine.service import StreamItem, estimate_state_bytes
 from repro.exceptions import AdmissionError, ShardExecutionError
 from repro.hypergraph import (
@@ -181,6 +185,9 @@ class TestRouting:
         handle = service.submit(prepared, [state, state], backend="parallel")
         runs = handle.result(timeout=60)
         assert handle.decision.rule == "override-degenerate"
+        assert handle.decision.states == 2
+        assert handle.decision.unique_states == 1
+        assert handle.decision.unique_rows == state.total_rows()
         assert runs[0].stats.workers == 0
         assert runs[0].stats.routed_in_process == 1
 
@@ -364,32 +371,83 @@ class TestDegrade:
 
 class TestAffinity:
     def test_repeat_submissions_share_one_pinned_pool(self, prepared):
+        # Affinity: repeat batches land on workers that already hold the
+        # plan, so each worker builds it at most once.
         states = _states(prepared.schema, 3)
+        compiles: Counter = Counter()
         with QueryService(workers=2) as svc:
             for _ in range(3):
-                svc.execute_many(prepared, states, backend="parallel")
-            assert svc.pinned_pool_count() == 1
-            assert svc.stats.pool_evictions == 0
+                runs = svc.execute_many(prepared, states, backend="parallel")
+                for pid, info in runs[0].stats.per_worker.items():
+                    compiles[pid] += info["plan_compiles"]
+        assert compiles, "no workers reported"
+        assert all(count <= 1 for count in compiles.values()), compiles
 
-    def test_pool_eviction_is_bounded_and_counted(self):
+    def test_specs_share_one_pool(self, monkeypatch):
+        constructed = []
+
+        class CountingExecutor(service_module.ParallelExecutor):
+            def __init__(self, *args, **kwargs):
+                constructed.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "ParallelExecutor", CountingExecutor)
         schema_a = chain_schema(3)
         schema_b = chain_schema(4)
         prepared_a = analyze(schema_a).prepare(RelationSchema({"x0", "x3"}))
         prepared_b = analyze(schema_b).prepare(RelationSchema({"x0", "x4"}))
-        with QueryService(workers=2, max_pinned_pools=1) as svc:
-            svc.execute_many(
-                prepared_a, _states(schema_a, 2), backend="parallel"
-            )
-            svc.execute_many(
-                prepared_b, _states(schema_b, 2), backend="parallel"
-            )
-            assert svc.pinned_pool_count() == 1
-            assert svc.stats.pool_evictions == 1
-            # The evicted spec comes straight back on demand.
-            svc.execute_many(
-                prepared_a, _states(schema_a, 2), backend="parallel"
-            )
-            assert svc.stats.pool_evictions == 2
+        with QueryService(workers=2) as svc:
+            for query, schema in (
+                (prepared_a, schema_a),
+                (prepared_b, schema_b),
+                (prepared_a, schema_a),
+            ):
+                states = _states(schema, 2)
+                runs = svc.execute_many(query, states, backend="parallel")
+                assert [run.result for run in runs] == [
+                    query.execute(state, backend="classic").result
+                    for state in states
+                ]
+                assert runs[0].stats.workers == 2
+        assert len(constructed) == 1
+
+    def test_concurrent_specs_on_one_pool(self, monkeypatch):
+        # Threads outnumbering cores submit parallel batches of two specs at
+        # once; a short switch interval widens the race between the first
+        # batches to spawn the pool.  Exactly one pool must be built and
+        # every answer must match classic.
+        constructed = []
+
+        class CountingExecutor(service_module.ParallelExecutor):
+            def __init__(self, *args, **kwargs):
+                constructed.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "ParallelExecutor", CountingExecutor)
+        queries = []
+        for size in (3, 4):
+            schema = chain_schema(size)
+            query = analyze(schema).prepare(RelationSchema({"x0", f"x{size}"}))
+            queries.append((query, _states(schema, 3, salt=size)))
+        expected = [
+            [query.execute(state, backend="classic").result for state in states]
+            for query, states in queries
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(workers=2) as svc:
+                handles = [
+                    (index, svc.submit(query, states, backend="parallel"))
+                    for _ in range(4)
+                    for index, (query, states) in enumerate(queries)
+                ]
+                for index, handle in handles:
+                    runs = handle.result(timeout=120)
+                    assert [run.result for run in runs] == expected[index]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(constructed) == 1
 
 
 class TestLifecycle:
@@ -406,10 +464,6 @@ class TestLifecycle:
             QueryService(max_inflight_states=0)
         with pytest.raises(ValueError, match="max_inflight_bytes"):
             QueryService(max_inflight_bytes=0)
-        with pytest.raises(ValueError, match="max_pinned_pools"):
-            QueryService(max_pinned_pools=0)
-        with pytest.raises(ValueError, match="stream_shards_per_worker"):
-            QueryService(stream_shards_per_worker=0)
 
     def test_stream_metadata_surface(self, service, prepared):
         streamed = service.stream(prepared, _states(prepared.schema, 4))
@@ -417,6 +471,42 @@ class TestLifecycle:
         assert streamed.shard_count >= 1
         runs = [item.run for item in streamed]
         assert {run.backend for run in runs} == {streamed.decision.backend}
+
+    def test_stream_shards_keep_the_batch_estimates(self, monkeypatch):
+        # 40 unique states clear the small-batch gate and reach the cost
+        # model; a pinned per-row cost keeps them on the thin-serial rule,
+        # whose decision carries estimates every shard must inherit.
+        clear_analysis_cache()
+        schema = chain_schema(3)
+        prepared = analyze(schema).prepare(RelationSchema({"x0", "x3"}))
+        states = _states(schema, 40)
+        analyze(schema).store_cost_probe(
+            prepared.target,
+            1e-9,
+            root=prepared.root,
+            backend=resolve_backend_for("auto", states),
+        )
+        with QueryService(workers=2) as svc:
+            seen = []
+            execute = svc._execute_batch
+
+            def record(query, shard_states, decision, *args):
+                seen.append(decision)
+                return execute(query, shard_states, decision, *args)
+
+            monkeypatch.setattr(svc, "_execute_batch", record)
+            streamed = svc.stream(prepared, states)
+            assert len(list(streamed)) == 40
+        clear_analysis_cache()
+        decision = streamed.decision
+        assert decision.rule == "thin-serial"
+        assert decision.per_row_s == 1e-9
+        assert len(seen) == streamed.shard_count >= 2
+        assert sum(shard.states for shard in seen) == 40
+        for shard in seen:
+            assert shard.per_row_s == decision.per_row_s
+            assert shard.estimated_serial_s == decision.estimated_serial_s
+            assert shard.unique_states == decision.unique_states
 
     def test_stream_item_repr_fields(self):
         item = StreamItem(index=2)
