@@ -12,9 +12,9 @@ kernel vs classic and compiled on output-explosion joins and string-heavy
 encode batches), the PR-9 ``cyclic`` section (batched compiled cyclic
 plans vs the per-call Theorem 6.1 solver on aring/aclique serving
 families) and the PR-10 ``catalog`` section (cold-start analysis +
-prepare vs a warm persistent plan catalog, worker-respawn plan rebuilds
-with and without the catalog, plus an execution noise control) outside
-pytest and records sizes, median wall times and
+prepare vs a warm persistent plan catalog on cyclic schemas,
+worker-respawn plan rebuilds with and without the catalog, plus an
+execution noise control) outside pytest and records sizes, median wall times and
 max-intermediate sizes as JSON so that every PR has a regression baseline to
 compare against.  Multi-process sections warn loudly on hosts with fewer
 than four cores and stamp ``host_cpus`` into every row.
@@ -1207,16 +1207,18 @@ def bench_cyclic(repeats: int) -> List[Dict[str, Any]]:
     return rows
 
 
-#: PR-10 catalog cases: ``(case, family, size, cyclic)``.  Analysis-heavy
-#: serving schemas: a cold start pays the full GYO / qual-tree / join-plan
-#: derivation (plus the tree-projection search on the cyclic case); a warm
-#: catalog replaces all of it with one verified disk read.  Targets span
-#: the schema's sorted-attribute extremes, as in the engine section.
+#: Catalog cases: ``(case, family, size)``, all cyclic.  A catalog record
+#: holds only the tree-projection choices of a cyclic schema — a tree
+#: schema's GYO trace and qual tree recompute as fast as a record reads
+#: back (0.80–1.08x in ``BENCH_PR10.json``), so tree schemas are not
+#: persisted and have no case here.  A cold start pays the tree-projection
+#: search; a warm catalog replaces it with one verified disk read and the
+#: meaning check.  Targets span the schema's sorted-attribute extremes
+#: (``af`` on the ring, as before).
 CATALOG_CASES = (
-    ("cat-chain-40", "chain", 40, False),
-    ("cat-star-48", "star", 48, False),
-    ("cat-random-tree-60", "random-tree", 60, False),
-    ("cat-aring-10", "aring", 10, True),
+    ("cat-aring-10", "aring", 10),
+    ("cat-aclique-6", "aclique", 6),
+    ("cat-random-cyclic-12", "random-cyclic", 12),
 )
 #: States per batch for the execution noise control — the check that a
 #: restored analysis executes exactly like a freshly derived one (~1x).
@@ -1232,7 +1234,7 @@ def bench_catalog(repeats: int) -> List[Dict[str, Any]]:
       the full derivation every fresh process pays;
     * ``catalog_hit_prepare_s`` — the same call served from a warm
       :class:`~repro.engine.catalog.PlanCatalog`: one verified disk read
-      restores the memoized artifacts, leaving only plan compilation;
+      restores the tree-projection choice, leaving only plan lowering;
     * ``respawn_cold_s`` / ``respawn_warm_s`` — ``prepared_from_spec`` on the
       plan's picklable spec, without and with the catalog: the exact path a
       pool worker respawned after a crash pays to rebuild its plan;
@@ -1254,37 +1256,28 @@ def bench_catalog(repeats: int) -> List[Dict[str, Any]]:
         from repro.engine.parallel import PlanSpec
     except ImportError:  # pre-PR-10 engine: no persistent catalog
         return []
-    from repro.hypergraph import aring
+    from repro.hypergraph import aclique, aring, random_cyclic_schema
 
     rows: List[Dict[str, Any]] = []
     # The env-default catalog must not leak into the no-catalog baselines.
     saved_env = os.environ.pop("REPRO_CATALOG_DIR", None)
     try:
-        for case, family, size, cyclic in CATALOG_CASES:
-            if family == "chain":
-                schema = chain_schema(size)
-                target = RelationSchema({"x0", f"x{size}"})
-            elif family == "star":
-                schema = star_schema(size)
-                attrs = schema.attributes.sorted_attributes()
-                target = RelationSchema({"x_hub", attrs[0]})
-            elif family == "aring":
+        for case, family, size in CATALOG_CASES:
+            if family == "aring":
                 schema = aring(size)
                 target = RelationSchema("af")
             else:
-                schema = random_tree_schema(size, rng=3)
+                if family == "aclique":
+                    schema = aclique(size)
+                else:
+                    schema = random_cyclic_schema(size, ring_size=4, rng=3)
                 attrs = schema.attributes.sorted_attributes()
                 target = RelationSchema({attrs[0], attrs[-1]})
 
             def build(catalog=None):
                 clear_analysis_cache()
                 analysis = analyze(schema, catalog=catalog)
-                prepared = (
-                    analysis.prepare_cyclic(target)
-                    if cyclic
-                    else analysis.prepare(target)
-                )
-                return analysis, prepared
+                return analysis, analysis.prepare_cyclic(target)
 
             directory = tempfile.mkdtemp(prefix="repro-bench-catalog-")
             try:
@@ -1311,7 +1304,6 @@ def bench_catalog(repeats: int) -> List[Dict[str, Any]]:
 
                 _, cold_prepared = build()
                 _, restored_prepared = build(catalog)
-                exec_backend = "compiled" if cyclic else None
 
                 def run(prepared_query, salt):
                     states = [
@@ -1321,12 +1313,7 @@ def bench_catalog(repeats: int) -> List[Dict[str, Any]]:
                         for seed in range(CATALOG_EXEC_STATES)
                     ]
                     start = time.perf_counter()
-                    if exec_backend:
-                        runs = prepared_query.execute_many(
-                            states, backend=exec_backend
-                        )
-                    else:
-                        runs = prepared_query.execute_many(states)
+                    runs = prepared_query.execute_many(states, backend="compiled")
                     elapsed = time.perf_counter() - start
                     return elapsed, [run.result for run in runs]
 
@@ -1364,7 +1351,7 @@ def bench_catalog(repeats: int) -> List[Dict[str, Any]]:
                     "case": case,
                     "family": family,
                     "size": size,
-                    "cyclic": cyclic,
+                    "cyclic": True,
                     "record_bytes": record_bytes,
                     "store_s": store_s,
                     "cold_prepare_s": cold_s,

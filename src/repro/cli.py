@@ -39,6 +39,13 @@ from .hypergraph import parse_schema
 __all__ = ["main", "build_parser"]
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Create the argument parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -191,9 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--catalog",
         default=None,
         metavar="DIR",
-        help="persistent plan-catalog directory: analysis artifacts are "
-        "loaded from (and stored back to) DIR, so repeated invocations "
-        "skip re-planning (default: REPRO_CATALOG_DIR when set)",
+        help="persistent plan-catalog directory: the tree projections of "
+        "cyclic schemas are loaded from (and stored back to) DIR, so repeated "
+        "invocations skip the projection search (default: REPRO_CATALOG_DIR "
+        "when set)",
     )
     query.add_argument(
         "--max-rows", type=int, default=20, help="answer rows to print (text mode)"
@@ -207,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_actions = catalog_cmd.add_subparsers(dest="action", required=True)
 
     catalog_ls = catalog_actions.add_parser(
-        "ls", help="list catalog records (schema, artifacts, size)"
+        "ls", help="list catalog records (schema, projection choices, size)"
     )
     catalog_ls.add_argument("directory", help="catalog directory")
     add_json_flag(catalog_ls)
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_gc.add_argument("directory", help="catalog directory")
     catalog_gc.add_argument(
         "--keep",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="also prune records beyond the newest N (by mtime)",
@@ -386,7 +394,7 @@ def _tableau(
     return 0
 
 
-def _load_state(data_path: str, schema) -> "DatabaseState":
+def _state_from_file(data_path: str, schema) -> "DatabaseState":
     """Read a database state from a JSON file (or stdin with ``-``).
 
     The payload is a list with one entry per relation schema, each entry a
@@ -444,8 +452,8 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
     else:
         prepared = analysis.prepare(target)
     if catalog is not None:
-        # Store after preparing, so the record carries the qual tree / tree
-        # projection this invocation just planned.
+        # Store after preparing, so the record carries the tree projection
+        # this invocation just planned (tree schemas store nothing).
         catalog.store(analysis)
 
     if arguments.data is not None and arguments.random is not None:
@@ -455,7 +463,7 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
     if arguments.data is not None:
         if arguments.states != 1:
             raise SystemExit("--states requires --random (a --data file is one state)")
-        states = [_load_state(arguments.data, schema)]
+        states = [_state_from_file(arguments.data, schema)]
     else:
         states = [
             random_ur_database(
@@ -713,7 +721,7 @@ def _catalog(arguments: "argparse.Namespace") -> int:
                             "name": info.name,
                             "ok": info.ok,
                             "schema": info.schema,
-                            "artifacts": info.artifacts,
+                            "choices": info.choices,
                             "size": info.size,
                             "error": info.error,
                         }
@@ -729,7 +737,7 @@ def _catalog(arguments: "argparse.Namespace") -> int:
             if info.ok:
                 print(
                     f"{info.name}  {info.schema}  "
-                    f"{info.artifacts} artifact(s), {info.size} bytes"
+                    f"{info.choices} projection choice(s), {info.size} bytes"
                 )
             else:
                 print(f"{info.name}  CORRUPT: {info.error}")

@@ -84,15 +84,8 @@ _SERVICE_EXPORTS = (
 _CATALOG_EXPORTS = (
     "CatalogStats",
     "PlanCatalog",
-    "StateLogWriter",
     "default_catalog",
-    "iter_states",
-    "load_schema",
-    "load_state",
-    "read_state_log",
     "resolve_catalog",
-    "save_schema",
-    "save_state",
 )
 
 
@@ -147,7 +140,6 @@ __all__ = [
     "ServiceHandle",
     "ServiceStats",
     "ServiceStream",
-    "StateLogWriter",
     "StreamItem",
     "analyze",
     "analysis_cache_size",
@@ -155,14 +147,8 @@ __all__ = [
     "clear_analysis_cache",
     "default_catalog",
     "execute_in_process",
-    "iter_states",
-    "load_schema",
-    "load_state",
     "peek_analysis",
     "prepared_from_spec",
-    "read_state_log",
     "resolve_catalog",
-    "save_schema",
-    "save_state",
     "resolve_backend",
 ]

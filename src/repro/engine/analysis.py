@@ -477,10 +477,11 @@ def analyze(
     ``catalog`` consults a persistent :class:`~repro.engine.catalog.PlanCatalog`
     on an LRU miss (accepted forms: a catalog instance, a directory path, or
     ``None`` for the ``REPRO_CATALOG_DIR`` default when that variable is
-    set).  A verified on-disk record restores a pre-populated analysis
-    without recomputing anything; catalog misses, corruption and I/O
-    failures all silently fall through to fresh analysis — the catalog can
-    make this function faster but never make it fail.
+    set).  A verified on-disk record seeds the analysis with its persisted
+    tree-projection choices, so cyclic targets skip the search; catalog
+    misses, corruption and I/O failures all silently fall through to fresh
+    analysis — the catalog can make this function faster but never make it
+    fail.
     """
     if isinstance(schema, str):
         schema = parse_schema(schema, attribute_separator=attribute_separator)
@@ -552,11 +553,12 @@ def prepared_from_spec(spec, *, catalog=None):
 
     With a catalog in play (the ``catalog`` argument, or ``REPRO_CATALOG_DIR``
     inherited from the parent process) the miss path gets a third tier: the
-    analysis is first sought on disk, and after preparing, its artifacts are
-    **stored back** — so a worker respawned after a crash, or a whole fresh
-    process, skips re-analysis entirely.  The store is fingerprint-skipped
-    when the on-disk record is already current, so the per-call overhead on
-    a warm path is one in-memory comparison.
+    analysis is first sought on disk, and after preparing, its tree-projection
+    choices are **stored back** — so a worker respawned after a crash, or a
+    whole fresh process, skips the tree-projection search.  The store is
+    skipped when the on-disk record already holds every choice (always, for
+    tree schemas), so the per-call overhead on a warm path is one in-memory
+    comparison.
 
     Cyclic specs (``spec.cyclic``) rebuild through
     :meth:`AnalyzedSchema.prepare_cyclic`, landing in the same per-target

@@ -1,17 +1,23 @@
-"""Crash-safe persistent plan catalog and on-disk interchange format.
+"""Crash-safe persistent plan catalog: the tree-projection choices of a schema.
 
 The analysis LRU (:mod:`repro.engine.analysis`) and the worker plan caches
 are per-process: they die with the process, so every cold start — and every
-worker respawned by the PR-6 supervisor — pays full planning again.  This
-module makes schema analysis a *durable* asset: a :class:`PlanCatalog` is a
-directory of verified records persisting the expensive artifacts of an
-:class:`~repro.engine.analysis.AnalyzedSchema` (GYO traces, qual trees,
-acyclicity flags, treefications, minimized tableaux, canonical connections,
-join plans, cyclic :class:`~repro.engine.cyclic.ProjectionChoice`\\ s), keyed
-by the **ordered relation tuple** — exactly the key discipline of the
-analysis LRU, for exactly the same reason: analysis artifacts are
+worker respawned by the PR-6 supervisor — pays full planning again.  Of
+everything an :class:`~repro.engine.analysis.AnalyzedSchema` derives, only
+the tree projection of a cyclic schema (Section 6, Theorem 6.1) is costly to
+recompute: the search takes tens to hundreds of milliseconds, while the GYO
+trace and the qual tree of a tree schema recompute in well under one.  So a
+:class:`PlanCatalog` record holds exactly one thing — the
+:class:`~repro.engine.cyclic.ProjectionChoice`\\ s of one **ordered relation
+tuple** (the key discipline of the analysis LRU: analysis artifacts are
 positional, and multiset-equal schemas in different orders must not share
-them.
+them) — written as plain UTF-8 JSON::
+
+    {"key": [[attr, ...] per relation, in order],
+     "choices": [{"target", "projection", "method", "minimal",
+                  "width", "fanout", "total_arity"}, ...]}
+
+A tree schema has no choice to persist and never gets a record.
 
 Durability first
 ----------------
@@ -26,14 +32,19 @@ reads back:
   (``.lock``) so concurrent processes can share one catalog directory.  A
   crash at any point leaves either the old record or the new one, never a
   half-visible name.
-* **Verified reads.**  Each record starts with a fixed header — magic,
-  format version, record kind, CRC-32 checksum, payload length — and the
-  read path verifies all five before deserializing.  Any mismatch
+* **Verified reads, checked by meaning.**  Each record starts with a fixed
+  header — magic, format version, record kind, CRC-32 checksum, payload
+  length — and the read path verifies all five before decoding.  The
+  payload is then decoded as plain data (it can never execute code) and
+  every restored projection must pass the same
+  :func:`~repro.engine.cyclic.is_valid_projection` check the search itself
+  applies, with its recorded statistics matching.  Any failure
   (truncation, bad magic, a format version this library does not speak,
-  checksum failure, trailing garbage, undeserializable payload) is treated
-  as corruption: the record is **quarantined** (renamed to ``*.corrupt``,
-  counted in :class:`CatalogStats`) and the caller falls back to fresh
-  analysis.  Corruption can never take the serving path down.
+  checksum failure, trailing garbage, malformed JSON, a projection that is
+  not a tree projection of ``D ∪ (X)``) is treated as corruption: the record
+  is **quarantined** (renamed to ``*.corrupt``, counted in
+  :class:`CatalogStats`) and the caller falls back to fresh analysis.
+  Corruption can never take the serving path down.
 * **Degraded mode.**  I/O failures (``ENOSPC``, permissions, a yanked
   mount) are absorbed and counted; after
   :data:`MAX_CONSECUTIVE_IO_ERRORS` consecutive failures the catalog stops
@@ -45,52 +56,29 @@ The deterministic fault points behind the corruption tests live in
 :mod:`repro.engine.faults` (``REPRO_FAULT_TORN_WRITE``,
 ``REPRO_FAULT_CORRUPT_RECORD``).
 
-Interchange format
-------------------
-
-The same record framing carries schemas and database states:
-:func:`save_schema` / :func:`load_schema` and :func:`save_state` /
-:func:`load_state` write single-record files with the durable protocol, and
-:class:`StateLogWriter` / :func:`iter_states` implement an **append log**
-for bulk workloads — one framed record per appended state, readable by
-streaming (each record is verified independently, and a torn tail — the
-normal result of a crash mid-append — is detected and reported without
-poisoning the records before it).
-
 Integration
 -----------
 
 ``analyze(schema, catalog=...)`` consults a catalog on an analysis-LRU
 miss; :func:`~repro.engine.analysis.prepared_from_spec` both consults and
-writes back, which is what lets a respawned worker skip re-analysis.  The
-environment variable :data:`ENV_CATALOG_DIR` (``REPRO_CATALOG_DIR``) names
-a default catalog that is picked up process-wide — worker processes inherit
-it, so arming it warms every future cold start.  See
-``docs/persistence.md``.
+writes back, which is what lets a respawned worker skip the tree-projection
+search.  The environment variable :data:`ENV_CATALOG_DIR`
+(``REPRO_CATALOG_DIR``) names a default catalog that is picked up
+process-wide — worker processes inherit it, so arming it warms every future
+cold start.  See ``docs/persistence.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
+import json
 import os
-import pickle
 import struct
 import tempfile
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 try:  # pragma: no cover - platform dependent
     import fcntl
@@ -99,8 +87,9 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 from ..exceptions import CatalogCorruptionError, CatalogError
 from ..hypergraph.schema import DatabaseSchema, RelationSchema
-from ..relational.database import DatabaseState
 from . import faults
+from .analysis import _CACHE_LOCK, AnalyzedSchema
+from .cyclic import ProjectionChoice, is_valid_projection
 
 __all__ = [
     "ENV_CATALOG_DIR",
@@ -108,17 +97,8 @@ __all__ = [
     "CatalogRecordInfo",
     "CatalogStats",
     "PlanCatalog",
-    "StateLogWriter",
     "default_catalog",
-    "iter_states",
-    "load_schema",
-    "load_state",
-    "read_state_log",
     "resolve_catalog",
-    "save_schema",
-    "save_state",
-    "snapshot_analysis",
-    "restore_analysis",
 ]
 
 #: Directory of the process-wide default catalog (inherited by workers).
@@ -127,15 +107,16 @@ ENV_CATALOG_DIR = "REPRO_CATALOG_DIR"
 #: Bump when the record framing or payload layout changes incompatibly.
 #: Readers quarantine records from other versions — a stale-version record
 #: is indistinguishable from one this build cannot be trusted to interpret.
-FORMAT_VERSION = 1
+#: Version 1 records held serialized Python objects; version 2 holds the
+#: JSON projection choices, so a version 1 record is quarantined on its
+#: header alone, before its payload is ever decoded.
+FORMAT_VERSION = 2
 
 #: Eight fixed magic bytes opening every record.
 MAGIC = b"RPROCAT\x01"
 
-#: Record kinds (``kind`` field of the header).
-KIND_ANALYSIS = 1
-KIND_SCHEMA = 2
-KIND_STATE = 3
+#: The record kind (``kind`` field of the header): projection choices.
+RECORD_KIND = 1
 
 #: Header layout: magic ``8s``, format version ``H``, record kind ``H``,
 #: CRC-32 of the payload ``I``, payload length ``Q`` — 24 bytes.
@@ -145,36 +126,35 @@ _HEADER = struct.Struct("<8sHHIQ")
 #: (in-memory-only) mode and stops touching the disk.
 MAX_CONSECUTIVE_IO_ERRORS = 8
 
-#: Guard against absurd/forged payload lengths before allocating.
-_MAX_PAYLOAD = 1 << 40
-
 SchemaLike = Union[DatabaseSchema, Sequence[RelationSchema]]
+Choices = Dict[RelationSchema, ProjectionChoice]
 
 
 # -- record framing -------------------------------------------------------------
 
 
-def _pack_record(kind: int, payload: bytes) -> bytes:
+def _pack_record(payload: bytes) -> bytes:
     """Frame ``payload`` with the versioned, checksummed record header."""
     checksum = zlib.crc32(payload) & 0xFFFFFFFF
-    return _HEADER.pack(MAGIC, FORMAT_VERSION, kind, checksum, len(payload)) + payload
+    return (
+        _HEADER.pack(MAGIC, FORMAT_VERSION, RECORD_KIND, checksum, len(payload))
+        + payload
+    )
 
 
-def _read_record(
-    data: bytes, offset: int, *, path: str = "<record>"
-) -> Tuple[int, bytes, int]:
-    """Verify and return one record at ``offset``: ``(kind, payload, end)``.
+def _unpack_record(data: bytes, *, path: str) -> bytes:
+    """Verify a record file's frame and return its payload.
 
     Raises :class:`~repro.exceptions.CatalogCorruptionError` on truncation,
-    bad magic, unsupported version, forged length or checksum mismatch.
+    bad magic, unsupported version, wrong kind, checksum mismatch or
+    trailing bytes.
     """
-    if len(data) - offset < _HEADER.size:
+    if len(data) < _HEADER.size:
         raise CatalogCorruptionError(
-            f"truncated record header ({len(data) - offset} of "
-            f"{_HEADER.size} bytes)",
+            f"truncated record header ({len(data)} of {_HEADER.size} bytes)",
             path=path,
         )
-    magic, version, kind, checksum, length = _HEADER.unpack_from(data, offset)
+    magic, version, kind, checksum, length = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise CatalogCorruptionError(f"bad record magic {magic!r}", path=path)
     if version != FORMAT_VERSION:
@@ -183,56 +163,120 @@ def _read_record(
             f"(this build speaks {FORMAT_VERSION})",
             path=path,
         )
-    if length > _MAX_PAYLOAD:
+    if kind != RECORD_KIND:
         raise CatalogCorruptionError(
-            f"implausible payload length {length}", path=path
+            f"record kind {kind} where {RECORD_KIND} was expected", path=path
         )
-    start = offset + _HEADER.size
-    if len(data) - start < length:
+    end = _HEADER.size + length
+    if len(data) < end:
         raise CatalogCorruptionError(
-            f"truncated payload ({len(data) - start} of {length} bytes)",
+            f"truncated payload ({len(data) - _HEADER.size} of {length} bytes)",
             path=path,
         )
-    payload = data[start : start + length]
-    if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
-        raise CatalogCorruptionError("payload checksum mismatch", path=path)
-    return kind, payload, start + length
-
-
-def _unpack_single(data: bytes, expected_kind: int, *, path: str) -> bytes:
-    """Verify a single-record file: exactly one record of the right kind."""
-    kind, payload, end = _read_record(data, 0, path=path)
-    if kind != expected_kind:
-        raise CatalogCorruptionError(
-            f"record kind {kind} where {expected_kind} was expected", path=path
-        )
-    if end != len(data):
+    if len(data) > end:
         raise CatalogCorruptionError(
             f"{len(data) - end} trailing bytes after the record", path=path
         )
+    payload = data[_HEADER.size : end]
+    if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
+        raise CatalogCorruptionError("payload checksum mismatch", path=path)
     return payload
 
 
-def _loads(payload: bytes, *, path: str) -> Any:
-    """Deserialize a verified payload, converting any failure to corruption.
+# -- the payload ----------------------------------------------------------------
 
-    A checksum-valid payload can still fail to unpickle (a record written by
-    incompatible code, or a deliberately crafted file); the defense posture
-    is the same — quarantine, never crash the serving path — so every
-    deserialization error is normalized to
+
+def _encode(key: Tuple[RelationSchema, ...], choices: Choices) -> bytes:
+    """The JSON payload of one record (deterministic: targets sorted)."""
+    entries = [
+        {
+            "target": list(target.sorted_attributes()),
+            "projection": [
+                list(node.sorted_attributes())
+                for node in choice.projection.relations
+            ],
+            "method": choice.method,
+            "minimal": choice.minimal,
+            "width": choice.width,
+            "fanout": choice.fanout,
+            "total_arity": choice.total_arity,
+        }
+        for target, choice in sorted(
+            choices.items(), key=lambda item: item[0].sorted_attributes()
+        )
+    ]
+    record = {
+        "key": [list(relation.sorted_attributes()) for relation in key],
+        "choices": entries,
+    }
+    return json.dumps(record, separators=(",", ":")).encode("utf-8")
+
+
+def _relation(attributes: Any) -> RelationSchema:
+    # A bare JSON string would be read as single-character attributes.
+    if not isinstance(attributes, list):
+        raise ValueError(f"a relation must be a list of attributes, not {attributes!r}")
+    return RelationSchema(attributes)
+
+
+def _restore_choice(
+    schema: DatabaseSchema, entry: Any
+) -> Tuple[RelationSchema, ProjectionChoice]:
+    """Rebuild one persisted choice, checked by meaning (raises ``ValueError``).
+
+    The target must lie within ``U(D)``, the projection must pass
+    :func:`~repro.engine.cyclic.is_valid_projection` for ``D ∪ (X)``, and the
+    recorded width and total arity must be the projection's own.
+    """
+    target = _relation(entry["target"])
+    projection = DatabaseSchema(_relation(node) for node in entry["projection"])
+    method, minimal, fanout = entry["method"], entry["minimal"], entry["fanout"]
+    if not (isinstance(method, str) and isinstance(minimal, bool) and type(fanout) is int):
+        raise ValueError("method, minimal or fanout has the wrong type")
+    if not target <= schema.attributes:
+        raise ValueError(f"target {target.to_notation()} is not within U(D)")
+    lower = schema.add_relation(target) if target else schema
+    if not is_valid_projection(projection, lower):
+        raise ValueError(
+            f"{projection.to_notation()} is not a tree projection of "
+            f"{lower.to_notation()}"
+        )
+    width = max((len(node) for node in projection), default=0)
+    total_arity = sum(len(node) for node in projection)
+    if (entry["width"], entry["total_arity"]) != (width, total_arity):
+        raise ValueError(
+            f"recorded width {entry['width']} and total arity "
+            f"{entry['total_arity']} do not match the projection's "
+            f"{width} and {total_arity}"
+        )
+    choice = ProjectionChoice(projection, method, minimal, width, fanout, total_arity)
+    return target, choice
+
+
+def _decode(data: bytes, *, path: str) -> Tuple[Tuple[RelationSchema, ...], Choices]:
+    """Verify a record file and rebuild ``(key, choices)`` from it.
+
+    The one read path of :meth:`PlanCatalog.load`, :meth:`~PlanCatalog.records`
+    and :meth:`~PlanCatalog.verify`.  Every failure — of the frame, of the
+    JSON structure or of the meaning check — raises
     :class:`~repro.exceptions.CatalogCorruptionError`.
     """
+    payload = _unpack_record(data, path=path)
     try:
-        return pickle.loads(payload)
+        record = json.loads(payload.decode("utf-8"))
+        key = tuple(_relation(relation) for relation in record["key"])
+        schema = DatabaseSchema(key)
+        choices = dict(_restore_choice(schema, entry) for entry in record["choices"])
     except Exception as error:
+        # Bytes from disk can fail to parse or check in any way; the
+        # serving path must see exactly one error type, carrying the cause.
         raise CatalogCorruptionError(
-            f"payload does not deserialize ({type(error).__name__}: {error})",
-            path=path,
+            f"record does not decode ({type(error).__name__}: {error})", path=path
         ) from error
+    return key, choices
 
 
-def _dumps(obj: Any) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+# -- durable writes -------------------------------------------------------------
 
 
 def _apply_write_faults(data: bytes) -> Tuple[bytes, Optional[str]]:
@@ -311,264 +355,8 @@ def _fsync_directory(directory: str) -> None:
         os.close(descriptor)
 
 
-# -- schema / state interchange -------------------------------------------------
-
-
 def _as_database_schema(schema: SchemaLike) -> DatabaseSchema:
     return schema if isinstance(schema, DatabaseSchema) else DatabaseSchema(schema)
-
-
-def save_schema(path: str, schema: SchemaLike) -> None:
-    """Durably write ``schema`` as a single-record interchange file.
-
-    Unlike the catalog's serving-path methods, the explicit save/load API
-    raises (:class:`~repro.exceptions.CatalogError` wrapping the ``OSError``)
-    on failure — a user-initiated export must not fail silently.
-    """
-    payload = _dumps(_as_database_schema(schema))
-    try:
-        _atomic_write(path, _pack_record(KIND_SCHEMA, payload))
-    except OSError as error:
-        raise CatalogError(f"cannot write schema to {path}: {error}") from error
-
-
-def load_schema(path: str) -> DatabaseSchema:
-    """Read back a schema written by :func:`save_schema` (verified)."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as error:
-        raise CatalogError(f"cannot read schema from {path}: {error}") from error
-    schema = _loads(_unpack_single(data, KIND_SCHEMA, path=path), path=path)
-    if not isinstance(schema, DatabaseSchema):
-        raise CatalogCorruptionError(
-            f"schema record holds a {type(schema).__name__}", path=path
-        )
-    return schema
-
-
-def save_state(path: str, state: DatabaseState) -> None:
-    """Durably write a database state as a single-record interchange file."""
-    payload = _dumps(state)
-    try:
-        _atomic_write(path, _pack_record(KIND_STATE, payload))
-    except OSError as error:
-        raise CatalogError(f"cannot write state to {path}: {error}") from error
-
-
-def load_state(path: str) -> DatabaseState:
-    """Read back a state written by :func:`save_state` (verified)."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as error:
-        raise CatalogError(f"cannot read state from {path}: {error}") from error
-    state = _loads(_unpack_single(data, KIND_STATE, path=path), path=path)
-    if not isinstance(state, DatabaseState):
-        raise CatalogCorruptionError(
-            f"state record holds a {type(state).__name__}", path=path
-        )
-    return state
-
-
-class StateLogWriter:
-    """Append-log writer: one framed state record per :meth:`append`.
-
-    The log is the bulk-ingest format: a reader streams states back without
-    holding the whole file, and a crash mid-append costs at most the torn
-    tail record (every record is independently checksummed).  ``sync=True``
-    (the default) fsyncs after every append — each appended state is durable
-    the moment ``append`` returns; ``sync=False`` trades that for
-    throughput and fsyncs once on :meth:`close`.
-    """
-
-    def __init__(self, path: str, *, sync: bool = True) -> None:
-        self.path = path
-        self._sync = sync
-        try:
-            self._handle: Optional[io.BufferedWriter] = open(path, "ab")
-        except OSError as error:
-            raise CatalogError(f"cannot open state log {path}: {error}") from error
-        self.appended = 0
-
-    def append(self, state: DatabaseState) -> int:
-        """Append one state; returns the record's size in bytes."""
-        if self._handle is None:
-            raise CatalogError(f"state log {self.path} is closed")
-        record = _pack_record(KIND_STATE, _dumps(state))
-        try:
-            self._handle.write(record)
-            self._handle.flush()
-            if self._sync:
-                os.fsync(self._handle.fileno())
-        except OSError as error:
-            raise CatalogError(
-                f"cannot append to state log {self.path}: {error}"
-            ) from error
-        self.appended += 1
-        return len(record)
-
-    def close(self) -> None:
-        """Flush (and fsync) the log; idempotent."""
-        handle, self._handle = self._handle, None
-        if handle is None:
-            return
-        try:
-            handle.flush()
-            os.fsync(handle.fileno())
-        except OSError:
-            pass
-        finally:
-            handle.close()
-
-    def __enter__(self) -> "StateLogWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def iter_states(path: str, *, strict: bool = False) -> Iterator[DatabaseState]:
-    """Stream verified states out of an append log.
-
-    Records are verified one by one; iteration stops at the first corrupt or
-    torn record (the crash-mid-append signature).  With ``strict=True`` the
-    stop raises the underlying
-    :class:`~repro.exceptions.CatalogCorruptionError` instead — use strict
-    mode when the log is *supposed* to be complete and a torn tail means
-    data loss the caller must hear about.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as error:
-        raise CatalogError(f"cannot read state log {path}: {error}") from error
-    offset = 0
-    while offset < len(data):
-        try:
-            kind, payload, offset = _read_record(data, offset, path=path)
-            if kind != KIND_STATE:
-                raise CatalogCorruptionError(
-                    f"record kind {kind} in a state log", path=path
-                )
-            state = _loads(payload, path=path)
-            if not isinstance(state, DatabaseState):
-                raise CatalogCorruptionError(
-                    f"log record holds a {type(state).__name__}", path=path
-                )
-        except CatalogCorruptionError:
-            if strict:
-                raise
-            return
-        yield state
-
-
-def read_state_log(path: str) -> Tuple[List[DatabaseState], bool]:
-    """Read a whole append log: ``(states, clean)``.
-
-    ``clean`` is False when the log ended in a torn or corrupt record (the
-    recovered states before it are still good — that is the point of
-    per-record framing).
-    """
-    states: List[DatabaseState] = []
-    iterator = iter_states(path, strict=True)
-    while True:
-        try:
-            states.append(next(iterator))
-        except StopIteration:
-            return states, True
-        except CatalogCorruptionError:
-            return states, False
-
-
-# -- analysis snapshots ---------------------------------------------------------
-
-
-def snapshot_analysis(analysis) -> Dict[str, Any]:
-    """Extract the persistable artifacts of an ``AnalyzedSchema``.
-
-    Captures everything expensive and deterministic: GYO traces, the qual
-    tree (including the *knowledge* that a cyclic schema has none),
-    acyclicity flags, the treefication, standard tableaux, canonical
-    connections (which carry the minimized tableaux), join plans and cyclic
-    projection choices.  Deliberately excluded: prepared queries and
-    compiled plans (process-local by design — interners and itemgetters do
-    not belong on disk) and cost probes (host- and load-specific timings).
-    """
-    from .analysis import _CACHE_LOCK, _UNSET
-
-    with _CACHE_LOCK:
-        gyo_traces = dict(analysis._gyo_traces)
-        tableaux = dict(analysis._tableaux)
-        connections = dict(analysis._connections)
-        join_plans = dict(analysis._join_plans)
-        cyclic_choices = dict(analysis._cyclic_choices)
-    qual_tree = analysis._qual_tree
-    record: Dict[str, Any] = {
-        "kind": "analysis",
-        "key": analysis.schema.relations,
-        "schema": analysis.schema,
-        "gyo_traces": gyo_traces,
-        "qual_tree_known": qual_tree is not _UNSET,
-        "qual_tree": None if qual_tree is _UNSET else qual_tree,
-        "flags": dict(analysis._flags),
-        "treefication": analysis._treefication,
-        "tableaux": tableaux,
-        "connections": connections,
-        "join_plans": join_plans,
-        "cyclic_choices": cyclic_choices,
-    }
-    record["artifacts"] = _artifact_count(record)
-    return record
-
-
-def _artifact_count(record: Dict[str, Any]) -> int:
-    """How many cached artifacts a snapshot carries (the dirtiness metric)."""
-    return (
-        len(record["gyo_traces"])
-        + len(record["flags"])
-        + len(record["tableaux"])
-        + len(record["connections"])
-        + len(record["join_plans"])
-        + len(record["cyclic_choices"])
-        + (1 if record["qual_tree_known"] else 0)
-        + (1 if record["treefication"] is not None else 0)
-    )
-
-
-def restore_analysis(record: Dict[str, Any], *, schema=None):
-    """Rebuild an ``AnalyzedSchema`` from a verified snapshot record.
-
-    The restored analysis is freshly constructed and then pre-populated, so
-    it behaves exactly like one that computed everything locally — memos
-    keep memoizing, prepared queries compile lazily on top of the restored
-    qual tree, and nothing persisted is ever recomputed.
-
-    ``schema`` grafts the *caller's* ``DatabaseSchema`` object in place of
-    the record's unpickled copy.  The compiled backend's per-state schema
-    check has an identity fast path (``state.schema is plan.schema``); an
-    unpickled schema object fails it and every state then pays a full
-    multiset-equality comparison — measurably slower on wide schemas.  Only
-    graft a schema whose **ordered** relation tuple equals the record key
-    (``PlanCatalog.load`` verifies that before calling); the memo contents
-    still reference the unpickled relation objects internally, which is
-    fine — they compare equal, and nothing below the top-level check keys
-    on identity.
-    """
-    from .analysis import AnalyzedSchema
-
-    analysis = AnalyzedSchema(record["schema"] if schema is None else schema)
-    analysis._gyo_traces.update(record["gyo_traces"])
-    analysis._tableaux.update(record["tableaux"])
-    analysis._connections.update(record["connections"])
-    analysis._join_plans.update(record["join_plans"])
-    analysis._cyclic_choices.update(record["cyclic_choices"])
-    analysis._flags.update(record["flags"])
-    if record["qual_tree_known"]:
-        object.__setattr__(analysis, "_qual_tree", record["qual_tree"])
-    if record["treefication"] is not None:
-        object.__setattr__(analysis, "_treefication", record["treefication"])
-    return analysis
 
 
 # -- the catalog ----------------------------------------------------------------
@@ -596,7 +384,8 @@ class CatalogStats:
         self.misses = 0
         #: Durable record writes performed.
         self.stores = 0
-        #: Stores skipped because the on-disk record is already current.
+        #: Stores with nothing new to write: the record already holds every
+        #: choice, or the analysis has none (every tree schema).
         self.store_skips = 0
         #: Corrupt records renamed aside (``*.corrupt``).
         self.quarantined = 0
@@ -641,14 +430,14 @@ class CatalogRecordInfo:
     ok: bool
     #: Schema notation (verified records only).
     schema: Optional[str] = None
-    #: Number of persisted artifacts (verified records only).
-    artifacts: Optional[int] = None
+    #: Number of persisted projection choices (verified records only).
+    choices: Optional[int] = None
     #: Why verification failed (corrupt records only).
     error: Optional[str] = None
 
 
 class PlanCatalog:
-    """A disk-backed, crash-safe store of analyzed-schema artifacts.
+    """A disk-backed, crash-safe store of tree-projection choices.
 
     One catalog owns a directory; records are files named by a digest of
     the ordered relation tuple.  All methods are thread-safe, and multiple
@@ -670,9 +459,9 @@ class PlanCatalog:
         self.stats = CatalogStats()
         self._lock = threading.Lock()
         self._consecutive_errors = 0
-        #: digest -> artifact count last known to be on disk; lets `store`
-        #: skip rewriting records that already hold everything.
-        self._fingerprints: Dict[str, int] = {}
+        #: digest -> targets whose choices are known to be on disk; lets
+        #: `store` skip rewriting records that already hold everything.
+        self._fingerprints: Dict[str, FrozenSet[RelationSchema]] = {}
         if create:
             try:
                 os.makedirs(self.directory, exist_ok=True)
@@ -700,7 +489,7 @@ class PlanCatalog:
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:32]
 
     def record_path(self, schema: SchemaLike) -> str:
-        """The record file a schema's artifacts live in."""
+        """The record file a schema's projection choices live in."""
         return os.path.join(
             self.directory,
             self.key_digest(self.key_of(schema)) + self._RECORD_SUFFIX,
@@ -733,7 +522,7 @@ class PlanCatalog:
         Advisory by design: readers never block, and a platform without
         ``fcntl`` simply relies on atomic rename (last writer wins, which
         is safe — records are pure functions of their key plus a monotone
-        artifact set).
+        choice set).
         """
         if fcntl is None:  # pragma: no cover - non-POSIX
             return None
@@ -777,10 +566,12 @@ class PlanCatalog:
     def load(self, schema: SchemaLike):
         """The persisted analysis for ``schema``, or ``None`` (never raises).
 
-        A verified record restores to a pre-populated
-        :class:`~repro.engine.analysis.AnalyzedSchema`; a missing record is
-        a miss; a corrupt record is quarantined and served as a miss; an
-        I/O failure degrades and is served as a miss.
+        A verified record restores to a fresh
+        :class:`~repro.engine.analysis.AnalyzedSchema` over the caller's own
+        schema object whose tree-projection memo is seeded with the
+        persisted choices (everything else recomputes lazily); a missing
+        record is a miss; a corrupt record is quarantined and served as a
+        miss; an I/O failure degrades and is served as a miss.
         """
         database_schema = _as_database_schema(schema)
         key = database_schema.relations
@@ -804,61 +595,52 @@ class PlanCatalog:
             return None
         self._note_io_success()
         try:
-            payload = _unpack_single(data, KIND_ANALYSIS, path=path)
-            record = _loads(payload, path=path)
-            if not isinstance(record, dict) or record.get("kind") != "analysis":
-                raise CatalogCorruptionError(
-                    "analysis record has an unexpected structure", path=path
-                )
+            record_key, choices = _decode(data, path=path)
         except CatalogCorruptionError as error:
             self._quarantine(path, error)
             with self._lock:
                 self.stats.misses += 1
             return None
-        if record["key"] != key:
+        if record_key != key:
             with self._lock:
                 self.stats.key_mismatches += 1
                 self.stats.misses += 1
             return None
-        try:
-            # The key matched the requested relation tuple exactly, so the
-            # caller's schema object is grafted in — it keeps the compiled
-            # backend's per-state identity fast path working for states the
-            # caller builds against its own schema.
-            restored = restore_analysis(record, schema=database_schema)
-        except Exception:
-            # A record that verified but whose artifacts misbehave on
-            # restore (e.g. written by a newer minor build): same defense.
-            self._quarantine(
-                path, CatalogCorruptionError("restore failed", path=path)
-            )
-            with self._lock:
-                self.stats.misses += 1
-            return None
+        # The caller's schema object (not a decoded copy) keeps the compiled
+        # backend's per-state identity fast path working for its states.
+        analysis = AnalyzedSchema(database_schema)
+        analysis._cyclic_choices.update(choices)
         with self._lock:
             self.stats.hits += 1
-            self._fingerprints[digest] = record["artifacts"]
-        return restored
+            self._fingerprints[digest] = frozenset(choices)
+        return analysis
 
     def store(self, analysis) -> bool:
-        """Persist an analysis's artifacts durably (never raises).
+        """Persist an analysis's projection choices durably (never raises).
 
-        Returns True when the on-disk record is current after the call —
-        because it was written, or because it already held every artifact
-        the analysis has (the fingerprint skip, which is what keeps hot
-        serving paths from rewriting an unchanged record on every batch).
+        Writes only when the analysis holds a choice the on-disk record is
+        not known to have; otherwise — including every tree schema, which
+        has no choice at all — the call is a ``store_skip``, which keeps hot
+        serving paths from rewriting an unchanged record on every batch.
+        Returns True when nothing the analysis holds is missing from disk
+        after the call.
         """
         if self.disabled:
             return False
-        record = snapshot_analysis(analysis)
-        digest = self.key_digest(record["key"])
+        with _CACHE_LOCK:
+            choices = dict(analysis._cyclic_choices)
+        if not choices:
+            with self._lock:
+                self.stats.store_skips += 1
+            return True
+        key = analysis.schema.relations
+        digest = self.key_digest(key)
         with self._lock:
-            known = self._fingerprints.get(digest)
-            if known is not None and known >= record["artifacts"]:
+            if set(choices) <= self._fingerprints.get(digest, frozenset()):
                 self.stats.store_skips += 1
                 return True
         path = os.path.join(self.directory, digest + self._RECORD_SUFFIX)
-        data = _pack_record(KIND_ANALYSIS, _dumps(record))
+        data = _pack_record(_encode(key, choices))
         lock_descriptor = self._acquire_writer_lock()
         try:
             _atomic_write(path, data)
@@ -870,7 +652,7 @@ class PlanCatalog:
         self._note_io_success()
         with self._lock:
             self.stats.stores += 1
-            self._fingerprints[digest] = record["artifacts"]
+            self._fingerprints[digest] = frozenset(choices)
         return True
 
     # -- inspection / maintenance ----------------------------------------------
@@ -903,12 +685,7 @@ class PlanCatalog:
                 self._note_io_error()
                 continue
             try:
-                payload = _unpack_single(data, KIND_ANALYSIS, path=path)
-                record = _loads(payload, path=path)
-                if not isinstance(record, dict) or record.get("kind") != "analysis":
-                    raise CatalogCorruptionError(
-                        "analysis record has an unexpected structure", path=path
-                    )
+                key, choices = _decode(data, path=path)
                 infos.append(
                     CatalogRecordInfo(
                         name=name,
@@ -916,8 +693,8 @@ class PlanCatalog:
                         size=size,
                         mtime=mtime,
                         ok=True,
-                        schema=record["schema"].to_notation(),
-                        artifacts=record["artifacts"],
+                        schema=DatabaseSchema(key).to_notation(),
+                        choices=len(choices),
                     )
                 )
             except CatalogCorruptionError as error:
@@ -939,7 +716,7 @@ class PlanCatalog:
         Returns ``{"checked", "ok", "quarantined": [names...]}``.  This is
         the cold-start integrity sweep: run it after a crash (or from
         ``repro catalog verify``) and the catalog is guaranteed to hold only
-        records that decode cleanly end to end.
+        records that :meth:`load` would restore.
         """
         checked = 0
         ok = 0
@@ -962,8 +739,11 @@ class PlanCatalog:
         purpose once inspected) and ``.tmp.*`` leftovers of writers that
         died before renaming.  With ``keep=N`` the newest ``N`` records (by
         mtime) are retained and the rest deleted — a size bound for
-        long-lived catalog directories.
+        long-lived catalog directories.  A negative ``keep`` raises
+        ``ValueError``.
         """
+        if keep is not None and keep < 0:
+            raise ValueError(f"keep must be non-negative, got {keep}")
         removed_corrupt = 0
         removed_temp = 0
         removed_records = 0
@@ -990,7 +770,7 @@ class PlanCatalog:
                     removed_temp += 1
                 except OSError:
                     self._note_io_error()
-        if keep is not None and keep >= 0:
+        if keep is not None:
             records = []
             for name in self._record_names():
                 path = os.path.join(self.directory, name)

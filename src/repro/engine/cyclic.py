@@ -59,6 +59,7 @@ __all__ = [
     "CyclicPreparedQuery",
     "ProjectionChoice",
     "choose_tree_projection",
+    "is_valid_projection",
 ]
 
 #: Cap on candidate-validation work (``is_tree_schema`` + coverage checks)
@@ -91,6 +92,22 @@ class ProjectionChoice:
     width: int
     fanout: int
     total_arity: int
+
+
+def is_valid_projection(projection: DatabaseSchema, lower: DatabaseSchema) -> bool:
+    """Whether ``projection`` is a tree projection Theorem 6.1 can execute
+    through, for ``lower = D ∪ (X)``: it covers ``lower``, stays within
+    ``U(lower) = U(D)`` and is a tree schema.
+
+    The one meaning check behind candidate validation, the shrink pass and
+    the plan catalog's read path — a restored choice is trusted exactly as
+    far as a freshly searched one.
+    """
+    return (
+        projection.covers(lower)
+        and projection.attributes <= lower.attributes
+        and is_tree_schema(projection)
+    )
 
 
 # -- candidate generation -------------------------------------------------------
@@ -198,7 +215,7 @@ def _shrink(
                 checks += 1
                 if checks > budget:
                     return current, False
-                if trial.covers(lower) and is_tree_schema(trial):
+                if is_valid_projection(trial, lower):
                     current = trial.reduction()
                     improved = True
                     break
@@ -214,7 +231,7 @@ def _shrink(
                     checks += 1
                     if checks > budget:
                         return current, False
-                    if trial.covers(lower) and is_tree_schema(trial):
+                    if is_valid_projection(trial, lower):
                         current = trial
                         improved = True
                         break
@@ -356,7 +373,7 @@ def choose_tree_projection(
         if candidate is None:
             continue
         candidate = candidate.reduction()
-        if not (candidate.covers(lower) and is_tree_schema(candidate)):
+        if not is_valid_projection(candidate, lower):
             continue
         shrunk, minimal = _shrink(candidate, lower)
         if shrunk in seen:

@@ -74,9 +74,8 @@ class SearchBudgetExceeded(ReproError):
 class CatalogError(ReproError):
     """Base class for persistent plan-catalog failures.
 
-    Raised only by the *explicit* persistence API (``save_state``,
-    ``load_state``, the append-log reader in strict mode, catalog
-    construction with ``create=False``).  The serving-path catalog methods
+    Raised only by catalog construction with ``create=False`` on a missing
+    directory.  The serving-path catalog methods
     (:meth:`repro.engine.catalog.PlanCatalog.load` /
     :meth:`~repro.engine.catalog.PlanCatalog.store`) never raise: disk
     failures degrade to in-memory-only operation and corrupt records are
@@ -90,8 +89,9 @@ class CatalogCorruptionError(CatalogError):
 
     Covers every defended failure shape: truncated header or payload, bad
     magic, a format version this library does not speak, checksum mismatch,
-    trailing garbage, and payloads that do not deserialize to the expected
-    record structure.  ``path`` names the offending file when known.
+    trailing garbage, payloads that are not the expected JSON structure, and
+    restored tree projections that fail the meaning check.  ``path`` names
+    the offending file when known.
     """
 
     def __init__(self, message: str, path: "str | None" = None) -> None:

@@ -95,8 +95,8 @@ class Tableau:
     def __getstate__(self):
         # The compiled form is a per-process cache (occurrence bitmasks,
         # interning tables) that every consumer can rebuild lazily; shipping
-        # it with the tableau would bloat persisted catalog records and
-        # cross-process pickles for no benefit.
+        # it with the tableau would bloat cross-process pickles for no
+        # benefit.
         state = self.__dict__.copy()
         state["_compiled"] = None
         return state

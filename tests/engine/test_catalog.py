@@ -2,14 +2,16 @@
 
 Three layers of guarantees are proven here:
 
-* **Round-trips** — ``load(save(x)) == x`` for schemas, database states and
-  analysis artifacts (acyclic and cyclic), property-tested with hypothesis;
-  a catalog-restored analysis must answer queries identically to a fresh
-  one (the classic-backend oracle discipline of PR 3/4).
-* **Corruption defense** — truncation, bit flips, stale format versions,
-  trailing garbage and undeserializable payloads are each detected,
-  quarantined (``*.corrupt``), counted, and served as misses; the query
-  still answers correctly through fresh analysis.
+* **Round-trips** — a record holds the tree-projection choices of a cyclic
+  schema and nothing else; a restored choice equals a fresh
+  ``choose_tree_projection`` (property-tested with hypothesis) and the
+  restored analysis answers like ``naive_join_project``.  Tree schemas
+  never get a record.
+* **Corruption defense** — truncation, bit flips, stale format versions
+  (including pickled version 1 records, never unpickled), trailing garbage,
+  malformed JSON and restored projections that fail the meaning check are
+  each detected, quarantined (``*.corrupt``), counted, and served as
+  misses; the query still answers correctly through fresh analysis.
 * **Crash safety** — a writer SIGKILLed mid-write (the ``:kill`` flavor of
   ``REPRO_FAULT_TORN_WRITE``) leaves a catalog that reopens clean: the
   partial record is quarantined and counted, and the same query is
@@ -23,12 +25,14 @@ directories explicitly.
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
 import signal
-import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,36 +43,27 @@ from repro.engine import faults
 from repro.engine.catalog import (
     FORMAT_VERSION,
     MAGIC,
+    RECORD_KIND,
     _HEADER,
     CatalogStats,
     PlanCatalog,
-    StateLogWriter,
-    iter_states,
-    load_schema,
-    load_state,
-    read_state_log,
     resolve_catalog,
-    save_schema,
-    save_state,
 )
-from repro.exceptions import CatalogCorruptionError, CatalogError
+from repro.engine.cyclic import choose_tree_projection
+from repro.exceptions import CatalogError
 from repro.hypergraph import (
     DatabaseSchema,
     RelationSchema,
-    chain_schema,
-    parse_schema,
-    random_tree_schema,
-    star_schema,
+    aring,
+    random_cyclic_schema,
 )
-from repro.relational import DatabaseState, Relation
 from repro.relational.universal import random_ur_database
+from repro.relational.yannakakis import naive_join_project
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-VALUES = st.one_of(
-    st.integers(-3, 6),
-    st.sampled_from([1.0, 2.5, -1.0, True, False, "a", "b", "v1", None]),
-)
+#: The target the cyclic fixture (``aring4``, "ab,bc,cd,ad") is queried on.
+TARGET = ("a", "c")
 
 
 @pytest.fixture(autouse=True)
@@ -87,148 +82,55 @@ def _state_for(schema, seed=0, rows=12):
     return random_ur_database(schema, tuple_count=rows, domain_size=6, rng=seed)
 
 
+def _prepare(analysis, target):
+    if analysis.is_cyclic:
+        return analysis.prepare_cyclic(target)
+    return analysis.prepare(target)
+
+
 def _assert_oracle_equal(analysis, target, states):
-    """The analysis must answer like the classic object-tuple oracle."""
-    prepared = analysis.prepare(target)
-    runs = prepared.execute_many(states, backend="compiled")
-    oracle = prepared.execute_many(states, backend="classic")
-    for run, expected in zip(runs, oracle):
-        assert run.result == expected.result
+    """The analysis must answer like the naive join-then-project oracle."""
+    target = RelationSchema(target)
+    runs = _prepare(analysis, target).execute_many(states, backend="compiled")
+    for run, state in zip(runs, states):
+        assert run.result == naive_join_project(analysis.schema, target, state)[0]
 
 
-# -- record framing and interchange files ---------------------------------------
+def _frame(payload, version=FORMAT_VERSION):
+    """A checksum-valid record around ``payload``."""
+    checksum = zlib.crc32(payload) & 0xFFFFFFFF
+    return _HEADER.pack(MAGIC, version, RECORD_KIND, checksum, len(payload)) + payload
 
 
-class TestInterchange:
-    def test_schema_round_trip(self, tmp_path):
-        schema = parse_schema("abg,bcg,acf,ad,de,ea")
-        path = str(tmp_path / "schema.rps")
-        save_schema(path, schema)
-        assert load_schema(path) == schema
-
-    def test_state_round_trip(self, tmp_path, chain4):
-        state = _state_for(chain4, seed=3)
-        path = str(tmp_path / "one.state")
-        save_state(path, state)
-        assert load_state(path) == state
-
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.data())
-    def test_state_round_trip_property(self, data):
-        family = data.draw(st.sampled_from(["chain", "star", "random"]))
-        size = data.draw(st.integers(1, 4))
-        if family == "chain":
-            schema = chain_schema(size)
-        elif family == "star":
-            schema = star_schema(max(size, 2))
-        else:
-            schema = random_tree_schema(size, rng=data.draw(st.integers(0, 10**6)))
-        relations = []
-        for relation_schema in schema.relations:
-            width = len(relation_schema.sorted_attributes())
-            rows = data.draw(
-                st.lists(st.tuples(*([VALUES] * width)), min_size=0, max_size=5)
-            )
-            relations.append(Relation(relation_schema, rows))
-        state = DatabaseState(schema, relations)
-        with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "x.state")
-            save_state(path, state)
-            assert load_state(path) == state
-            spath = os.path.join(directory, "x.schema")
-            save_schema(spath, schema)
-            assert load_schema(spath) == schema
-
-    def test_load_state_wrong_kind(self, tmp_path, chain4):
-        path = str(tmp_path / "mixed")
-        save_schema(path, chain4)
-        with pytest.raises(CatalogCorruptionError):
-            load_state(path)
-
-    def test_load_missing_file_raises_catalog_error(self, tmp_path):
-        with pytest.raises(CatalogError):
-            load_state(str(tmp_path / "absent.state"))
-
-    def test_trailing_garbage_is_corruption(self, tmp_path, chain4):
-        path = str(tmp_path / "s.state")
-        save_state(path, _state_for(chain4))
-        with open(path, "ab") as handle:
-            handle.write(b"extra")
-        with pytest.raises(CatalogCorruptionError):
-            load_state(path)
+def _store_cyclic(tmp_path, schema, target=TARGET):
+    clear_analysis_cache()
+    analysis = analyze(schema)
+    analysis.prepare_cyclic(list(target))
+    catalog = PlanCatalog(str(tmp_path))
+    assert catalog.store(analysis)
+    return catalog
 
 
-class TestStateLog:
-    def test_append_log_round_trip(self, tmp_path, chain4):
-        states = [_state_for(chain4, seed=seed) for seed in range(4)]
-        path = str(tmp_path / "bulk.log")
-        with StateLogWriter(path) as writer:
-            for state in states:
-                writer.append(state)
-        assert writer.appended == 4
-        assert list(iter_states(path)) == states
-        recovered, clean = read_state_log(path)
-        assert recovered == states and clean
-
-    def test_torn_tail_recovers_prefix(self, tmp_path, chain4):
-        states = [_state_for(chain4, seed=seed) for seed in range(3)]
-        path = str(tmp_path / "bulk.log")
-        with StateLogWriter(path, sync=False) as writer:
-            for state in states:
-                writer.append(state)
-        size = os.path.getsize(path)
-        # Tear the last record in half — the crash-mid-append signature.
-        with open(path, "r+b") as handle:
-            handle.truncate(size - 40)
-        recovered, clean = read_state_log(path)
-        assert recovered == states[:2]
-        assert not clean
-        # Non-strict iteration stops silently; strict raises.
-        assert list(iter_states(path)) == states[:2]
-        with pytest.raises(CatalogCorruptionError):
-            list(iter_states(path, strict=True))
-
-    def test_append_after_close_raises(self, tmp_path, chain4):
-        path = str(tmp_path / "bulk.log")
-        writer = StateLogWriter(path)
-        writer.close()
-        with pytest.raises(CatalogError):
-            writer.append(_state_for(chain4))
-
-
-# -- analysis round-trips --------------------------------------------------------
+# -- round-trips -----------------------------------------------------------------
 
 
 class TestAnalysisRoundTrip:
-    def test_acyclic_artifacts_survive(self, tmp_path, chain4):
+    def test_tree_schema_writes_no_record(self, tmp_path, chain4):
         clear_analysis_cache()
         analysis = analyze(chain4)
         analysis.prepare(["a", "d"])
-        analysis.gyo_trace()
-        analysis.canonical_connection_result(["a", "d"])
-        analysis.join_plan(["a", "d"])
-        flags = analysis.classification()
-
         catalog = PlanCatalog(str(tmp_path))
+        # No projection choice to persist: the store is a skip, not a write.
         assert catalog.store(analysis)
-        assert catalog.stats.stores == 1
-        # A second store is fingerprint-skipped: nothing new to persist.
-        assert catalog.store(analysis)
+        assert catalog.stats.stores == 0
         assert catalog.stats.store_skips == 1
+        assert not any(name.endswith(".plan") for name in os.listdir(str(tmp_path)))
 
         clear_analysis_cache()
         restored = analyze(chain4, catalog=catalog)
-        assert catalog.stats.hits == 1
-        # The persisted artifacts are pre-populated, not recomputed.
-        assert restored.qual_tree is not None
-        assert restored.gyo_trace().result == analysis.gyo_trace().result
-        assert restored.classification() == flags
-        assert (
-            restored.canonical_connection(["a", "d"])
-            == analysis.canonical_connection(["a", "d"])
-        )
-        states = [_state_for(chain4, seed=seed) for seed in range(3)]
-        _assert_oracle_equal(restored, ["a", "d"], states)
+        assert catalog.stats.hits == 0
+        assert catalog.stats.misses == 1
+        _assert_oracle_equal(restored, ["a", "d"], [_state_for(chain4, seed=s) for s in range(3)])
 
     def test_cyclic_artifacts_survive(self, tmp_path, triangle):
         clear_analysis_cache()
@@ -238,14 +140,17 @@ class TestAnalysisRoundTrip:
 
         catalog = PlanCatalog(str(tmp_path))
         assert catalog.store(analysis)
+        # A second store is fingerprint-skipped: nothing new to persist.
+        assert catalog.store(analysis)
+        assert catalog.stats.store_skips == 1
 
         clear_analysis_cache()
         restored = analyze(triangle, catalog=catalog)
         assert catalog.stats.hits == 1
         assert restored.is_cyclic
         restored_choice = restored.cyclic_projection(["a", "b"])
-        assert restored_choice.projection == choice.projection
-        assert restored_choice.method == choice.method
+        assert restored_choice == choice
+        assert restored_choice.projection.relations == choice.projection.relations
 
         state = _state_for(triangle, seed=7)
         restored_prepared = restored.prepare_cyclic(["a", "b"])
@@ -255,43 +160,41 @@ class TestAnalysisRoundTrip:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_analysis_round_trip_property(self, data):
-        size = data.draw(st.integers(1, 5))
-        schema = random_tree_schema(size, rng=data.draw(st.integers(0, 10**6)))
+        size = data.draw(st.integers(3, 6))
+        schema = random_cyclic_schema(size, rng=data.draw(st.integers(0, 10**6)))
         attrs = list(schema.attributes.sorted_attributes())
         target = RelationSchema(
             data.draw(st.sets(st.sampled_from(attrs), max_size=min(3, len(attrs))))
         )
         clear_analysis_cache()
-        analysis = analyze(schema)
-        analysis.prepare(target)
-        trace = analysis.gyo_trace()
-        connection = analysis.canonical_connection(target)
+        analyze(schema).prepare_cyclic(target)
         with tempfile.TemporaryDirectory() as directory:
             catalog = PlanCatalog(directory)
-            assert catalog.store(analysis)
+            assert catalog.store(analyze(schema))
             clear_analysis_cache()
             restored = analyze(schema, catalog=catalog)
             assert catalog.stats.hits == 1
-            assert restored.gyo_trace().result == trace.result
-            assert restored.canonical_connection(target) == connection
-            state = _state_for(schema, seed=5, rows=8)
-            _assert_oracle_equal(restored, target, [state])
+            # Seeded from disk, not searched again.
+            assert target in restored._cyclic_choices
+            assert restored.cyclic_projection(target) == choose_tree_projection(
+                schema, target
+            )
+            _assert_oracle_equal(restored, target, [_state_for(schema, seed=5, rows=8)])
 
     def test_key_is_order_sensitive(self, tmp_path):
         # The catalog inherits the LRU's key discipline: multiset-equal
         # schemas in different orders are distinct entries.
-        forward = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
-        backward = DatabaseSchema([RelationSchema("bc"), RelationSchema("ab")])
-        catalog = PlanCatalog(str(tmp_path))
-        clear_analysis_cache()
-        catalog.store(analyze(forward))
+        forward = DatabaseSchema([RelationSchema(r) for r in ("ab", "bc", "ac")])
+        backward = DatabaseSchema([RelationSchema(r) for r in ("ac", "bc", "ab")])
+        catalog = _store_cyclic(tmp_path, forward, target=("a", "b"))
         clear_analysis_cache()
         assert catalog.load(backward) is None
         assert catalog.stats.misses == 1
+        assert catalog.load(forward) is not None
 
-    def test_prepared_from_spec_stores_back(self, tmp_path, chain4):
+    def test_prepared_from_spec_stores_back(self, tmp_path, aring4):
         clear_analysis_cache()
-        prepared = analyze(chain4).prepare(["a", "d"])
+        prepared = analyze(aring4).prepare_cyclic(list(TARGET))
         spec = prepared.plan_spec()
         catalog = PlanCatalog(str(tmp_path))
 
@@ -303,16 +206,16 @@ class TestAnalysisRoundTrip:
 
         clear_analysis_cache()
         prepared_from_spec(spec, catalog=catalog)
-        # Simulated respawned worker: the analysis now comes from disk.
+        # Simulated respawned worker: the projection now comes from disk.
         assert catalog.stats.hits == 1
 
-        state = _state_for(chain4, seed=11)
+        state = _state_for(aring4, seed=11)
         assert (
             rebuilt.execute(state).result
             == prepared.execute(state, backend="classic").result
         )
 
-    def test_environment_default_catalog(self, tmp_path, chain4, monkeypatch):
+    def test_environment_default_catalog(self, tmp_path, aring4, monkeypatch):
         monkeypatch.setenv("REPRO_CATALOG_DIR", str(tmp_path))
         catalog = resolve_catalog(None)
         assert catalog is not None and catalog.directory == str(tmp_path)
@@ -320,24 +223,54 @@ class TestAnalysisRoundTrip:
         # stats object, one degraded latch per process).
         assert resolve_catalog(None) is catalog
         clear_analysis_cache()
-        analysis = analyze(chain4)
-        analysis.prepare(["a", "d"])
+        analysis = analyze(aring4)
+        analysis.prepare_cyclic(list(TARGET))
         catalog.store(analysis)
         clear_analysis_cache()
-        analyze(chain4)  # no explicit catalog argument: env default consulted
+        analyze(aring4)  # no explicit catalog argument: env default consulted
         assert catalog.stats.hits == 1
 
 
 # -- corruption defense ----------------------------------------------------------
 
 
-def _store_chain(tmp_path, schema, target=("a", "d")):
-    clear_analysis_cache()
-    analysis = analyze(schema)
-    analysis.prepare(list(target))
-    catalog = PlanCatalog(str(tmp_path))
-    assert catalog.store(analysis)
-    return catalog
+def _good_record(triangle):
+    """The JSON record a healthy catalog writes for ``triangle`` / ``ab``."""
+    with tempfile.TemporaryDirectory() as directory:
+        catalog = _store_cyclic(directory, triangle, target=("a", "b"))
+        with open(catalog.record_path(triangle), "rb") as handle:
+            data = handle.read()
+    return json.loads(data[_HEADER.size :])
+
+
+def _without(field):
+    def mutate(record):
+        del record[field]
+        return record
+
+    return mutate
+
+
+def _with_choice(field, value):
+    def mutate(record):
+        record["choices"][0][field] = value
+        return record
+
+    return mutate
+
+
+#: Checksum-valid payloads that must not restore, each a mutation of the
+#: healthy triangle record (or raw bytes).
+MALFORMED_PAYLOADS = {
+    "not-json": b"\x00 not json at all",
+    "json-list": b"[1, 2, 3]",
+    "missing-key": _without("key"),
+    "missing-choices": _without("choices"),
+    "target-outside-universe": _with_choice("target", ["a", "z"]),
+    "projection-not-covering": _with_choice("projection", [["a", "b"], ["b", "c"]]),
+    "cyclic-projection": _with_choice("projection", [["a", "b"], ["b", "c"], ["a", "c"]]),
+    "wrong-width": _with_choice("width", 2),
+}
 
 
 class TestCorruptionDefense:
@@ -358,29 +291,29 @@ class TestCorruptionDefense:
         assert catalog.stats.quarantined == 1
         clear_analysis_cache()
         fresh = analyze(schema, catalog=catalog)
-        _assert_oracle_equal(fresh, ["a", "d"], [_state_for(schema, seed=2)])
+        _assert_oracle_equal(fresh, TARGET, [_state_for(schema, seed=2)])
 
-    def test_truncated_record_quarantined(self, tmp_path, chain4):
-        catalog = _store_chain(tmp_path, chain4)
-        path = catalog.record_path(chain4)
+    def test_truncated_record_quarantined(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        path = catalog.record_path(aring4)
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size // 2)
-        self._assert_quarantined_then_answers(catalog, chain4, tmp_path)
+        self._assert_quarantined_then_answers(catalog, aring4, tmp_path)
 
-    def test_bit_flip_quarantined(self, tmp_path, chain4):
-        catalog = _store_chain(tmp_path, chain4)
-        path = catalog.record_path(chain4)
+    def test_bit_flip_quarantined(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        path = catalog.record_path(aring4)
         with open(path, "r+b") as handle:
             handle.seek(_HEADER.size + 5)
             byte = handle.read(1)
             handle.seek(_HEADER.size + 5)
             handle.write(bytes([byte[0] ^ 0xFF]))
-        self._assert_quarantined_then_answers(catalog, chain4, tmp_path)
+        self._assert_quarantined_then_answers(catalog, aring4, tmp_path)
 
-    def test_stale_format_version_quarantined(self, tmp_path, chain4):
-        catalog = _store_chain(tmp_path, chain4)
-        path = catalog.record_path(chain4)
+    def test_stale_format_version_quarantined(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        path = catalog.record_path(aring4)
         with open(path, "rb") as handle:
             data = handle.read()
         magic, version, kind, checksum, length = _HEADER.unpack_from(data, 0)
@@ -388,32 +321,73 @@ class TestCorruptionDefense:
         stale = _HEADER.pack(magic, version + 1, kind, checksum, length)
         with open(path, "wb") as handle:
             handle.write(stale + data[_HEADER.size :])
-        self._assert_quarantined_then_answers(catalog, chain4, tmp_path)
+        self._assert_quarantined_then_answers(catalog, aring4, tmp_path)
 
-    def test_bad_magic_quarantined(self, tmp_path, chain4):
-        catalog = _store_chain(tmp_path, chain4)
-        path = catalog.record_path(chain4)
+    def test_bad_magic_quarantined(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        path = catalog.record_path(aring4)
         with open(path, "r+b") as handle:
             handle.write(b"NOTMAGIC")
-        self._assert_quarantined_then_answers(catalog, chain4, tmp_path)
+        self._assert_quarantined_then_answers(catalog, aring4, tmp_path)
 
-    def test_undeserializable_payload_quarantined(self, tmp_path, chain4):
-        catalog = _store_chain(tmp_path, chain4)
-        path = catalog.record_path(chain4)
-        # A checksum-valid record whose payload is not a pickle at all.
-        import zlib
+    def test_trailing_garbage_is_corruption(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        with open(catalog.record_path(aring4), "ab") as handle:
+            handle.write(b"extra")
+        self._assert_quarantined_then_answers(catalog, aring4, tmp_path)
 
-        payload = b"\x00garbage that is not a pickle"
-        record = _HEADER.pack(
-            MAGIC, FORMAT_VERSION, 1, zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
-        ) + payload
+    def test_undeserializable_payload_quarantined(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        path = catalog.record_path(aring4)
+        # A checksum-valid record whose payload is not JSON at all.
         with open(path, "wb") as handle:
-            handle.write(record)
-        self._assert_quarantined_then_answers(catalog, chain4, tmp_path)
+            handle.write(_frame(b"\x00garbage that is not JSON"))
+        self._assert_quarantined_then_answers(catalog, aring4, tmp_path)
 
-    def test_verify_sweeps_corruption(self, tmp_path, chain4):
-        catalog = _store_chain(tmp_path, chain4)
-        path = catalog.record_path(chain4)
+    def test_v1_pickle_record_is_never_unpickled(self, tmp_path, aring4, monkeypatch):
+        catalog = _store_cyclic(tmp_path, aring4)
+        path = catalog.record_path(aring4)
+        calls = []
+        monkeypatch.setattr(pickle, "loads", lambda *args, **kw: calls.append(args))
+        with open(path, "wb") as handle:
+            handle.write(_frame(pickle.dumps({"kind": "analysis"}), version=1))
+        assert not catalog.records()[0].ok
+        self._assert_quarantined_then_answers(catalog, aring4, tmp_path)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+    def test_malformed_payload_quarantined(self, tmp_path, triangle, case):
+        mutation = MALFORMED_PAYLOADS[case]
+        if isinstance(mutation, bytes):
+            payload = mutation
+        else:
+            payload = json.dumps(mutation(_good_record(triangle))).encode("utf-8")
+        catalog = PlanCatalog(str(tmp_path))
+        path = catalog.record_path(triangle)
+
+        def plant():
+            with open(path, "wb") as handle:
+                handle.write(_frame(payload))
+
+        plant()
+        infos = catalog.records()
+        assert len(infos) == 1 and not infos[0].ok and infos[0].error
+        clear_analysis_cache()
+        assert catalog.load(triangle) is None
+        assert catalog.stats.quarantined == 1
+        plant()
+        assert catalog.verify()["quarantined"] == [os.path.basename(path)]
+        assert catalog.stats.quarantined == 2
+        # The rejected record is re-analyzed: a fresh search, oracle answers.
+        clear_analysis_cache()
+        fresh = analyze(triangle, catalog=catalog)
+        assert fresh.cyclic_projection(["a", "b"]) == choose_tree_projection(triangle, "ab")
+        states = [_state_for(triangle, seed=seed) for seed in range(3)]
+        _assert_oracle_equal(fresh, ("a", "b"), states)
+
+    def test_verify_sweeps_corruption(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        path = catalog.record_path(aring4)
         with open(path, "r+b") as handle:
             handle.truncate(10)
         report = catalog.verify()
@@ -424,12 +398,13 @@ class TestCorruptionDefense:
         # The swept catalog is clean.
         assert catalog.verify() == {"checked": 0, "ok": 0, "quarantined": []}
 
-    def test_records_reports_without_quarantining(self, tmp_path, chain4):
-        catalog = _store_chain(tmp_path, chain4)
+    def test_records_reports_without_quarantining(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
         infos = catalog.records()
         assert len(infos) == 1 and infos[0].ok
-        assert infos[0].schema == chain4.to_notation()
-        path = catalog.record_path(chain4)
+        assert infos[0].schema == aring4.to_notation()
+        assert infos[0].choices == 1
+        path = catalog.record_path(aring4)
         with open(path, "r+b") as handle:
             handle.truncate(10)
         infos = catalog.records()
@@ -439,9 +414,9 @@ class TestCorruptionDefense:
         assert os.path.exists(path)
         assert catalog.stats.quarantined == 0
 
-    def test_gc_removes_quarantine_and_temp(self, tmp_path, chain4):
-        catalog = _store_chain(tmp_path, chain4)
-        path = catalog.record_path(chain4)
+    def test_gc_removes_quarantine_and_temp(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        path = catalog.record_path(aring4)
         with open(path, "r+b") as handle:
             handle.truncate(10)
         catalog.verify()
@@ -459,47 +434,56 @@ class TestCorruptionDefense:
 
     def test_gc_keep_prunes_oldest(self, tmp_path):
         catalog = PlanCatalog(str(tmp_path))
-        for size in (2, 3, 4):
+        for size in (3, 4, 5):
             clear_analysis_cache()
-            analysis = analyze(chain_schema(size))
-            analysis.gyo_trace()
-            catalog.store(analysis)
-            path = catalog.record_path(chain_schema(size))
+            analysis = analyze(aring(size))
+            analysis.cyclic_projection(["a"])
+            assert catalog.store(analysis)
+            path = catalog.record_path(aring(size))
             os.utime(path, (size, size))  # deterministic mtime ordering
         report = catalog.gc(keep=1)
         assert report["removed_records"] == 2
         infos = catalog.records()
         assert len(infos) == 1
-        assert infos[0].schema == chain_schema(4).to_notation()
+        assert infos[0].schema == aring(5).to_notation()
+
+    def test_gc_rejects_negative_keep(self, tmp_path, aring4):
+        catalog = _store_cyclic(tmp_path, aring4)
+        with pytest.raises(ValueError):
+            catalog.gc(keep=-1)
+        assert len(catalog.records()) == 1
 
 
 # -- degraded mode ---------------------------------------------------------------
 
 
+def _cyclic_analysis(schema):
+    clear_analysis_cache()
+    analysis = analyze(schema)
+    analysis.cyclic_projection(list(TARGET))
+    return analysis
+
+
 class TestDegradedMode:
-    def test_store_degrades_on_missing_directory(self, tmp_path, chain4):
+    def test_store_degrades_on_missing_directory(self, tmp_path, aring4):
         import shutil
 
         directory = str(tmp_path / "cat")
         catalog = PlanCatalog(directory)
-        clear_analysis_cache()
-        analysis = analyze(chain4)
-        analysis.gyo_trace()
+        analysis = _cyclic_analysis(aring4)
         shutil.rmtree(directory)
         assert not catalog.store(analysis)
         assert catalog.stats.degraded == 1
         assert not catalog.stats.disabled
 
-    def test_repeated_io_failures_latch_disabled(self, tmp_path, chain4):
+    def test_repeated_io_failures_latch_disabled(self, tmp_path, aring4):
         import shutil
 
         from repro.engine.catalog import MAX_CONSECUTIVE_IO_ERRORS
 
         directory = str(tmp_path / "cat")
         catalog = PlanCatalog(directory)
-        clear_analysis_cache()
-        analysis = analyze(chain4)
-        analysis.gyo_trace()
+        analysis = _cyclic_analysis(aring4)
         shutil.rmtree(directory)
         for _ in range(MAX_CONSECUTIVE_IO_ERRORS):
             assert not catalog.store(analysis)
@@ -507,7 +491,7 @@ class TestDegradedMode:
         assert catalog.disabled
         # Disabled: loads are pure in-memory misses, stores are no-ops, and
         # neither raises.
-        assert catalog.load(chain4) is None
+        assert catalog.load(aring4) is None
         assert not catalog.store(analysis)
         assert catalog.stats.degraded == MAX_CONSECUTIVE_IO_ERRORS
 
@@ -515,7 +499,7 @@ class TestDegradedMode:
         with pytest.raises(CatalogError):
             PlanCatalog(str(tmp_path / "absent"), create=False)
 
-    def test_serving_path_never_raises(self, tmp_path, chain4):
+    def test_serving_path_never_raises(self, tmp_path, aring4):
         # Point the catalog at a *file*: every I/O fails, nothing raises.
         blocker = str(tmp_path / "blocker")
         with open(blocker, "w") as handle:
@@ -528,10 +512,8 @@ class TestDegradedMode:
         catalog._lock = threading.Lock()
         catalog._consecutive_errors = 0
         catalog._fingerprints = {}
-        clear_analysis_cache()
-        analysis = analyze(chain4)
-        analysis.gyo_trace()
-        assert catalog.load(chain4) is None
+        analysis = _cyclic_analysis(aring4)
+        assert catalog.load(aring4) is None
         assert not catalog.store(analysis)
         assert catalog.records() == []
         assert catalog.gc()["removed_corrupt"] == 0
@@ -541,49 +523,49 @@ class TestDegradedMode:
 
 
 class TestInjectedFaults:
-    def test_corrupt_record_fault(self, tmp_path, chain4, monkeypatch):
+    def test_corrupt_record_fault(self, tmp_path, aring4, monkeypatch):
         fault_dir = tmp_path / "faults"
         fault_dir.mkdir()
         monkeypatch.setenv(faults.ENV_FAULT_DIR, str(fault_dir))
         monkeypatch.setenv(faults.ENV_CORRUPT_RECORD, "1")
-        catalog = _store_chain(tmp_path / "cat", chain4)
+        catalog = _store_cyclic(tmp_path / "cat", aring4)
         # The write "succeeded" but one payload byte was flipped after the
         # checksum: the read path must detect and quarantine it.
         assert catalog.stats.stores == 1
         catalog._fingerprints.clear()  # force a re-read, not a skip
         clear_analysis_cache()
-        assert catalog.load(chain4) is None
+        assert catalog.load(aring4) is None
         assert catalog.stats.quarantined == 1
         # The fault fired exactly once: the next store is healthy.
         clear_analysis_cache()
-        analysis = analyze(chain4)
-        analysis.prepare(["a", "d"])
+        analysis = analyze(aring4)
+        analysis.prepare_cyclic(list(TARGET))
         assert catalog.store(analysis)
         clear_analysis_cache()
-        assert analyze(chain4, catalog=catalog) is not None
+        assert analyze(aring4, catalog=catalog) is not None
         assert catalog.stats.hits == 1
         _assert_oracle_equal(
-            analyze(chain4), ["a", "d"], [_state_for(chain4, seed=4)]
+            analyze(aring4), TARGET, [_state_for(aring4, seed=4)]
         )
 
-    def test_torn_write_fault(self, tmp_path, chain4, monkeypatch):
+    def test_torn_write_fault(self, tmp_path, aring4, monkeypatch):
         fault_dir = tmp_path / "faults"
         fault_dir.mkdir()
         monkeypatch.setenv(faults.ENV_FAULT_DIR, str(fault_dir))
         monkeypatch.setenv(faults.ENV_TORN_WRITE, "1")
-        catalog = _store_chain(tmp_path / "cat", chain4)
-        path = catalog.record_path(chain4)
+        catalog = _store_cyclic(tmp_path / "cat", aring4)
+        path = catalog.record_path(aring4)
         # The torn write renamed a prefix into place.
         full_size = os.path.getsize(path)
         catalog._fingerprints.clear()
         clear_analysis_cache()
-        assert catalog.load(chain4) is None
+        assert catalog.load(aring4) is None
         assert catalog.stats.quarantined == 1
         corrupt_path = path + ".corrupt"
         assert os.path.exists(corrupt_path)
         assert os.path.getsize(corrupt_path) == full_size
 
-    def test_kill_mid_write_reopens_clean(self, tmp_path, chain4):
+    def test_kill_mid_write_reopens_clean(self, tmp_path, aring4):
         """The acceptance-criteria crash test: SIGKILL mid-catalog-write.
 
         A child process arms ``REPRO_FAULT_TORN_WRITE=1:kill`` and stores an
@@ -599,8 +581,8 @@ class TestInjectedFaults:
             "import os\n"
             "from repro.engine import analyze\n"
             "from repro.engine.catalog import PlanCatalog\n"
-            "analysis = analyze('ab,bc,cd')\n"
-            "analysis.prepare(['a', 'd'])\n"
+            "analysis = analyze('ab,bc,cd,da')\n"
+            "analysis.prepare_cyclic(['a', 'c'])\n"
             f"PlanCatalog({str(catalog_dir)!r}).store(analysis)\n"
             "print('UNREACHABLE')\n"
         )
@@ -632,15 +614,15 @@ class TestInjectedFaults:
 
         # The serving path recovers: miss, fresh analysis, oracle-equal.
         clear_analysis_cache()
-        analysis = analyze(chain4, catalog=catalog)
+        analysis = analyze(aring4, catalog=catalog)
         assert catalog.stats.hits == 0
-        _assert_oracle_equal(analysis, ["a", "d"], [_state_for(chain4, seed=9)])
+        _assert_oracle_equal(analysis, TARGET, [_state_for(aring4, seed=9)])
 
         # And the healed catalog serves hits again.
-        analysis.prepare(["a", "d"])
+        analysis.prepare_cyclic(list(TARGET))
         assert catalog.store(analysis)
         clear_analysis_cache()
-        analyze(chain4, catalog=catalog)
+        analyze(aring4, catalog=catalog)
         assert catalog.stats.hits == 1
 
     def test_counted_catalog_fault_requires_fault_dir(self, monkeypatch):
@@ -656,23 +638,20 @@ class TestInjectedFaults:
 
 
 class TestSharedDirectory:
-    def test_two_catalogs_share_one_directory(self, tmp_path, chain4):
+    def test_two_catalogs_share_one_directory(self, tmp_path, aring4):
         first = PlanCatalog(str(tmp_path))
         second = PlanCatalog(str(tmp_path))
         clear_analysis_cache()
-        analysis = analyze(chain4)
-        analysis.prepare(["a", "d"])
+        analysis = analyze(aring4)
+        analysis.prepare_cyclic(list(TARGET))
         assert first.store(analysis)
         clear_analysis_cache()
-        restored = second.load(chain4)
+        restored = second.load(aring4)
         assert restored is not None
         assert second.stats.hits == 1
 
-    def test_writer_lock_file_created(self, tmp_path, chain4):
-        fcntl = pytest.importorskip("fcntl")
+    def test_writer_lock_file_created(self, tmp_path, aring4):
+        pytest.importorskip("fcntl")
         catalog = PlanCatalog(str(tmp_path))
-        clear_analysis_cache()
-        analysis = analyze(chain4)
-        analysis.gyo_trace()
-        assert catalog.store(analysis)
+        assert catalog.store(_cyclic_analysis(aring4))
         assert os.path.exists(str(tmp_path / ".lock"))

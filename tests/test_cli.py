@@ -325,7 +325,7 @@ class TestCatalogCommand:
         clear_analysis_cache()
         assert main(
             [
-                "query", "ab,bc,cd", "ad",
+                "query", "ab,bc,cd,da", "ac",
                 "--random", "10", "--catalog", str(directory), "--json",
             ]
         ) == 0
@@ -350,7 +350,7 @@ class TestCatalogCommand:
         clear_analysis_cache()
         assert main(
             [
-                "query", "ab,bc,cd", "ad",
+                "query", "ab,bc,cd,da", "ac",
                 "--random", "10", "--catalog", str(tmp_path / "cat"),
             ]
         ) == 0
@@ -364,7 +364,7 @@ class TestCatalogCommand:
         monkeypatch.setenv("REPRO_CATALOG_DIR", str(tmp_path / "envcat"))
         clear_analysis_cache()
         assert main(
-            ["query", "ab,bc,cd", "ad", "--random", "10", "--json"]
+            ["query", "ab,bc,cd,da", "ac", "--random", "10", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "catalog_stats" in payload
@@ -378,7 +378,8 @@ class TestCatalogCommand:
         listing = json.loads(capsys.readouterr().out)
         assert len(listing["records"]) == 1
         assert listing["records"][0]["ok"] is True
-        assert listing["records"][0]["schema"] == "ab,bc,cd"
+        assert listing["records"][0]["schema"] == "ab,bc,cd,ad"
+        assert listing["records"][0]["choices"] == 1
 
         assert main(["catalog", "verify", str(directory)]) == 0
         assert "1 ok" in capsys.readouterr().out
@@ -401,6 +402,16 @@ class TestCatalogCommand:
         assert main(["catalog", "gc", str(directory), "--json"]) == 0
         cleaned = json.loads(capsys.readouterr().out)
         assert cleaned["removed_corrupt"] == 1
+
+    def test_catalog_gc_rejects_negative_keep(self, tmp_path, capsys):
+        directory = tmp_path / "cat"
+        self._seed(directory, capsys)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["catalog", "gc", str(directory), "--keep", "-1"])
+        assert excinfo.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert main(["catalog", "ls", str(directory), "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["records"]) == 1
 
     def test_catalog_requires_existing_directory(self, tmp_path):
         with pytest.raises(SystemExit):
