@@ -111,7 +111,7 @@ def main() -> None:
     print()
     print(f"CC(D, X) = {plan.sub_schema}  "
           f"(relations {[SCHEMA[i].to_notation() for i in plan.relevant_relations]} are relevant)")
-    print(f"semijoins performed by the full reducer: {run.semijoin_count}")
+    print(f"semijoins performed: {run.semijoin_count}, joins: {run.join_count}")
     print("all three strategies returned identical answers.")
 
 

@@ -5,7 +5,7 @@ Run with ``python examples/prepared_queries.py``.
 
 The serving scenario the engine is built for: one schema, one query shape,
 and a stream of database states (snapshots, shards, tenants).  The schema's
-structure — qual tree, full-reducer semijoin program, join order, early
+structure — qual tree, semijoin program, pruned join order, early
 projections — depends only on the schema and the target, so it is compiled
 exactly once into a :class:`~repro.engine.PreparedQuery`; each incoming
 state then pays only for execution.

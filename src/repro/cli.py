@@ -422,6 +422,19 @@ def _state_from_file(data_path: str, schema) -> "DatabaseState":
     return DatabaseState(schema, relations)
 
 
+def _count(count: int, noun: str) -> str:
+    return f"{count} {noun}{'' if count == 1 else 's'}"
+
+
+def _plan_steps(prepared) -> str:
+    """``12 semijoins, 1 join, 10 identity joins pruned`` for a tree plan."""
+    return (
+        f"{_count(len(prepared.semijoin_steps), 'semijoin')}, "
+        f"{_count(len(prepared.join_steps), 'join')}, "
+        f"{_count(prepared.pruned_join_count, 'identity join')} pruned"
+    )
+
+
 def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) -> int:
     """``repro query``: evaluate ``π_X(⋈ D)`` through the engine façade."""
     import time
@@ -632,12 +645,10 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
             f"(width {prepared.treefication_width}, {choice.method}{minimal}); "
             f"{prepared.prologue_joins} node joins + "
             f"{prepared.guard_semijoins} guard semijoins, then "
-            f"{len(prepared.inner.semijoin_steps)} semijoins, "
-            f"{len(prepared.inner.join_steps)} joins (root N{prepared.root})"
+            f"{_plan_steps(prepared.inner)} (root N{prepared.root})"
         )
     else:
-        print(f"plan: {len(prepared.semijoin_steps)} semijoins, "
-              f"{len(prepared.join_steps)} joins (root R{prepared.root})")
+        print(f"plan: {_plan_steps(prepared)} (root R{prepared.root})")
     print(f"backend: {run.backend}; {len(states)} state(s) in {elapsed * 1e3:.2f} ms")
     if catalog is not None:
         cstats = catalog.stats

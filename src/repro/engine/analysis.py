@@ -43,7 +43,7 @@ from ..tableau.canonical import (
 from ..tableau.minimize import MinimizationResult
 from ..tableau.tableau import Tableau, standard_tableau as build_standard_tableau
 from ..treefication.single import SingleTreefication, single_relation_treefication
-from .prepared import PreparedQuery
+from .prepared import PreparedQuery, default_root
 
 __all__ = [
     "AnalyzedSchema",
@@ -308,9 +308,16 @@ class AnalyzedSchema:
             _memo_put(self._join_plans, target_schema, plan)
         return plan
 
-    def prepare(self, target: TargetLike, *, root: int = 0) -> PreparedQuery:
+    def prepare(
+        self, target: TargetLike, *, root: Optional[int] = None
+    ) -> PreparedQuery:
         """Compile ``π_X(⋈ D)`` into a :class:`PreparedQuery`, memoized per
         ``(X, root)``.
+
+        ``root`` left ``None`` resolves to
+        :func:`~repro.engine.prepared.default_root` (the relation covering
+        most of ``X``) before the memo lookup, so ``prepare(X)`` and
+        ``prepare(X, root=r)`` with that same ``r`` share one plan.
 
         The memo is also the plan→compiled-plan map: each cached
         :class:`PreparedQuery` lazily builds and holds its
@@ -326,6 +333,8 @@ class AnalyzedSchema:
         :class:`~repro.exceptions.NotATreeSchemaError` when ``D`` is cyclic.
         """
         target_schema = _as_relation_schema(target)
+        if root is None:
+            root = default_root(self._schema.relations, target_schema)
         key = (target_schema, root)
         prepared = _memo_get(self._prepared, key)
         if prepared is None:
@@ -379,19 +388,20 @@ class AnalyzedSchema:
         projection's nodes — so cyclic queries serve through the same
         compiled/vectorized/parallel substrate.  ``root`` indexes a
         projection node for the inner bottom-up join; left ``None`` it
-        defaults to a node covering ``X`` (the solver's choice).  Also
+        defaults to :func:`~repro.engine.prepared.default_root`, which
+        picks a node covering ``X`` (the solver's choice).  Also
         accepts tree schemas for uniformity, but :meth:`prepare` is cheaper
         there (no prologue).  Raises
         :class:`~repro.exceptions.SchemaError` when ``X ⊄ U(D)``.
         """
-        from .cyclic import CyclicPreparedQuery, _default_root
+        from .cyclic import CyclicPreparedQuery
 
         target_schema = _as_relation_schema(target)
         if not target_schema <= self._schema.attributes:
             raise SchemaError("the target must be contained in U(D)")
         choice = self.cyclic_projection(target_schema)
         if root is None:
-            root = _default_root(choice.projection.relations, target_schema)
+            root = default_root(choice.projection.relations, target_schema)
         key = (target_schema, root)
         prepared = _memo_get(self._cyclic_prepared, key)
         if prepared is None:

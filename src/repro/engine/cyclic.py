@@ -53,7 +53,12 @@ from ..relational.relation import Relation, semijoin_key_layout
 from ..relational.yannakakis import YannakakisRun
 from ..treefication.single import treefying_relation
 from ..treeproj.tree_projection import find_tree_projection
-from .prepared import PreparedQuery, _execute_many, resolve_backend_for
+from .prepared import (
+    PreparedQuery,
+    _execute_many,
+    default_root,
+    resolve_backend_for,
+)
 
 __all__ = [
     "CyclicPreparedQuery",
@@ -398,16 +403,6 @@ def choose_tree_projection(
     return best
 
 
-def _default_root(
-    nodes: Tuple[RelationSchema, ...], target: RelationSchema
-) -> int:
-    """The node covering the target, if any (the solver's choice), else 0."""
-    for index, node in enumerate(nodes):
-        if target <= node:
-            return index
-    return 0
-
-
 # -- the frozen cyclic plan -----------------------------------------------------
 
 
@@ -558,7 +553,7 @@ class CyclicPreparedQuery:
         sources = tuple(_node_sources(schema, node) for node in nodes)
         guards = _assign_guards(schema, nodes, sources)
         if root is None:
-            root = _default_root(nodes, target_schema)
+            root = default_root(nodes, target_schema)
         elif nodes and not 0 <= root < len(nodes):
             raise ValueError(
                 f"root must index a projection node (0..{len(nodes) - 1}), "

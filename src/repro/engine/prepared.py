@@ -2,7 +2,7 @@
 
 A :class:`PreparedQuery` freezes everything about evaluating ``π_X(⋈ D)``
 over a tree schema that depends only on the *schema* and the *target* — the
-qual tree, its rooted orientation, the full-reducer semijoin program, the
+qual tree, its rooted orientation, the semijoin program, the pruned
 early-projection schedule of the bottom-up join, and the final projection —
 so that :meth:`PreparedQuery.execute` does no planning work at all: it only
 runs semijoins, joins and projections against the supplied
@@ -18,6 +18,16 @@ its mother, carries ``schema[node]``'s attributes plus whatever its own
 children were allowed to keep.  The constructor replays that recurrence
 symbolically and records, per tree edge, whether a projection is needed and
 onto which attributes.
+
+**Canonical-connection pruning.**  The same recurrence tells which joins
+matter.  A step ``node → mother`` whose kept attributes lie inside
+``schema[mother]`` is an identity once the leaf-to-root semijoin pass has
+run: by running intersection those attributes sit on the edge, and the pass
+already matched every mother row across it.  The plan drops such steps, and
+the root-to-leaf semijoins into their nodes with them; what survives is a
+subtree holding the root, the part of the tree that ``CC(D, X) = GR(D, X)``
+(Theorem 3.3(ii)) says the answer depends on.  The leaf-to-root pass stays
+whole, so every kept relation still sees the whole state.
 """
 
 from __future__ import annotations
@@ -31,12 +41,7 @@ from ..relational.compiled import CompiledPlan, compile_plan
 from ..relational.database import DatabaseState
 from ..relational.vectorized import VectorizedPlan, numpy_available, vectorize_plan
 from ..relational.relation import Relation
-from ..relational.yannakakis import (
-    SemijoinStep,
-    YannakakisRun,
-    full_reducer_semijoins,
-    rooted_orientation,
-)
+from ..relational.yannakakis import SemijoinStep, YannakakisRun, rooted_orientation
 
 __all__ = [
     "JoinStep",
@@ -44,6 +49,7 @@ __all__ = [
     "VECTORIZED_MIN_STATE_ROWS",
     "VECTORIZED_NARROW_RELATIONS",
     "VECTORIZED_RELATION_ROWS_FACTOR",
+    "default_root",
     "resolve_backend",
     "resolve_backend_for",
     "vectorized_batch_profitable",
@@ -177,6 +183,25 @@ def resolve_backend_for(
     )
 
 
+def default_root(
+    relations: Sequence[RelationSchema], target: RelationSchema
+) -> int:
+    """The relation covering most of ``target``, lowest index on ties.
+
+    The one root rule for tree plans and the inner plans of cyclic ones.
+    Rooting inside ``CC(X)`` keeps the target's attributes near the root,
+    so the bottom-up join carries them over the fewest edges.  A relation
+    covering all of ``X`` wins outright, which is the tree-projection
+    solver's choice on cyclic schemas.
+    """
+    best, best_cover = 0, -1
+    for index, relation in enumerate(relations):
+        cover = len(relation.attributes & target.attributes)
+        if cover > best_cover:
+            best, best_cover = index, cover
+    return best
+
+
 def _subtree_intervals(
     order: Sequence[int], parent: Dict[int, Optional[int]]
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -229,7 +254,8 @@ class PreparedQuery:
     :meth:`repro.engine.analysis.AnalyzedSchema.prepare`, which memoizes them
     per ``(target, root)`` and shares the schema's cached qual tree.  Direct
     construction is also supported (and is what ``yannakakis(..., tree=...)``
-    uses when handed an explicit qual tree).
+    uses when handed an explicit qual tree).  ``root`` defaults to
+    :func:`default_root`; an explicit one must index a relation of ``D``.
     """
 
     __slots__ = (
@@ -251,12 +277,18 @@ class PreparedQuery:
         target: Union[RelationSchema, Iterable[Attribute]],
         *,
         tree: Optional[QualGraph] = None,
-        root: int = 0,
+        root: Optional[int] = None,
     ) -> None:
         if not isinstance(target, RelationSchema):
             target = RelationSchema(target)
         if not target <= schema.attributes:
             raise SchemaError("the target must be contained in U(D)")
+        if root is None:
+            root = default_root(schema.relations, target)
+        elif len(schema) > 0 and not 0 <= root < len(schema):
+            raise ValueError(
+                f"root must index a relation (0..{len(schema) - 1}), got {root}"
+            )
         object.__setattr__(self, "_schema", schema)
         object.__setattr__(self, "_target", target)
         object.__setattr__(self, "_root", root)
@@ -283,16 +315,14 @@ class PreparedQuery:
 
         order, parent = rooted_orientation(tree, root=root)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(
-            self,
-            "_semijoin_steps",
-            full_reducer_semijoins(schema, tree=tree, root=root),
-        )
 
         # Early-projection schedule for the bottom-up join.  The attribute
         # set each node carries when it reaches its mother is a function of
         # the schema and target only, so the projections are decided here,
-        # once, instead of per execution.
+        # once, instead of per execution.  A step whose kept attributes lie
+        # inside the mother's schema is an identity after the leaf-to-root
+        # pass (see the module notes) and is pruned; pruning never changes
+        # ``carried``, since such a ``keep`` is already part of the mother.
         tin, tout = _subtree_intervals(order, parent)
         attr_min: Dict[Attribute, int] = {}
         attr_max: Dict[Attribute, int] = {}
@@ -324,10 +354,30 @@ class PreparedQuery:
                 or attr_min[attribute] < low
                 or attr_max[attribute] > high
             )
+            if keep <= schema[mother].attributes:
+                continue
             projection = RelationSchema(keep) if keep != attributes else None
             join_steps.append(JoinStep(node, mother, projection))
             carried[mother] = carried[mother] | keep
         object.__setattr__(self, "_join_steps", tuple(join_steps))
+
+        # All |D|-1 leaf-to-root semijoins; root-to-leaf ones only into the
+        # nodes whose join survived (a subtree holding the root).
+        joined = {step.node for step in join_steps}
+        object.__setattr__(
+            self,
+            "_semijoin_steps",
+            tuple(
+                SemijoinStep(target=parent[node], source=node)
+                for node in reversed(order)
+                if parent[node] is not None
+            )
+            + tuple(
+                SemijoinStep(target=node, source=parent[node])
+                for node in order
+                if node in joined
+            ),
+        )
 
         final = RelationSchema(carried[order[0]] & set(target.attributes))
         if final != target:
@@ -365,13 +415,20 @@ class PreparedQuery:
 
     @property
     def semijoin_steps(self) -> Tuple[SemijoinStep, ...]:
-        """The full-reducer semijoin program, in execution order."""
+        """The semijoin program, in execution order: the whole leaf-to-root
+        pass, then root-to-leaf semijoins into the nodes that are joined."""
         return self._semijoin_steps
 
     @property
     def join_steps(self) -> Tuple[JoinStep, ...]:
-        """The bottom-up join schedule with early projections, in order."""
+        """The pruned bottom-up join schedule with early projections, in
+        order (identity joins dropped; see the module notes)."""
         return self._join_steps
+
+    @property
+    def pruned_join_count(self) -> int:
+        """How many identity joins the plan dropped (``|D| − 1 − joins``)."""
+        return max(len(self._schema) - 1, 0) - len(self._join_steps)
 
     @property
     def final_projection(self) -> RelationSchema:

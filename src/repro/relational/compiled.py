@@ -1,7 +1,7 @@
 """Columnar, interned-value execution backend for prepared queries.
 
 The classic executor (:meth:`repro.engine.prepared.PreparedQuery.execute`
-with ``backend="classic"``) runs the full-reducer semijoin program and the
+with ``backend="classic"``) runs the plan's semijoin program and the
 bottom-up join on :class:`~repro.relational.relation.Relation` objects: every
 step re-derives shared attributes, sorts them, and hashes rows of arbitrary
 Python values.  That per-step schema algebra is pure overhead on the
@@ -23,9 +23,12 @@ This module compiles a :class:`~repro.engine.prepared.PreparedQuery` into a
   int-valued strays onto their int code.
 * **Positional step programs.**  Each semijoin step is compiled to integer
   column positions and prebuilt ``itemgetter`` extractors; each join step is
-  resolved at compile time to one of three shapes (mother-semijoin,
-  child-semijoin, general hash join) by replaying the column algebra
-  symbolically, so execution never touches attribute names.
+  resolved at compile time to one of two shapes (child-semijoin, general
+  hash join) by replaying the column algebra symbolically, so execution
+  never touches attribute names.  The third shape a join could take — the
+  child's kept columns all inside the mother, a semijoin of the mother —
+  never reaches the kernels: the prepared plan prunes exactly those steps
+  as identities.
 * **Encode-time key indexes.**  :meth:`CompiledState.from_state` encodes each
   relation slot column-major into code tuples; key sets and join buckets are
   built at most once per (slot, key) and cached on the encoding, where every
@@ -265,10 +268,9 @@ class _SemijoinOp:
         self.sget = _key_getter(skey)
 
 
-#: Join-step shapes resolved at compile time (see ``compile_plan``).
-_JOIN_SEMI_MOTHER = 0  # child ⊆ mother: mother := mother ⋉ child
-_JOIN_SEMI_CHILD = 1  # mother ⊆ child: mother := child ⋉ mother
-_JOIN_GENERAL = 2  # hash join combining rows
+#: Join-step shapes resolved at compile time (see :func:`plan_layout`).
+_JOIN_SEMI_CHILD = 0  # mother ⊆ child: mother := child ⋉ mother
+_JOIN_GENERAL = 1  # hash join combining rows
 
 
 class _JoinOp:
@@ -277,9 +279,6 @@ class _JoinOp:
     The plan composes each step's early projection directly into the child
     extractors, so execution never materializes projected child relations:
 
-    * mother-semijoin shape — ``cget`` reads the key straight off the
-      *unprojected* child row; when the step had a projection, the key set
-      *is* the projected child (``has_proj`` drives the size accounting).
     * general shape — ``extract`` reads the projected child columns in
       (shared key, new columns) order off the unprojected row; buckets map
       ``row[:kw]`` keys to ``row[kw:]`` parts and output rows are built as
@@ -295,7 +294,6 @@ class _JoinOp:
         "node",
         "tag",
         "proj_get",
-        "has_proj",
         "mkey",
         "ckey",
         "mget",
@@ -313,7 +311,6 @@ class _JoinOp:
         tag: int,
         *,
         proj_get=None,
-        has_proj: bool = False,
         mkey: Tuple[int, ...] = (),
         ckey: Tuple[int, ...] = (),
         cnew=None,
@@ -325,7 +322,6 @@ class _JoinOp:
         self.node = node
         self.tag = tag
         self.proj_get = proj_get
-        self.has_proj = has_proj
         self.mkey = mkey
         self.ckey = ckey
         self.mget = _key_getter(mkey)
@@ -359,9 +355,8 @@ class _JoinLayout:
     ``proj_pos`` (child-semijoin shape), ``extract_pos`` and ``cnew_pos``
     (general shape) carry the column positions the compiled backend turns
     into ``itemgetter`` programs; ``None`` marks a position program the shape
-    does not use.  ``ckey`` follows the compiled convention: positions in the
-    *unprojected* child row for the mother-semijoin shape, positions in the
-    projected child layout otherwise (the pair also keys stats lineages).
+    does not use.  ``ckey`` holds positions in the projected child layout
+    (the pair also keys stats lineages).
     """
 
     __slots__ = (
@@ -369,7 +364,6 @@ class _JoinLayout:
         "mother",
         "node",
         "tag",
-        "has_proj",
         "mkey",
         "ckey",
         "kw",
@@ -385,7 +379,6 @@ class _JoinLayout:
         node: int,
         tag: int,
         *,
-        has_proj: bool = False,
         mkey: Tuple[int, ...] = (),
         ckey: Tuple[int, ...] = (),
         kw: int = 0,
@@ -397,7 +390,6 @@ class _JoinLayout:
         self.mother = mother
         self.node = node
         self.tag = tag
-        self.has_proj = has_proj
         self.mkey = mkey
         self.ckey = ckey
         self.kw = kw
@@ -437,6 +429,10 @@ def plan_layout(prepared) -> _PlanLayout:
     output layout is the mother's layout followed by the child's new
     columns, so the execution-time combine is a bare concatenation and only
     the final projection re-establishes the canonical order.
+
+    A join whose child columns all lie in the mother would be a semijoin of
+    the mother; the prepared plan prunes those steps as identities, so
+    meeting one here is an internal error.
 
     Both the compiled (tuple-program) and vectorized (array-program)
     backends consume this layout, which is what keeps their step semantics
@@ -479,22 +475,10 @@ def plan_layout(prepared) -> _PlanLayout:
         shared = sorted(mother_set & set(child_cols))
         mkey = tuple(mother_positions[c] for c in shared)
         if len(shared) == len(child_cols):
-            # Projection (if any) keeps exactly the key columns, so the key
-            # set read off the unprojected rows IS the projected child; no
-            # materialization needed.
-            joins.append(
-                _JoinLayout(
-                    _JOIN_SEMI_MOTHER,
-                    step.mother,
-                    step.node,
-                    tag,
-                    has_proj=has_proj,
-                    mkey=mkey,
-                    ckey=tuple(orig_positions[c] for c in shared),
-                )
+            raise AssertionError(
+                f"join R{step.node} → R{step.mother} only semijoins the "
+                "mother; the prepared plan should have pruned it"
             )
-            current[step.mother] = mother_cols
-            continue
         child_positions = {c: i for i, c in enumerate(child_cols)}
         ckey = tuple(child_positions[c] for c in shared)
         if len(shared) == len(mother_cols):
@@ -507,7 +491,6 @@ def plan_layout(prepared) -> _PlanLayout:
                     step.mother,
                     step.node,
                     tag,
-                    has_proj=has_proj,
                     mkey=mkey,
                     ckey=ckey,
                     proj_pos=proj_pos,
@@ -534,7 +517,6 @@ def plan_layout(prepared) -> _PlanLayout:
                 step.mother,
                 step.node,
                 tag,
-                has_proj=has_proj,
                 mkey=mkey,
                 ckey=ckey,
                 kw=len(shared),
@@ -570,19 +552,7 @@ def build_row_ops(layout: _PlanLayout):
     )
     join_ops: List[_JoinOp] = []
     for jl in layout.joins:
-        if jl.kind == _JOIN_SEMI_MOTHER:
-            join_ops.append(
-                _JoinOp(
-                    jl.kind,
-                    jl.mother,
-                    jl.node,
-                    jl.tag,
-                    has_proj=jl.has_proj,
-                    mkey=jl.mkey,
-                    ckey=jl.ckey,
-                )
-            )
-        elif jl.kind == _JOIN_SEMI_CHILD:
+        if jl.kind == _JOIN_SEMI_CHILD:
             join_ops.append(
                 _JoinOp(
                     jl.kind,
@@ -594,7 +564,6 @@ def build_row_ops(layout: _PlanLayout):
                         if jl.proj_pos is not None
                         else None
                     ),
-                    has_proj=jl.has_proj,
                     mkey=jl.mkey,
                     ckey=jl.ckey,
                 )
@@ -606,7 +575,6 @@ def build_row_ops(layout: _PlanLayout):
                     jl.mother,
                     jl.node,
                     jl.tag,
-                    has_proj=jl.has_proj,
                     mkey=jl.mkey,
                     ckey=jl.ckey,
                     cnew=(
@@ -1107,40 +1075,7 @@ def execute_row_program(
         child_view = views[op.node]
         mother_view = views[op.mother]
         join_count += 1
-        if op.kind == _JOIN_SEMI_MOTHER:
-            cached = child_view.buckets.get(op.tag)
-            if cached is None:
-                # The (projected) child's columns are exactly the key, so
-                # its key set is its row set — read in one composed pass.
-                keys = set(map(op.cget, child_view.rows))
-                proj_len: Optional[int] = len(keys) if op.has_proj else None
-                child_view.buckets[op.tag] = (keys, proj_len)  # type: ignore[assignment]
-                if stats is not None:
-                    lineage = (op.node, op.ckey)
-                    builds = stats.bucket_builds
-                    builds[lineage] = builds.get(lineage, 0) + 1
-            else:
-                keys, proj_len = cached  # type: ignore[assignment]
-            if proj_len is not None and proj_len > max_intermediate:
-                max_intermediate = proj_len
-            # Identity detection keeps the mother's view object — and
-            # with it every cached index a later step (where this slot is
-            # the child) would otherwise rebuild.  On consistent states
-            # the mother's key set is usually already cached from the
-            # reducer phase, making the check allocation-free.
-            mother_keys = mother_view.keysets.get(op.mkey)
-            if mother_keys is not None and mother_keys <= keys:
-                joined = mother_view
-            else:
-                getter = op.mget
-                kept = tuple(
-                    row for row in mother_view.rows if getter(row) in keys
-                )
-                if len(kept) == len(mother_view.rows):
-                    joined = mother_view
-                else:
-                    joined = _Encoding(kept)
-        elif op.kind == _JOIN_SEMI_CHILD:
+        if op.kind == _JOIN_SEMI_CHILD:
             if op.proj_get is not None:
                 # The projected child is a function of the (possibly
                 # shared) child view alone — cache it there, like the

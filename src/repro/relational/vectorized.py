@@ -21,8 +21,8 @@ identical by construction) over contiguous int64 **code arrays**:
   gather.  Subset checks (the identity-semijoin detection the compiled
   backend does with ``set <= set``) are the same mask, reduced with
   ``all()``.
-* **Mother/child semijoin joins as gathers.**  The degenerate join shapes
-  reuse the membership mask; early projections dedup via
+* **Child-semijoin joins as gathers.**  The degenerate join shape reuses
+  the membership mask; early projections dedup via
   ``np.unique(return_index)`` over the projected key block and gather the
   kept columns once.
 * **General joins as index cross products.**  The child groups by join key
@@ -85,9 +85,7 @@ from ..exceptions import SchemaError
 from .compiled import (
     DEFAULT_MAX_INTERNED_VALUES,
     ExecutionStats,
-    _JOIN_GENERAL,
     _JOIN_SEMI_CHILD,
-    _JOIN_SEMI_MOTHER,
     _MODE_DICT,
     _MODE_IDENTITY,
     _USE_DEFAULT_CAP,
@@ -699,38 +697,7 @@ class VectorizedPlan:
             child_view = views[op.node]
             mother_view = views[op.mother]
             join_count += 1
-            if op.kind == _JOIN_SEMI_MOTHER:
-                cached = child_view.buckets.get(op.tag)
-                if cached is None:
-                    # The (projected) child's columns are exactly the key,
-                    # so its sorted-unique key array IS the projected child.
-                    keys = np.unique(_key_array(np, child_view, op.ckey))
-                    proj_len: Optional[int] = len(keys) if op.has_proj else None
-                    child_view.buckets[op.tag] = (keys, proj_len)
-                    if stats is not None:
-                        lineage = (op.node, op.ckey)
-                        builds = stats.bucket_builds
-                        builds[lineage] = builds.get(lineage, 0) + 1
-                else:
-                    keys, proj_len = cached
-                if proj_len is not None and proj_len > max_intermediate:
-                    max_intermediate = proj_len
-                # Identity detection keeps the mother's view object — and
-                # with it every cached index a later step would rebuild.
-                mother_keys = mother_view.keysets.get(op.mkey)
-                if mother_keys is not None and bool(
-                    _member_mask(np, keys, mother_keys).all()
-                ):
-                    joined = mother_view
-                else:
-                    mask = _member_mask(
-                        np, keys, _key_array(np, mother_view, op.mkey)
-                    )
-                    if bool(mask.all()):
-                        joined = mother_view
-                    else:
-                        joined = _filtered(np, mother_view, mask)
-            elif op.kind == _JOIN_SEMI_CHILD:
+            if op.kind == _JOIN_SEMI_CHILD:
                 if op.proj_pos is not None:
                     cached = child_view.buckets.get(op.tag)
                     if cached is None:

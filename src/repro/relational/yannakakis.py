@@ -9,9 +9,10 @@ and joins whose intermediate results never exceed (input + output) size
   root-to-leaf passes over a qual tree) that makes every relation state
   globally consistent;
 * :func:`full_reduce` — apply that program to a database state;
-* :func:`yannakakis` — the full algorithm: full reduction followed by a
-  bottom-up join with early projection (a wrapper over the engine façade's
-  cached :class:`~repro.engine.prepared.PreparedQuery` plans);
+* :func:`yannakakis` — the full algorithm: semijoin reduction followed by a
+  bottom-up join with early projection over the part of the tree the
+  answer depends on (a wrapper over the engine façade's cached
+  :class:`~repro.engine.prepared.PreparedQuery` plans);
 * :func:`naive_join_project` — the baseline the benchmarks compare against.
 
 Both algorithms compute exactly ``π_X(⋈ D)`` for *any* database state (UR or
@@ -178,21 +179,23 @@ def yannakakis(
     state: DatabaseState,
     *,
     tree: Optional[QualGraph] = None,
-    root: int = 0,
+    root: Optional[int] = None,
     backend: str = "auto",
 ) -> YannakakisRun:
-    """Compute ``π_X(⋈ D)`` over a tree schema via full reduction + guarded joins.
+    """Compute ``π_X(⋈ D)`` over a tree schema via semijoins + guarded joins.
 
-    This is now a thin wrapper over the engine façade: the plan (qual tree,
-    semijoin program, join order, early-projection schedule) is compiled once
-    per ``(schema, target, root)`` by
+    This is a thin wrapper over the engine façade: the plan (qual tree,
+    semijoin program, pruned join order, early-projection schedule) is
+    compiled once per ``(schema, target, root)`` by
     :meth:`repro.engine.analysis.AnalyzedSchema.prepare` and cached, so
     repeated calls over different states only pay for execution.  Passing an
     explicit ``tree`` bypasses the cache and compiles a one-off plan for that
-    tree.  ``backend`` selects the execution kernel (``"auto"`` routes to the
-    interned-value compiled backend; ``"classic"`` forces the object-tuple
-    operators) — the returned run's ``backend`` field reports which one ran.
-    For bulk evaluation prefer
+    tree.  ``root`` left ``None`` resolves, as in ``prepare``, to the
+    relation covering most of ``X``.  ``backend`` selects the execution
+    kernel: ``"auto"`` picks the vectorized or compiled kernel per state
+    (see :func:`repro.engine.prepared.resolve_backend_for`), and
+    ``"classic"`` forces the object-tuple operators.  The returned run's
+    ``backend`` field reports which one ran.  For bulk evaluation prefer
     ``analyze(schema).prepare(target).execute_many(states)``.
     """
     if not isinstance(target, RelationSchema):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import analyze
 from repro.exceptions import NotATreeSchemaError, SchemaError
 from repro.hypergraph import RelationSchema, aring, chain_schema, parse_schema, random_tree_schema
 from repro.relational import (
@@ -74,9 +75,14 @@ class TestYannakakis:
     def test_semijoin_and_join_counts(self):
         schema = chain_schema(4)
         state = random_ur_database(schema, rng=0)
-        run = yannakakis(schema, RelationSchema({"x0"}), state)
-        assert run.semijoin_count == 2 * (len(schema) - 1)
-        assert run.join_count == len(schema) - 1
+        target = RelationSchema({"x0"})
+        run = yannakakis(schema, target, state)
+        prepared = analyze(schema).prepare(target)
+        # Every join of a chain rooted at x0 is an identity: only the
+        # leaf-to-root pass runs.
+        assert run.semijoin_count == len(prepared.semijoin_steps) == 3
+        assert run.join_count == len(prepared.join_steps) == 0
+        assert run.result == naive_join_project(schema, target, state)[0]
 
     def test_cyclic_schema_rejected(self, triangle):
         state = random_ur_database(triangle, rng=0)
