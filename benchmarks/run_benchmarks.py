@@ -1003,8 +1003,8 @@ def bench_vectorized(repeats: int) -> List[Dict[str, Any]]:
     anything.  The array kernel needs numpy, so without it the section is
     skipped; ``numpy`` stamps that the real array path ran.
     """
-    from repro.relational.compiled import compile_plan
-    from repro.relational.vectorized import numpy_available, vectorize_plan
+    from repro.relational.compiled import CompiledPlan
+    from repro.relational.vectorized import VectorizedPlan, numpy_available
 
     if not numpy_available():
         print(
@@ -1047,12 +1047,12 @@ def bench_vectorized(repeats: int) -> List[Dict[str, Any]]:
             ]
             classic_times.append(time.perf_counter() - start)
 
-            compiled_plan = compile_plan(prepared)
+            compiled_plan = CompiledPlan(prepared)
             start = time.perf_counter()
             compiled_runs = compiled_plan.execute_batch(states)
             compiled_times.append(time.perf_counter() - start)
 
-            vectorized_plan = vectorize_plan(prepared)
+            vectorized_plan = VectorizedPlan(prepared)
             start = time.perf_counter()
             vectorized_runs = vectorized_plan.execute_batch(states)
             vectorized_times.append(time.perf_counter() - start)

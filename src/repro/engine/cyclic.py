@@ -53,12 +53,7 @@ from ..relational.relation import Relation, semijoin_key_layout
 from ..relational.yannakakis import YannakakisRun
 from ..treefication.single import treefying_relation
 from ..treeproj.tree_projection import find_tree_projection
-from .prepared import (
-    PreparedQuery,
-    _execute_many,
-    default_root,
-    resolve_backend_for,
-)
+from .prepared import PreparedQuery, _execute_many, _execute_one, default_root
 
 __all__ = [
     "CyclicPreparedQuery",
@@ -752,7 +747,13 @@ class CyclicPreparedQuery:
         ``π_node(⋈ D)`` — then each guard semijoin re-attaches one base
         relation per Theorem 6.1.  Returns the derived state over the
         projection's schema plus the largest intermediate produced.
+
+        Every execution path of the plan — single, batch, in-process and
+        pool — derives through here, so this is where a state for another
+        schema is rejected (the inner plan only ever sees derived states).
         """
+        if state.schema is not self._schema and state.schema != self._schema:
+            raise SchemaError("the state is for a different schema than the query")
         relations = state.relations
         values: List[Relation] = []
         largest = 0
@@ -836,28 +837,7 @@ class CyclicPreparedQuery:
         *original* state), the returned run's counts include the prologue's
         guard semijoins and node-materialization joins.
         """
-        resolved = resolve_backend_for(backend, (state,))
-        if resolved == "parallel":
-            raise ValueError(
-                "the parallel backend batches states across processes; "
-                "use execute_many(states, backend='parallel') or a "
-                "ParallelExecutor"
-            )
-        if state.schema is not self._schema and state.schema != self._schema:
-            raise SchemaError("the state is for a different schema than the query")
-        if len(self._schema) == 0:
-            return YannakakisRun(
-                result=Relation.nullary_true(),
-                semijoin_count=0,
-                join_count=0,
-                max_intermediate_size=1,
-                backend=resolved,
-            )
-        if resolved == "vectorized":
-            return self.vectorized.execute_state(state)
-        if resolved == "compiled":
-            return self.compiled.execute_state(state)
-        return self._execute_classic(state)
+        return _execute_one(self, state, backend)
 
     def _execute_classic(self, state: DatabaseState) -> YannakakisRun:
         """Prologue + inner classic executor (the property-test oracle)."""

@@ -119,7 +119,7 @@ from . import faults
 # Module-level on purpose: every batch consults the shape-aware
 # profitability gate, and ``prepared`` imports this module only lazily, so
 # the import is cycle-free.
-from .prepared import resolve_backend_for
+from .prepared import kernel_plan, resolve_backend_for
 
 __all__ = [
     "ENV_MAX_RETRIES",
@@ -334,13 +334,6 @@ class PlanSpec:
 # -- worker side ---------------------------------------------------------------
 
 
-def _serial_plan(prepared, backend: str):
-    """The prepared query's plan object for a serial kernel."""
-    if backend == "vectorized":
-        return prepared.vectorized
-    return prepared.compiled
-
-
 #: Worker-local plan cache: spec → PreparedQuery (holding the serial plans
 #: its shards built).  Lives in the worker process's module globals; bounded
 #: so a worker serving many distinct plans cannot grow without limit.
@@ -376,12 +369,10 @@ def _plan_for_spec(spec: PlanSpec, backend: str) -> Tuple[Any, int]:
     # rollover policy, and silently overwriting it would re-enable (or
     # un-bound) epochs behind the back of whichever client configured it
     # first.  Only a plan built here is seeded with the spec's cap.
-    resident = (
-        prepared._vectorized if backend == "vectorized" else prepared._compiled
-    )
+    resident = getattr(prepared, "_" + backend)  # the built plan, if any
     if resident is not None:
         return resident, 0
-    plan = _serial_plan(prepared, backend)
+    plan = kernel_plan(prepared, backend)
     plan.max_interned_values = spec.max_interned_values
     return plan, 1
 
@@ -835,7 +826,7 @@ class ParallelExecutor:
             else resolve_failure_policy(failure_policy)
         )
 
-        # Verbatim-duplicate dedup (mirrors CompiledPlan.execute_batch):
+        # Verbatim-duplicate dedup (mirrors EncodedPlan.execute_batch):
         # duplicate requests ride along for free and never cross the wire
         # twice.
         unique_states: List[DatabaseState] = []
@@ -1156,7 +1147,7 @@ def execute_in_process(prepared, states: Iterable[DatabaseState]) -> List[Yannak
         return []
     unique_runs: Dict[DatabaseState, YannakakisRun] = {}
     stats = ParallelStats(0)
-    plan = _serial_plan(prepared, resolve_backend_for("auto", state_list))
+    plan = kernel_plan(prepared, resolve_backend_for("auto", state_list))
     for state in state_list:
         if state not in unique_runs:
             unique_runs[state] = plan.execute_state(state, stats=stats)

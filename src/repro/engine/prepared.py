@@ -37,9 +37,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..exceptions import NotATreeSchemaError, SchemaError
 from ..hypergraph.qual_graph import QualGraph
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
-from ..relational.compiled import CompiledPlan, compile_plan
+from ..relational.compiled import CompiledPlan
 from ..relational.database import DatabaseState
-from ..relational.vectorized import VectorizedPlan, numpy_available, vectorize_plan
+from ..relational.vectorized import VectorizedPlan, numpy_available
 from ..relational.relation import Relation
 from ..relational.yannakakis import SemijoinStep, YannakakisRun, rooted_orientation
 
@@ -446,7 +446,7 @@ class PreparedQuery:
         """
         plan = self._compiled
         if plan is None:
-            plan = compile_plan(self)
+            plan = CompiledPlan(self)
             object.__setattr__(self, "_compiled", plan)
         return plan
 
@@ -462,7 +462,7 @@ class PreparedQuery:
         """
         plan = self._vectorized
         if plan is None:
-            plan = vectorize_plan(self)
+            plan = VectorizedPlan(self)
             object.__setattr__(self, "_vectorized", plan)
         return plan
 
@@ -553,30 +553,7 @@ class PreparedQuery:
         YannakakisRun` — result, semijoin/join counts and intermediate-size
         accounting — and the run's ``backend`` field reports which one ran.
         """
-        resolved = resolve_backend_for(backend, (state,))
-        if resolved == "parallel":
-            raise ValueError(
-                "the parallel backend batches states across processes; "
-                "use execute_many(states, backend='parallel') or a "
-                "ParallelExecutor"
-            )
-        if state.schema is not self._schema and state.schema != self._schema:
-            raise SchemaError("the state is for a different schema than the query")
-        if len(self._schema) == 0:
-            return YannakakisRun(
-                result=Relation.nullary_true(),
-                semijoin_count=0,
-                join_count=0,
-                max_intermediate_size=1,
-                backend=resolved,
-            )
-        if resolved == "vectorized":
-            return self.vectorized.execute_state(state)
-        if resolved == "compiled":
-            # Single executions skip the stats object; execute_many attaches
-            # a shared ExecutionStats to every run of the batch.
-            return self.compiled.execute_state(state)
-        return self._execute_classic(state)
+        return _execute_one(self, state, backend)
 
     def _execute_classic(self, state: DatabaseState) -> YannakakisRun:
         """The object-tuple reference executor (also the property-test oracle)."""
@@ -678,6 +655,44 @@ class PreparedQuery:
         )
 
 
+def kernel_plan(query, kernel: str):
+    """The plan ``query`` runs on the serial ``kernel`` (``"vectorized"`` or
+    ``"compiled"``), built lazily and cached on the query.
+
+    The one kernel→plan lookup behind every dispatch site: single and batch
+    execution here, the routing probe, and the process pool's in-process
+    and worker paths.  ``query`` is either plan class.
+    """
+    return query.vectorized if kernel == "vectorized" else query.compiled
+
+
+def _execute_one(query, state: DatabaseState, backend: str) -> YannakakisRun:
+    """The single-state entry shared by :meth:`PreparedQuery.execute` and
+    :meth:`~repro.engine.cyclic.CyclicPreparedQuery.execute`."""
+    resolved = resolve_backend_for(backend, (state,))
+    if resolved == "parallel":
+        raise ValueError(
+            "the parallel backend batches states across processes; "
+            "use execute_many(states, backend='parallel') or a "
+            "ParallelExecutor"
+        )
+    if state.schema is not query._schema and state.schema != query._schema:
+        raise SchemaError("the state is for a different schema than the query")
+    if len(query._schema) == 0:
+        return YannakakisRun(
+            result=Relation.nullary_true(),
+            semijoin_count=0,
+            join_count=0,
+            max_intermediate_size=1,
+            backend=resolved,
+        )
+    if resolved == "classic":
+        return query._execute_classic(state)
+    # Single executions skip the stats object; execute_many attaches a
+    # shared ExecutionStats to every run of the batch.
+    return kernel_plan(query, resolved).execute_state(state)
+
+
 def _execute_many(
     query,
     states: Iterable[DatabaseState],
@@ -692,9 +707,9 @@ def _execute_many(
     """The batch entry shared by :meth:`PreparedQuery.execute_many` and
     :meth:`~repro.engine.cyclic.CyclicPreparedQuery.execute_many`.
 
-    ``query`` is either plan class; both expose ``execute``, ``compiled``,
-    ``vectorized``, ``plan_spec`` and ``_schema``, which is all the serial
-    and parallel dispatch below touches.
+    ``query`` is either plan class; both expose ``_execute_classic``,
+    ``compiled``, ``vectorized``, ``plan_spec`` and ``_schema``, which is all
+    the serial and parallel dispatch below touches.
     """
     resolved = resolve_backend(backend)
     # Validate the *raw* backend string: "auto" may opt into the pool an
@@ -750,8 +765,6 @@ def _execute_many(
         )
     state_list = states if isinstance(states, list) else list(states)
     resolved = resolve_backend_for(backend, state_list)
-    if resolved == "vectorized" and len(query._schema) > 0:
-        return query.vectorized.execute_batch(state_list)
-    if resolved == "compiled" and len(query._schema) > 0:
-        return query.compiled.execute_batch(state_list)
-    return [query.execute(state, backend=resolved) for state in state_list]
+    if resolved == "classic":
+        return [_execute_one(query, state, resolved) for state in state_list]
+    return kernel_plan(query, resolved).execute_batch(state_list)

@@ -59,7 +59,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..relational.database import DatabaseState
 from .analysis import analyze
-from .prepared import resolve_backend, resolve_backend_for
+from .prepared import kernel_plan, resolve_backend, resolve_backend_for
 
 __all__ = [
     "DEFAULT_BATCH_OVERHEAD_S",
@@ -198,9 +198,7 @@ class RoutingPolicy:
         )
         samples = [states[index] for index in picks]
         rows = sum(state.total_rows() for state in samples)
-        plan = (
-            prepared.vectorized if serial == "vectorized" else prepared.compiled
-        )
+        plan = kernel_plan(prepared, serial)
         started = time.perf_counter()
         for state in samples:
             plan.execute_state(state)

@@ -17,11 +17,12 @@ benchmark baseline recorded in ``BENCH_PR1.json``.
 
 Since PR 4 the serving hot path no longer runs on these object-tuple
 operators at all: :mod:`repro.relational.compiled` compiles each prepared
-query into a columnar, interned-value program (``CompiledPlan`` /
-``CompiledState``) that executes on tuples of dense integer codes and only
-decodes the final answer back into a :class:`Relation`.  The operators here
-remain the semantics reference — the equivalence suite checks the compiled
-kernel against them on random schemas and states.
+query into a columnar, interned-value program (``CompiledPlan``, whose
+``encode_state`` returns an ``EncodedState``) that executes on tuples of
+dense integer codes and only decodes the final answer back into a
+:class:`Relation`.  The operators here remain the semantics reference — the
+equivalence suite checks the compiled kernel against them on random schemas
+and states.
 
 Since PR 8 :mod:`repro.relational.vectorized` layers an array-backed kernel
 over the same interned encoding: contiguous int64 code columns, semijoins as
@@ -29,17 +30,14 @@ membership masks over sorted key arrays, joins as ``searchsorted`` bucket
 matches plus index gathers (it requires numpy; without numpy every
 backend name that would reach it resolves to compiled).  ``backend="auto"``
 prefers it for large states; classic and compiled stay as the property-test
-oracles.
+oracles.  Both kernels are subclasses of one ``EncodedPlan`` core that owns
+the interner, its epochs, the per-slot encode cache and the batch entry
+points; each kernel adds only its encoder, decoders and step program.
 """
 
 from .relation import Relation, Row
-from .compiled import CompiledPlan, CompiledState, ExecutionStats, compile_plan
-from .vectorized import (
-    VectorizedPlan,
-    VectorizedState,
-    numpy_available,
-    vectorize_plan,
-)
+from .compiled import CompiledPlan, EncodedPlan, EncodedState, ExecutionStats
+from .vectorized import VectorizedPlan, numpy_available
 from .algebra import (
     intermediate_join_sizes,
     join_all,
@@ -88,13 +86,11 @@ __all__ = [
     "Relation",
     "Row",
     "CompiledPlan",
-    "CompiledState",
+    "EncodedPlan",
+    "EncodedState",
     "ExecutionStats",
-    "compile_plan",
     "VectorizedPlan",
-    "VectorizedState",
     "numpy_available",
-    "vectorize_plan",
     "project",
     "natural_join",
     "semijoin",

@@ -29,7 +29,7 @@ This module compiles a :class:`~repro.engine.prepared.PreparedQuery` into a
   child's kept columns all inside the mother, a semijoin of the mother —
   never reaches the kernels: the prepared plan prunes exactly those steps
   as identities.
-* **Encode-time key indexes.**  :meth:`CompiledState.from_state` encodes each
+* **Encode-time key indexes.**  :meth:`CompiledPlan.encode_state` encodes each
   relation slot column-major into code tuples; key sets and join buckets are
   built at most once per (slot, key) and cached on the encoding, where every
   later step that touches the slot — both reducer passes and the join — finds
@@ -37,6 +37,12 @@ This module compiles a :class:`~repro.engine.prepared.PreparedQuery` into a
   across the states of a batch, so a slot whose rows repeat across states
   (e.g. fixed dimension tables under a changing fact table) is encoded and
   indexed once per batch, not once per state.
+
+Everything around the step program — the interner and its epochs, the
+bounded per-slot encode cache, ``encode_state`` / ``execute`` /
+``execute_batch`` and the diagnostics — is the :class:`EncodedPlan` core,
+which the vectorized kernel (:mod:`repro.relational.vectorized`) shares;
+both kernels return :class:`EncodedState` objects from ``encode_state``.
 
 Intermediates never materialize object tuples; only the final result is
 decoded back to a classic :class:`~repro.relational.relation.Relation`.
@@ -90,10 +96,10 @@ from .yannakakis import YannakakisRun
 
 __all__ = [
     "CompiledPlan",
-    "CompiledState",
     "DEFAULT_MAX_INTERNED_VALUES",
+    "EncodedPlan",
+    "EncodedState",
     "ExecutionStats",
-    "compile_plan",
     "plan_layout",
 ]
 
@@ -103,10 +109,6 @@ __all__ = [
 #: serving never trips it while a long-lived process churning through
 #: unbounded string domains stays bounded.
 DEFAULT_MAX_INTERNED_VALUES = 1 << 20
-
-#: Sentinel distinguishing "use the default cap" from an explicit ``None``
-#: (= unbounded) in :class:`CompiledPlan`'s constructor.
-_USE_DEFAULT_CAP: Any = object()
 
 
 def _key_getter(positions: Sequence[int]):
@@ -598,14 +600,21 @@ def build_row_ops(layout: _PlanLayout):
     return semijoin_ops, tuple(join_ops), final_get
 
 
-class CompiledPlan:
-    """A fully positional, interned-value program for one prepared query.
+class EncodedPlan:
+    """The encode core both serial kernels share around their step program.
 
-    Built once per :class:`~repro.engine.prepared.PreparedQuery` (see its
-    ``compiled`` property); owns the per-attribute interning dictionaries
-    shared by every state the plan ever executes, the per-step position
-    programs, and a bounded per-slot encoding cache used by
-    :meth:`execute_batch`.
+    A kernel plan is built once per :class:`~repro.engine.prepared
+    .PreparedQuery` (see its ``compiled`` / ``vectorized`` properties) and
+    owns the per-attribute interning dictionaries shared by every state the
+    plan ever executes, a bounded per-slot encoding cache, and the epoch
+    rollover that bounds the interner.  This class implements all of that
+    once, with the encode/execute/batch entry points and the diagnostics.
+    A kernel subclass supplies only what differs: ``_lower`` (the shared
+    :func:`plan_layout` into the kernel's step program), ``_encode_relation``
+    (one relation slot into the kernel's encoding), ``_decoders``
+    (per-final-column decoders of the current epoch), ``_run`` (its row or
+    array program over an encoded state) and the ``backend`` name its runs
+    report.
     """
 
     #: Cap on cached encodings per slot — bounds what long-running serving
@@ -621,6 +630,9 @@ class CompiledPlan:
     #: never trip this.  ``clear_encode_cache`` re-arms a tripped slot.
     _CACHE_MISS_STREAK_MAX = 512
 
+    #: The ``backend`` name the kernel's runs report.
+    backend = ""
+
     __slots__ = (
         "schema",
         "target",
@@ -630,9 +642,8 @@ class CompiledPlan:
         "_intern",
         "_values",
         "_encode_lock",
-        "_semijoin_ops",
-        "_join_ops",
-        "_final_get",
+        "_semijoins",
+        "_joins",
         "_final_columns",
         "_final_schema",
         "_slot_cache",
@@ -642,7 +653,10 @@ class CompiledPlan:
     )
 
     def __init__(
-        self, prepared, *, max_interned_values: Optional[int] = _USE_DEFAULT_CAP
+        self,
+        prepared,
+        *,
+        max_interned_values: Optional[int] = DEFAULT_MAX_INTERNED_VALUES,
     ) -> None:
         schema = prepared.schema
         self.schema = schema
@@ -663,7 +677,7 @@ class CompiledPlan:
             attribute: [] for attribute in schema.attributes
         }
         self._encode_lock = threading.Lock()
-        self._slot_cache: Tuple["OrderedDict[Relation, _Encoding]", ...] = tuple(
+        self._slot_cache: Tuple["OrderedDict[Relation, Any]", ...] = tuple(
             OrderedDict() for _ in columns
         )
         # Per slot: [consecutive miss count, cache disabled flag].
@@ -671,26 +685,264 @@ class CompiledPlan:
         #: Interned-value cap; ``None`` disables epoch rollover entirely.
         #: Plain-assignable: serving processes may tune it on a live plan
         #: (the cap is only read at state-encode boundaries).
-        self.max_interned_values: Optional[int] = (
-            DEFAULT_MAX_INTERNED_VALUES
-            if max_interned_values is _USE_DEFAULT_CAP
-            else max_interned_values
-        )
+        self.max_interned_values = max_interned_values
         #: Number of interner epochs opened so far (0 = the original epoch).
         self.interner_epoch = 0
 
-        # -- step programs: turn the shared positional layout into getters ---
-        # ``plan_layout`` replays the column algebra symbolically (see its
-        # notes); ``build_row_ops`` compiles each layout entry's positions
-        # into ``itemgetter`` programs over code-tuple rows.
-        self._semijoin_ops, self._join_ops, self._final_get = build_row_ops(
-            plan_layout(prepared)
-        )
-
-        # -- final projection ---------------------------------------------------
         final = prepared.final_projection
         self._final_schema = final
         self._final_columns = final.sorted_attributes()
+        # ``plan_layout`` replays the column algebra symbolically (see its
+        # notes); the kernel lowers it into its own step program.
+        self._lower(plan_layout(prepared))
+
+    # -- encoding --------------------------------------------------------------
+
+    def _encode_slots(self, state: DatabaseState, use_cache: bool):
+        """One cache-assisted encode pass over every slot (lock held).
+
+        Returns ``(encodings, encoded, cached_hits)``; :meth:`encode_state`
+        commits the counts to its stats only after the pass succeeds.
+        """
+        encodings: List[Any] = []
+        encoded = cached_hits = 0
+        for slot, relation in enumerate(state.relations):
+            meta = self._cache_meta[slot]
+            caching = use_cache and not meta[1]
+            if caching:
+                cache = self._slot_cache[slot]
+                encoding = cache.get(relation)
+                if encoding is not None:
+                    cache.move_to_end(relation)
+                    meta[0] = 0
+                    cached_hits += 1
+                    encodings.append(encoding)
+                    continue
+            encoding = self._encode_relation(slot, relation)
+            encoded += 1
+            if caching:
+                cache = self._slot_cache[slot]
+                cache[relation] = encoding
+                if len(cache) > self._ENCODE_CACHE_MAX:
+                    cache.popitem(last=False)
+                meta[0] += 1
+                if meta[0] > self._CACHE_MISS_STREAK_MAX:
+                    meta[1] = 1
+                    cache.clear()
+            encodings.append(encoding)
+        return encodings, encoded, cached_hits
+
+    def encode_state(
+        self,
+        state: DatabaseState,
+        *,
+        use_cache: bool = True,
+        stats: Optional[ExecutionStats] = None,
+    ) -> "EncodedState":
+        """Encode a database state against this plan's interner.
+
+        With ``use_cache`` (the default for batches), encodings are looked up
+        in the per-slot bounded cache keyed by the relation value, so states
+        that repeat a slot's rows share one encoding — and therefore one set
+        of key indexes.  Encoding mutates the shared interning dictionaries
+        and is serialized by a per-plan lock.  Execution never mutates rows,
+        but it does lazily *fill* the per-encoding index caches outside that
+        lock: concurrent threads may race to insert the same immutable index
+        (a benign duplicate build under the GIL; on free-threaded builds
+        those dict writes are unsynchronized and would need the lock).
+        """
+        schema = state.schema
+        if schema is not self.schema and schema != self.schema:
+            raise SchemaError("the state is for a different schema than the query")
+        with self._encode_lock:
+            cap = self.max_interned_values
+            if cap is not None and self.interned_value_count() > cap:
+                self._open_interner_epoch_locked()
+                if stats is not None:
+                    stats.interner_resets += 1
+            encodings, encoded, cached_hits = self._encode_slots(state, use_cache)
+            decoders = self._decoders()
+        if stats is not None:
+            stats.states += 1
+            stats.encoded_slots += encoded
+            stats.cached_slots += cached_hits
+        return EncodedState(self, state, tuple(encodings), decoders)
+
+    # -- execution -------------------------------------------------------------
+
+    def execute(
+        self,
+        encoded: "EncodedState",
+        stats: Optional[ExecutionStats] = None,
+    ) -> YannakakisRun:
+        """Run the kernel's program against one encoded state.
+
+        Semantics — result, semijoin/join counts and the intermediate-size
+        accounting — match the classic executor exactly; the equivalence
+        suites check this on random schemas and states.
+        """
+        if encoded.plan is not self:
+            raise SchemaError("the encoded state belongs to a different plan")
+        if self.slot_columns:
+            result, join_count, max_intermediate = self._run(encoded, stats)
+            if len(result) > max_intermediate:
+                max_intermediate = len(result)
+        else:
+            # The empty schema: ⋈ ∅ is the nullary-true relation (the same
+            # constant PreparedQuery.execute returns before routing here).
+            result, join_count, max_intermediate = Relation.nullary_true(), 0, 1
+        return YannakakisRun(
+            result=result,
+            semijoin_count=len(self._semijoins),
+            join_count=join_count,
+            max_intermediate_size=max_intermediate,
+            backend=self.backend,
+            stats=stats,
+        )
+
+    def execute_state(
+        self, state: DatabaseState, stats: Optional[ExecutionStats] = None
+    ) -> YannakakisRun:
+        """Encode (cache-assisted) and execute one state."""
+        return self.execute(self.encode_state(state, stats=stats), stats=stats)
+
+    def execute_batch(
+        self,
+        states: Iterable[DatabaseState],
+        stats: Optional[ExecutionStats] = None,
+    ) -> List[YannakakisRun]:
+        """Execute many states as one batch with shared instrumentation.
+
+        All states share the plan's interner and per-slot encoding cache, so
+        slots whose rows repeat across states are encoded — and their key
+        indexes built — once for the whole batch; states repeated verbatim
+        (duplicate requests) are executed once and their immutable run is
+        shared.  Every returned run carries the same :class:`ExecutionStats`
+        object describing the batch; a wrapping plan (the cyclic prologue
+        adapter of :mod:`repro.engine.cyclic`) may pass its own ``stats`` to
+        fold pre-batch accounting into the same object.
+        """
+        if stats is None:
+            stats = ExecutionStats()
+        runs: List[YannakakisRun] = []
+        memo: Dict[DatabaseState, YannakakisRun] = {}
+        for state in states:
+            run = memo.get(state)
+            if run is None:
+                run = self.execute_state(state, stats=stats)
+                memo[state] = run
+            else:
+                stats.deduped_states += 1
+            runs.append(run)
+        return runs
+
+    # -- maintenance -----------------------------------------------------------
+
+    def _reset_slot_caches_locked(self) -> None:
+        """Drop every cached slot encoding and re-arm tripped slot caches."""
+        for cache in self._slot_cache:
+            cache.clear()
+        for meta in self._cache_meta:
+            meta[0] = 0
+            meta[1] = 0
+
+    def _open_interner_epoch_locked(self) -> None:
+        """Rebuild the interner and retire every encoding of the old epoch.
+
+        Called at a state-encode boundary with the encode lock held, *before*
+        the incoming state is encoded: the dictionary-mode interning maps and
+        value lists (and the identity-mode stray tables living in the same
+        maps) are **replaced with fresh objects** — never cleared in place —
+        and the slot encoding caches are dropped wholesale, because every
+        cached encoding holds codes minted by the retired epoch and must
+        never mix with codes of the new one.  Attribute *modes* stay pinned
+        (they describe column shape, not code assignment).
+
+        Replacement rather than clearing is what makes rollover safe for
+        everything in flight: each :class:`EncodedState` captures its
+        epoch's decoders — bound to that epoch's value-list objects — at
+        encode time, so states encoded before a rollover (including ones a
+        concurrent thread is executing right now, and ones a caller pinned
+        long-term) keep decoding against the retired epoch's intact lists.
+        The retired objects die with the last such state.
+        """
+        self._intern = {attribute: {} for attribute in self._intern}
+        self._values = {attribute: [] for attribute in self._values}
+        self._reset_slot_caches_locked()
+        self.interner_epoch += 1
+
+    def cache_sizes(self) -> Tuple[int, ...]:
+        """Cached encodings per slot (diagnostic)."""
+        return tuple(len(cache) for cache in self._slot_cache)
+
+    def clear_encode_cache(self) -> None:
+        """Drop cached slot encodings and re-arm tripped slot caches (the
+        interner is left intact)."""
+        with self._encode_lock:
+            self._reset_slot_caches_locked()
+
+    def interned_value_count(self) -> int:
+        """Total distinct values interned across all attributes (diagnostic).
+
+        Identity-mode int values are never interned, so this counts only
+        dictionary-mode values and identity-mode strays.
+        """
+        return sum(len(intern_map) for intern_map in self._intern.values())
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return (
+            f"{type(self).__name__}(schema={self.schema.to_notation()!r}, "
+            f"target={self.target.to_notation()!r}, "
+            f"semijoins={len(self._semijoins)}, joins={len(self._joins)})"
+        )
+
+
+class EncodedState:
+    """One database state encoded against a kernel plan's interner.
+
+    Holds one (possibly cache-shared) encoding per relation slot — code
+    tuples for the compiled kernel, int64 code arrays for the vectorized
+    one — plus the decoders of the interner epoch that minted its codes (so
+    the state stays executable across epoch rollovers).  ``state`` is the
+    source :class:`DatabaseState`.  Immutable from the executor's point of
+    view: execution replaces slot views instead of mutating their rows, so
+    an encoded state can be executed any number of times.  Under the GIL
+    concurrent executions are safe (they may redundantly fill an encoding's
+    index caches); on free-threaded builds those lazy cache fills are
+    unsynchronized.
+    """
+
+    __slots__ = ("plan", "state", "encodings", "decoders")
+
+    def __init__(
+        self,
+        plan: EncodedPlan,
+        state: DatabaseState,
+        encodings: Tuple[Any, ...],
+        decoders: Tuple[Optional[Any], ...],
+    ) -> None:
+        self.plan = plan
+        self.state = state
+        self.encodings = encodings
+        self.decoders = decoders
+
+
+class CompiledPlan(EncodedPlan):
+    """A fully positional, interned-value program for one prepared query.
+
+    Runs the shared layout as ``itemgetter`` programs over tuples of int
+    codes (:func:`execute_row_program`); everything around the program is
+    the :class:`EncodedPlan` core.
+    """
+
+    backend = "compiled"
+
+    __slots__ = ("_final_get",)
+
+    def _lower(self, layout: _PlanLayout) -> None:
+        # ``build_row_ops`` compiles each layout entry's positions into
+        # ``itemgetter`` programs over code-tuple rows.
+        self._semijoins, self._joins, self._final_get = build_row_ops(layout)
 
     # -- encoding --------------------------------------------------------------
 
@@ -784,7 +1036,7 @@ class CompiledPlan:
         ``None`` means the column's codes are the values themselves (pure
         identity columns); identity columns that interned strays unwrap them;
         dictionary columns index their value list.  Captured onto each
-        :class:`CompiledState` at encode time (under the encode lock), so a
+        :class:`EncodedState` at encode time (under the encode lock), so a
         state always decodes against the epoch that minted its codes — even
         if the plan has rolled its interner over since.
         """
@@ -799,218 +1051,24 @@ class CompiledPlan:
                 decoders.append(None)
         return tuple(decoders)
 
-    def encode_state(
-        self,
-        state: DatabaseState,
-        *,
-        use_cache: bool = True,
-        stats: Optional[ExecutionStats] = None,
-    ) -> "CompiledState":
-        """Encode a database state against this plan's interner.
-
-        With ``use_cache`` (the default for batches), encodings are looked up
-        in the per-slot bounded cache keyed by the relation value, so states
-        that repeat a slot's rows share one encoding — and therefore one set
-        of key indexes.  Encoding mutates the shared interning dictionaries
-        and is serialized by a per-plan lock.  Execution never mutates rows,
-        but it does lazily *fill* the per-encoding index caches outside that
-        lock: concurrent threads may race to insert the same immutable index
-        (a benign duplicate build under the GIL; on free-threaded builds
-        those dict writes are unsynchronized and would need the lock).
-        """
-        schema = state.schema
-        if schema is not self.schema and schema != self.schema:
-            raise SchemaError("the state is for a different schema than the query")
-        encodings: List[_Encoding] = []
-        with self._encode_lock:
-            cap = self.max_interned_values
-            if cap is not None and self.interned_value_count() > cap:
-                self._open_interner_epoch_locked()
-                if stats is not None:
-                    stats.interner_resets += 1
-            for slot, relation in enumerate(state.relations):
-                meta = self._cache_meta[slot]
-                caching = use_cache and not meta[1]
-                if caching:
-                    cache = self._slot_cache[slot]
-                    encoding = cache.get(relation)
-                    if encoding is not None:
-                        cache.move_to_end(relation)
-                        meta[0] = 0
-                        if stats is not None:
-                            stats.cached_slots += 1
-                        encodings.append(encoding)
-                        continue
-                encoding = self._encode_relation(slot, relation)
-                if stats is not None:
-                    stats.encoded_slots += 1
-                if caching:
-                    cache = self._slot_cache[slot]
-                    cache[relation] = encoding
-                    if len(cache) > self._ENCODE_CACHE_MAX:
-                        cache.popitem(last=False)
-                    meta[0] += 1
-                    if meta[0] > self._CACHE_MISS_STREAK_MAX:
-                        meta[1] = 1
-                        cache.clear()
-                encodings.append(encoding)
-            decoders = self._decoders()
-        if stats is not None:
-            stats.states += 1
-        return CompiledState(self, state, tuple(encodings), decoders)
-
-    # -- execution -------------------------------------------------------------
-
-    def execute(
-        self,
-        compiled_state: "CompiledState",
-        stats: Optional[ExecutionStats] = None,
-    ) -> YannakakisRun:
-        """Run the compiled program against one encoded state.
-
-        Semantics — result, semijoin/join counts and the intermediate-size
-        accounting — match the classic executor exactly; the equivalence
-        suite checks this on random schemas and states.
-        """
-        if compiled_state.plan is not self:
-            raise SchemaError("the compiled state belongs to a different plan")
-        if not self.slot_columns:
-            # The empty schema: ⋈ ∅ is the nullary-true relation (the same
-            # constant PreparedQuery.execute returns before routing here).
-            return YannakakisRun(
-                result=Relation.nullary_true(),
-                semijoin_count=0,
-                join_count=0,
-                max_intermediate_size=1,
-                backend="compiled",
-                stats=stats,
-            )
+    def _run(self, encoded: EncodedState, stats: Optional[ExecutionStats]):
         final_rows, join_count, max_intermediate = execute_row_program(
-            self._semijoin_ops,
-            self._join_ops,
+            self._semijoins,
+            self._joins,
             self.root,
             self._final_get,
-            list(compiled_state.encodings),
+            list(encoded.encodings),
             stats,
         )
-
         # Final projection + decode: the only value-level materialization
         # (and a no-op for pure identity-mode columns).
         result = Relation.from_interned(
             self._final_schema,
             self._final_columns,
             final_rows,
-            compiled_state.decoders,
+            encoded.decoders,
         )
-        if len(result) > max_intermediate:
-            max_intermediate = len(result)
-        return YannakakisRun(
-            result=result,
-            semijoin_count=len(self._semijoin_ops),
-            join_count=join_count,
-            max_intermediate_size=max_intermediate,
-            backend="compiled",
-            stats=stats,
-        )
-
-    def execute_state(
-        self, state: DatabaseState, stats: Optional[ExecutionStats] = None
-    ) -> YannakakisRun:
-        """Encode (cache-assisted) and execute one state."""
-        return self.execute(
-            self.encode_state(state, stats=stats), stats=stats
-        )
-
-    def execute_batch(
-        self,
-        states: Iterable[DatabaseState],
-        stats: Optional[ExecutionStats] = None,
-    ) -> List[YannakakisRun]:
-        """Execute many states as one batch with shared instrumentation.
-
-        All states share the plan's interner and per-slot encoding cache, so
-        slots whose rows repeat across states are encoded — and their key
-        indexes built — once for the whole batch; states repeated verbatim
-        (duplicate requests) are executed once and their immutable run is
-        shared.  Every returned run carries the same :class:`ExecutionStats`
-        object describing the batch; a wrapping plan (the cyclic prologue
-        adapter of :mod:`repro.engine.cyclic`) may pass its own ``stats`` to
-        fold pre-batch accounting into the same object.
-        """
-        if stats is None:
-            stats = ExecutionStats()
-        runs: List[YannakakisRun] = []
-        memo: Dict[DatabaseState, YannakakisRun] = {}
-        for state in states:
-            run = memo.get(state)
-            if run is None:
-                run = self.execute_state(state, stats=stats)
-                memo[state] = run
-            else:
-                stats.deduped_states += 1
-            runs.append(run)
-        return runs
-
-
-    # -- maintenance -----------------------------------------------------------
-
-    def _open_interner_epoch_locked(self) -> None:
-        """Rebuild the interner and retire every encoding of the old epoch.
-
-        Called at a state-encode boundary with the encode lock held, *before*
-        the incoming state is encoded: the dictionary-mode interning maps and
-        value lists (and the identity-mode stray tables living in the same
-        maps) are **replaced with fresh objects** — never cleared in place —
-        and the slot encoding caches are dropped wholesale, because every
-        cached encoding holds code tuples minted by the retired epoch and
-        must never mix with codes of the new one.  Attribute *modes* stay
-        pinned (they describe column shape, not code assignment).
-
-        Replacement rather than clearing is what makes rollover safe for
-        everything in flight: each :class:`CompiledState` captures its
-        epoch's decoders — bound to that epoch's value-list objects — at
-        encode time, so states encoded before a rollover (including ones a
-        concurrent thread is executing right now, and ones a caller pinned
-        long-term) keep decoding against the retired epoch's intact lists.
-        The retired objects die with the last such state.
-        """
-        self._intern = {attribute: {} for attribute in self._intern}
-        self._values = {attribute: [] for attribute in self._values}
-        for cache in self._slot_cache:
-            cache.clear()
-        for meta in self._cache_meta:
-            meta[0] = 0
-            meta[1] = 0
-        self.interner_epoch += 1
-
-    def cache_sizes(self) -> Tuple[int, ...]:
-        """Cached encodings per slot (diagnostic)."""
-        return tuple(len(cache) for cache in self._slot_cache)
-
-    def clear_encode_cache(self) -> None:
-        """Drop cached slot encodings and re-arm tripped slot caches (the
-        interner is left intact)."""
-        with self._encode_lock:
-            for cache in self._slot_cache:
-                cache.clear()
-            for meta in self._cache_meta:
-                meta[0] = 0
-                meta[1] = 0
-
-    def interned_value_count(self) -> int:
-        """Total distinct values interned across all attributes (diagnostic).
-
-        Identity-mode int values are never interned, so this counts only
-        dictionary-mode values and identity-mode strays.
-        """
-        return sum(len(intern_map) for intern_map in self._intern.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"CompiledPlan(schema={self.schema.to_notation()!r}, "
-            f"target={self.target.to_notation()!r}, "
-            f"semijoins={len(self._semijoin_ops)}, joins={len(self._join_ops)})"
-        )
+        return result, join_count, max_intermediate
 
 
 def execute_row_program(
@@ -1169,70 +1227,3 @@ def execute_row_program(
     else:
         final_rows = set(map(final_get, root_rows))
     return final_rows, join_count, max_intermediate
-
-
-class CompiledState:
-    """One database state encoded against a plan's interner.
-
-    Holds one (possibly cache-shared) :class:`_Encoding` per relation slot,
-    plus the decoders of the interner epoch that minted its codes (so the
-    state stays executable across epoch rollovers).  Immutable from the
-    executor's point of view: execution replaces slot views instead of
-    mutating their rows, so a ``CompiledState`` can be executed any number
-    of times.  Under the GIL concurrent executions are safe (they may
-    redundantly fill an encoding's index caches); on free-threaded builds
-    those lazy cache fills are unsynchronized.
-    """
-
-    __slots__ = ("plan", "state", "encodings", "decoders")
-
-    def __init__(
-        self,
-        plan: CompiledPlan,
-        state: DatabaseState,
-        encodings: Tuple[_Encoding, ...],
-        decoders: Optional[Tuple[Optional[Any], ...]] = None,
-    ) -> None:
-        self.plan = plan
-        self.state = state
-        self.encodings = encodings
-        # Direct constructions (tests, tooling) default to the plan's
-        # current-epoch decoders; encode_state always passes the captured
-        # ones explicitly.
-        self.decoders = plan._decoders() if decoders is None else decoders
-
-    @classmethod
-    def from_state(
-        cls,
-        plan: CompiledPlan,
-        state: DatabaseState,
-        *,
-        use_cache: bool = True,
-        stats: Optional[ExecutionStats] = None,
-    ) -> "CompiledState":
-        """Encode ``state`` for ``plan`` (the public entry point)."""
-        return plan.encode_state(state, use_cache=use_cache, stats=stats)
-
-    def execute(self, stats: Optional[ExecutionStats] = None) -> YannakakisRun:
-        """Run the owning plan against this encoded state."""
-        return self.plan.execute(self, stats=stats)
-
-    def total_rows(self) -> int:
-        """Total encoded tuples across all slots."""
-        return sum(len(encoding.rows) for encoding in self.encodings)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        sizes = ", ".join(str(len(encoding.rows)) for encoding in self.encodings)
-        return f"CompiledState({self.plan.schema.to_notation()!r}, sizes=[{sizes}])"
-
-
-def compile_plan(
-    prepared, *, max_interned_values: Optional[int] = _USE_DEFAULT_CAP
-) -> CompiledPlan:
-    """Compile a :class:`~repro.engine.prepared.PreparedQuery` (see the
-    module notes; normally reached through ``prepared.compiled``).
-
-    ``max_interned_values`` caps the plan's interner before an epoch rollover
-    (:data:`DEFAULT_MAX_INTERNED_VALUES` when omitted, ``None`` = unbounded).
-    """
-    return CompiledPlan(prepared, max_interned_values=max_interned_values)

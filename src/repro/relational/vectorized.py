@@ -49,12 +49,14 @@ Promotions are monotone (identity → dict only) and surface as
 (``1 == 1.0 == True``) holds in dictionary mode for free: equal values are
 equal dict keys, so they intern to one code.
 
-**Epochs, caches, lifecycle.**  The plan mirrors the compiled backend's
-bounded growth machinery one-for-one: per-slot LRU encoding caches with
-miss-streak self-disable, a ``max_interned_values`` cap whose overflow opens
-a new interner epoch at the next state-encode boundary, and per-state
-decoders captured at encode time so in-flight states decode against the
-epoch that minted their codes.
+**Epochs, caches, lifecycle.**  :class:`VectorizedPlan` subclasses the
+compiled backend's :class:`~repro.relational.compiled.EncodedPlan`, so the
+bounded growth machinery is literally the same code: per-slot LRU encoding
+caches with miss-streak self-disable, a ``max_interned_values`` cap whose
+overflow opens a new interner epoch at the next state-encode boundary, and
+per-state decoders captured at encode time so in-flight states decode
+against the epoch that minted their codes.  This module adds only the array
+encoder, the decoders and the array program.
 
 **numpy is required.**  Building a plan without numpy raises
 ``ImportError``; without it :func:`repro.engine.prepared.resolve_backend`
@@ -71,35 +73,29 @@ backend as a second cross-check.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - absence is exercised by the no-numpy test leg
     import numpy as _np
 except Exception:  # pragma: no cover
     _np = None
 
-from ..exceptions import SchemaError
 from .compiled import (
-    DEFAULT_MAX_INTERNED_VALUES,
+    EncodedPlan,
+    EncodedState,
     ExecutionStats,
     _JOIN_SEMI_CHILD,
     _MODE_DICT,
     _MODE_IDENTITY,
-    _USE_DEFAULT_CAP,
-    plan_layout,
+    _PlanLayout,
 )
 from .database import DatabaseState
 from .relation import Relation
-from .yannakakis import YannakakisRun
 
 __all__ = [
     "VectorizedPlan",
-    "VectorizedState",
     "numpy_available",
-    "vectorize_plan",
 ]
 
 
@@ -297,85 +293,31 @@ def _general_bucket(np, child: _VecEncoding, op):
     return group_keys, starts, counts, new_sorted, proj_len
 
 
-class VectorizedPlan:
+class VectorizedPlan(EncodedPlan):
     """An array-program twin of :class:`~repro.relational.compiled.CompiledPlan`.
 
     Built once per :class:`~repro.engine.prepared.PreparedQuery` (see its
-    ``vectorized`` property); owns the per-attribute interning dictionaries,
-    the positional step layout shared with the compiled backend, and the
-    same bounded per-slot encoding cache.  Execution semantics — results,
-    semijoin/join counts, intermediate-size accounting, and the lineage
-    attribution of :class:`~repro.relational.compiled.ExecutionStats` —
-    match the compiled backend branch for branch.
+    ``vectorized`` property) on the shared
+    :class:`~repro.relational.compiled.EncodedPlan` core.  Execution
+    semantics — results, semijoin/join counts, intermediate-size
+    accounting, and the lineage attribution of
+    :class:`~repro.relational.compiled.ExecutionStats` — match the compiled
+    backend branch for branch.
     """
 
-    _ENCODE_CACHE_MAX = 1024
-    _CACHE_MISS_STREAK_MAX = 512
+    backend = "vectorized"
 
-    __slots__ = (
-        "schema",
-        "target",
-        "root",
-        "slot_columns",
-        "_np",
-        "_modes",
-        "_intern",
-        "_values",
-        "_encode_lock",
-        "_semijoins",
-        "_joins",
-        "_final_positions",
-        "_final_permutes",
-        "_final_schema",
-        "_final_columns",
-        "_slot_cache",
-        "_cache_meta",
-        "max_interned_values",
-        "interner_epoch",
-        "mode_promotions",
-    )
+    __slots__ = ("_np", "_final_positions", "_final_permutes", "mode_promotions")
 
-    def __init__(
-        self, prepared, *, max_interned_values: Optional[int] = _USE_DEFAULT_CAP
-    ) -> None:
+    def _lower(self, layout: _PlanLayout) -> None:
         if _np is None:
             raise ImportError("the vectorized backend requires numpy")
-        schema = prepared.schema
-        self.schema = schema
-        self.target = prepared.target
-        self.root = prepared.root
         #: numpy is pinned at construction so a plan keeps working when tests
         #: patch the module global to simulate its absence.
         self._np = _np
-        columns = tuple(
-            relation.sorted_attributes() for relation in schema.relations
-        )
-        self.slot_columns = columns
-        self._modes: Dict[Any, Optional[int]] = {
-            attribute: None for attribute in schema.attributes
-        }
-        self._intern: Dict[Any, Dict[Any, int]] = {
-            attribute: {} for attribute in schema.attributes
-        }
-        self._values: Dict[Any, List[Any]] = {
-            attribute: [] for attribute in schema.attributes
-        }
-        self._encode_lock = threading.Lock()
-        self._slot_cache: Tuple["OrderedDict[Relation, _VecEncoding]", ...] = tuple(
-            OrderedDict() for _ in columns
-        )
-        self._cache_meta: List[List[int]] = [[0, 0] for _ in columns]
-        self.max_interned_values: Optional[int] = (
-            DEFAULT_MAX_INTERNED_VALUES
-            if max_interned_values is _USE_DEFAULT_CAP
-            else max_interned_values
-        )
-        self.interner_epoch = 0
         #: Identity→dictionary mode promotions forced by stray or oversized
         #: values arriving in a pinned identity column (see module notes).
         self.mode_promotions = 0
-
-        layout = plan_layout(prepared)
         self._semijoins = layout.semijoins
         self._joins = layout.joins
         self._final_positions = layout.final_positions
@@ -385,9 +327,6 @@ class VectorizedPlan:
         self._final_permutes = layout.final_positions is not None and sorted(
             layout.final_positions
         ) == list(range(len(layout.final_positions)))
-        final = prepared.final_projection
-        self._final_schema = final
-        self._final_columns = final.sorted_attributes()
 
     # -- encoding --------------------------------------------------------------
 
@@ -538,7 +477,7 @@ class VectorizedPlan:
 
         ``None`` for identity columns (no strays exist in this backend —
         they promote instead); dictionary columns index their epoch's value
-        list.  Captured onto each :class:`VectorizedState` at encode time.
+        list.  Captured onto each encoded state at encode time.
         """
         return tuple(
             self._values[attribute].__getitem__
@@ -547,114 +486,30 @@ class VectorizedPlan:
             for attribute in self._final_columns
         )
 
-    def _encode_all_locked(self, state: DatabaseState, use_cache: bool):
-        """One cache-assisted encode pass over every slot (lock held)."""
-        encodings: List[_VecEncoding] = []
-        encoded = cached_hits = 0
-        for slot, relation in enumerate(state.relations):
-            meta = self._cache_meta[slot]
-            caching = use_cache and not meta[1]
-            if caching:
-                cache = self._slot_cache[slot]
-                encoding = cache.get(relation)
-                if encoding is not None:
-                    cache.move_to_end(relation)
-                    meta[0] = 0
-                    cached_hits += 1
-                    encodings.append(encoding)
-                    continue
-            encoding = self._encode_relation(slot, relation)
-            encoded += 1
-            if caching:
-                cache = self._slot_cache[slot]
-                cache[relation] = encoding
-                if len(cache) > self._ENCODE_CACHE_MAX:
-                    cache.popitem(last=False)
-                meta[0] += 1
-                if meta[0] > self._CACHE_MISS_STREAK_MAX:
-                    meta[1] = 1
-                    cache.clear()
-            encodings.append(encoding)
-        return encodings, encoded, cached_hits
-
-    def encode_state(
-        self,
-        state: DatabaseState,
-        *,
-        use_cache: bool = True,
-        stats: Optional[ExecutionStats] = None,
-    ) -> "VectorizedState":
-        """Encode a database state against this plan's interner.
-
-        Mirrors :meth:`CompiledPlan.encode_state` (bounded per-slot caches,
-        epoch rollover at the cap, captured decoders), plus the
-        identity→dictionary promotion restart described in the module notes.
-        Stats are committed only after a successful pass, so a restarted
-        encode is not double-counted.
-        """
-        schema = state.schema
-        if schema is not self.schema and schema != self.schema:
-            raise SchemaError("the state is for a different schema than the query")
-        with self._encode_lock:
-            cap = self.max_interned_values
-            if cap is not None and self.interned_value_count() > cap:
-                self._open_interner_epoch_locked()
-                if stats is not None:
-                    stats.interner_resets += 1
-            while True:
-                try:
-                    encodings, encoded, cached_hits = self._encode_all_locked(
-                        state, use_cache
-                    )
-                    break
-                except _PromoteToDict as promote:
-                    self._modes[promote.attribute] = _MODE_DICT
-                    self.mode_promotions += 1
-                    # Cached encodings of slots containing the promoted
-                    # attribute carry identity codes for it and must go; a
-                    # slot without the attribute is untouched by the mode
-                    # flip, so its cache (and future hits) survive.
-                    for slot, columns in enumerate(self.slot_columns):
-                        if promote.attribute in columns:
-                            self._slot_cache[slot].clear()
-            decoders = self._decoders()
-        if stats is not None:
-            stats.states += 1
-            stats.encoded_slots += encoded
-            stats.cached_slots += cached_hits
-        return VectorizedState(self, state, tuple(encodings), decoders)
+    def _encode_slots(self, state: DatabaseState, use_cache: bool):
+        """The shared slot loop plus the identity→dictionary promotion
+        restart described in the module notes (lock held).  The core commits
+        stats only after a successful pass, so a restarted encode is not
+        double-counted."""
+        while True:
+            try:
+                return super()._encode_slots(state, use_cache)
+            except _PromoteToDict as promote:
+                self._modes[promote.attribute] = _MODE_DICT
+                self.mode_promotions += 1
+                # Cached encodings of slots containing the promoted
+                # attribute carry identity codes for it and must go; a
+                # slot without the attribute is untouched by the mode
+                # flip, so its cache (and future hits) survive.
+                for slot, columns in enumerate(self.slot_columns):
+                    if promote.attribute in columns:
+                        self._slot_cache[slot].clear()
 
     # -- execution -------------------------------------------------------------
 
-    def execute(
-        self,
-        vectorized_state: "VectorizedState",
-        stats: Optional[ExecutionStats] = None,
-    ) -> YannakakisRun:
-        """Run the vector program against one encoded state.
-
-        Semantics — result, semijoin/join counts and the intermediate-size
-        accounting — match the classic and compiled executors exactly; the
-        equivalence suite checks this on random schemas and states.
-        """
-        if vectorized_state.plan is not self:
-            raise SchemaError("the vectorized state belongs to a different plan")
-        if not self.slot_columns:
-            return YannakakisRun(
-                result=Relation.nullary_true(),
-                semijoin_count=0,
-                join_count=0,
-                max_intermediate_size=1,
-                backend="vectorized",
-                stats=stats,
-            )
-        return self._execute_arrays(vectorized_state, stats)
-
-    def _execute_arrays(
-        self, vectorized_state: "VectorizedState", stats: Optional[ExecutionStats]
-    ) -> YannakakisRun:
+    def _run(self, encoded: EncodedState, stats: Optional[ExecutionStats]):
         np = self._np
-        views: List[_VecEncoding] = list(vectorized_state.encodings)
+        views: List[_VecEncoding] = list(encoded.encodings)
 
         # Phase 1: the full-reducer semijoin program as membership masks.
         for op in self._semijoins:
@@ -815,160 +670,11 @@ class VectorizedPlan:
             rows = frozenset([()]) if final_n else frozenset()
         else:
             decoded = []
-            for column, decoder in zip(final_columns, vectorized_state.decoders):
+            for column, decoder in zip(final_columns, encoded.decoders):
                 cells = column.tolist()
                 decoded.append(cells if decoder is None else list(map(decoder, cells)))
             rows = frozenset(zip(*decoded))
         result = Relation._from_trusted(
             self._final_schema, self._final_columns, rows
         )
-        if len(result) > max_intermediate:
-            max_intermediate = len(result)
-        return YannakakisRun(
-            result=result,
-            semijoin_count=len(self._semijoins),
-            join_count=join_count,
-            max_intermediate_size=max_intermediate,
-            backend="vectorized",
-            stats=stats,
-        )
-
-    def execute_state(
-        self, state: DatabaseState, stats: Optional[ExecutionStats] = None
-    ) -> YannakakisRun:
-        """Encode (cache-assisted) and execute one state."""
-        return self.execute(self.encode_state(state, stats=stats), stats=stats)
-
-    def execute_batch(
-        self,
-        states: Iterable[DatabaseState],
-        stats: Optional[ExecutionStats] = None,
-    ) -> List[YannakakisRun]:
-        """Execute many states as one batch with shared instrumentation.
-
-        Identical contract to :meth:`CompiledPlan.execute_batch`: shared
-        interner and slot caches across the batch, repeated states executed
-        once, one :class:`ExecutionStats` describing the whole batch
-        (caller-supplied via ``stats`` when a wrapping plan needs to fold in
-        its own accounting).
-        """
-        if stats is None:
-            stats = ExecutionStats()
-        runs: List[YannakakisRun] = []
-        memo: Dict[DatabaseState, YannakakisRun] = {}
-        for state in states:
-            run = memo.get(state)
-            if run is None:
-                run = self.execute_state(state, stats=stats)
-                memo[state] = run
-            else:
-                stats.deduped_states += 1
-            runs.append(run)
-        return runs
-
-    # -- maintenance -----------------------------------------------------------
-
-    def _open_interner_epoch_locked(self) -> None:
-        """Rebuild the interner and retire every encoding of the old epoch.
-
-        Same contract as the compiled backend's rollover: interning maps and
-        value lists are *replaced* (never cleared in place) so in-flight
-        states keep decoding against the retired epoch's intact lists, slot
-        caches are dropped wholesale, and attribute modes — including past
-        promotions — stay pinned.
-        """
-        self._intern = {attribute: {} for attribute in self._intern}
-        self._values = {attribute: [] for attribute in self._values}
-        for cache in self._slot_cache:
-            cache.clear()
-        for meta in self._cache_meta:
-            meta[0] = 0
-            meta[1] = 0
-        self.interner_epoch += 1
-
-    def cache_sizes(self) -> Tuple[int, ...]:
-        """Cached encodings per slot (diagnostic)."""
-        return tuple(len(cache) for cache in self._slot_cache)
-
-    def clear_encode_cache(self) -> None:
-        """Drop cached slot encodings and re-arm tripped slot caches (the
-        interner is left intact)."""
-        with self._encode_lock:
-            for cache in self._slot_cache:
-                cache.clear()
-            for meta in self._cache_meta:
-                meta[0] = 0
-                meta[1] = 0
-
-    def interned_value_count(self) -> int:
-        """Total distinct dictionary-mode values interned (diagnostic).
-
-        Identity-mode columns intern nothing in this backend — values that
-        would have been strays promote the attribute instead.
-        """
-        return sum(len(intern_map) for intern_map in self._intern.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"VectorizedPlan(schema={self.schema.to_notation()!r}, "
-            f"target={self.target.to_notation()!r}, "
-            f"semijoins={len(self._semijoins)}, joins={len(self._joins)})"
-        )
-
-
-class VectorizedState:
-    """One database state encoded against a vectorized plan's interner.
-
-    Holds one (possibly cache-shared) :class:`_VecEncoding` per relation
-    slot plus the decoders of the interner epoch that minted its codes.
-    ``state`` is the source :class:`DatabaseState`.  Immutable from the
-    executor's point of view — execution replaces slot views instead of
-    mutating them — so it can be executed any number of times.
-    """
-
-    __slots__ = ("plan", "state", "encodings", "decoders")
-
-    def __init__(
-        self,
-        plan: VectorizedPlan,
-        state: DatabaseState,
-        encodings: Tuple[_VecEncoding, ...],
-        decoders: Optional[Tuple[Optional[Any], ...]] = None,
-    ) -> None:
-        self.plan = plan
-        self.state = state
-        self.encodings = encodings
-        self.decoders = plan._decoders() if decoders is None else decoders
-
-    @classmethod
-    def from_state(
-        cls,
-        plan: VectorizedPlan,
-        state: DatabaseState,
-        *,
-        use_cache: bool = True,
-        stats: Optional[ExecutionStats] = None,
-    ) -> "VectorizedState":
-        """Encode ``state`` for ``plan`` (the public entry point)."""
-        return plan.encode_state(state, use_cache=use_cache, stats=stats)
-
-    def execute(self, stats: Optional[ExecutionStats] = None) -> YannakakisRun:
-        """Run the owning plan against this encoded state."""
-        return self.plan.execute(self, stats=stats)
-
-    def total_rows(self) -> int:
-        """Total encoded tuples across all slots."""
-        return sum(encoding.n for encoding in self.encodings)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        sizes = ", ".join(str(encoding.n) for encoding in self.encodings)
-        return f"VectorizedState({self.plan.schema.to_notation()!r}, sizes=[{sizes}])"
-
-
-def vectorize_plan(
-    prepared, *, max_interned_values: Optional[int] = _USE_DEFAULT_CAP
-) -> VectorizedPlan:
-    """Build a :class:`VectorizedPlan` for a prepared query (see the module
-    notes; normally reached through ``prepared.vectorized``)."""
-    return VectorizedPlan(prepared, max_interned_values=max_interned_values)
-
+        return result, join_count, max_intermediate

@@ -19,7 +19,12 @@ from repro.hypergraph import (
     random_tree_schema,
     star_schema,
 )
-from repro.relational import DatabaseState, naive_join_project, numpy_available
+from repro.relational import (
+    DatabaseState,
+    Relation,
+    naive_join_project,
+    numpy_available,
+)
 from repro.relational.universal import random_database_state, random_ur_database
 
 FAMILIES = [
@@ -86,6 +91,16 @@ class TestEquivalence:
         assert [run.result for run in many] == [
             prepared.execute(state).result for state in states
         ]
+        # The empty schema is a true batch too: one shared ExecutionStats,
+        # repeated states executed once.
+        empty = PreparedQuery(parse_schema(""), RelationSchema(()))
+        state = DatabaseState(parse_schema(""), [])
+        for backend in ("auto", "compiled", "vectorized"):
+            runs = empty.execute_many([state, state, state], backend=backend)
+            stats = runs[0].stats
+            assert stats is not None and all(run.stats is stats for run in runs)
+            assert (stats.states, stats.deduped_states) == (1, 2)
+            assert all(run.result == Relation.nullary_true() for run in runs)
 
 
 class TestPlanOnceExecuteMany:
@@ -145,6 +160,60 @@ class TestValidation:
         other = random_ur_database(chain_schema(4), tuple_count=5, rng=0)
         with pytest.raises(SchemaError):
             prepared.execute(other)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "execute",
+            "execute_many-classic",
+            "execute_many-compiled",
+            "execute_many-vectorized",
+            "execute_many-auto",
+            "service-submit",
+            "service-execute_many",
+            "execute_in_process",
+            "parallel-executor",
+        ],
+    )
+    @pytest.mark.parametrize("shape", ["tree", "cyclic"])
+    def test_rejects_state_for_other_schema_on_every_entry_point(
+        self, shape, entry
+    ):
+        """Tree and cyclic plans reject a state over another schema on every
+        entry point, batch paths included (a cyclic plan used to answer)."""
+        from repro.engine.parallel import ParallelExecutor, execute_in_process
+        from repro.engine.service import QueryService
+        from repro.exceptions import ShardExecutionError
+
+        if shape == "tree":
+            prepared = analyze(chain_schema(3)).prepare(RelationSchema({"x0"}))
+            other = random_ur_database(chain_schema(4), tuple_count=5, rng=0)
+        else:
+            prepared = analyze(parse_schema("ab,bc,ca")).prepare_cyclic(
+                RelationSchema("ab")
+            )
+            other = random_ur_database(
+                parse_schema("ab,bc,cd"), tuple_count=5, rng=0
+            )
+        if entry == "parallel-executor":
+            with ParallelExecutor(workers=1) as pool:
+                with pytest.raises(ShardExecutionError) as raised:
+                    pool.execute_many(prepared, [other])
+            assert isinstance(raised.value.causes[0], SchemaError)
+            return
+        with pytest.raises(SchemaError):
+            if entry == "execute":
+                prepared.execute(other)
+            elif entry.startswith("execute_many-"):
+                prepared.execute_many([other], backend=entry.split("-")[1])
+            elif entry == "execute_in_process":
+                execute_in_process(prepared, [other])
+            else:
+                with QueryService(workers=1) as service:
+                    if entry == "service-submit":
+                        service.submit(prepared, [other]).result()
+                    else:
+                        service.execute_many(prepared, [other])
 
     def test_rejects_target_outside_universe(self):
         with pytest.raises(SchemaError):

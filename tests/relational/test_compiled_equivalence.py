@@ -24,12 +24,7 @@ from repro.hypergraph import (
     random_tree_schema,
     star_schema,
 )
-from repro.relational import (
-    CompiledState,
-    DatabaseState,
-    Relation,
-    yannakakis,
-)
+from repro.relational import DatabaseState, Relation, yannakakis
 
 #: Value pool spanning the numeric tower (1 == 1.0 == True) plus strings and
 #: None, so both interner modes (identity ints, dictionary codes) and the
@@ -290,9 +285,9 @@ class TestCompiledStateApi:
                 for relation in schema.relations
             ],
         )
-        compiled_state = CompiledState.from_state(plan, state)
-        first = compiled_state.execute()
-        second = compiled_state.execute()
+        compiled_state = plan.encode_state(state)
+        first = plan.execute(compiled_state)
+        second = plan.execute(compiled_state)
         assert first.result == second.result
         assert first.result == prepared.execute(state, backend="classic").result
 
@@ -308,7 +303,7 @@ class TestCompiledStateApi:
             other, [Relation(relation, []) for relation in other.relations]
         )
         with pytest.raises(SchemaError):
-            CompiledState.from_state(prepared.compiled, state)
+            prepared.compiled.encode_state(state)
 
     def test_empty_schema_direct_plan_api(self):
         from repro.engine import PreparedQuery
@@ -317,7 +312,7 @@ class TestCompiledStateApi:
         schema = parse_schema("")
         prepared = PreparedQuery(schema, RelationSchema(()))
         plan = prepared.compiled
-        run = CompiledState.from_state(plan, DatabaseState(schema, [])).execute()
+        run = plan.execute(plan.encode_state(DatabaseState(schema, [])))
         assert run.backend == "compiled"
         assert len(run.result) == 1  # nullary true
         assert run.max_intermediate_size == 1

@@ -4,16 +4,28 @@ PR-4 left plan interners growing monotonically (``reset_compiled`` was the
 only relief, and manual).  Plans now carry a cap checked at every
 state-encode boundary; overflow opens a new epoch — interning maps rebuilt,
 stale encodings evicted — without changing any answer.
+
+The interner, its epochs and the per-slot encode cache are one core shared
+by both serial kernels (``EncodedPlan``), so every test here runs on the
+compiled kernel (:class:`TestEpochRollover`) and again on the vectorized one
+(:class:`TestEpochRolloverVectorized`, skipped without numpy).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import analyze
 from repro.hypergraph import DatabaseSchema, RelationSchema
-from repro.relational import DatabaseState, Relation
-from repro.relational.compiled import DEFAULT_MAX_INTERNED_VALUES
+from repro.relational import (
+    CompiledPlan,
+    DatabaseState,
+    Relation,
+    VectorizedPlan,
+    numpy_available,
+)
+from repro.relational.compiled import DEFAULT_MAX_INTERNED_VALUES, ExecutionStats
 
 
 def _schema():
@@ -36,35 +48,50 @@ def _string_state(schema, salt: int, rows: int = 4) -> DatabaseState:
     )
 
 
-def _fresh_plan(cap):
-    prepared = analyze(_schema()).prepare(RelationSchema("ac"))
-    prepared.reset_compiled()
-    plan = prepared.compiled
-    plan.max_interned_values = cap
-    return prepared, plan
+#: Strategies of the randomized cap test (shared by both kernels' copies).
+RANDOM_CAPS = dict(
+    cap=st.integers(1, 30),
+    salts=st.lists(st.integers(0, 6), min_size=1, max_size=10),
+)
 
 
 class TestEpochRollover:
+    """The shared encode core, driven through the compiled kernel."""
+
+    kernel = "compiled"
+    plan_class = CompiledPlan
+
+    def _fresh_plan(self, cap):
+        prepared = analyze(_schema()).prepare(RelationSchema("ac"))
+        prepared.reset_compiled()
+        plan = getattr(prepared, self.kernel)
+        plan.max_interned_values = cap
+        return prepared, plan
+
     def test_default_cap_is_finite(self):
-        _, plan = _fresh_plan(cap=DEFAULT_MAX_INTERNED_VALUES)
+        _, plan = self._fresh_plan(cap=DEFAULT_MAX_INTERNED_VALUES)
         assert plan.max_interned_values == DEFAULT_MAX_INTERNED_VALUES
         assert plan.interner_epoch == 0
+        prepared = analyze(_schema()).prepare(RelationSchema("ac"))
+        assert self.plan_class(prepared).max_interned_values == (
+            DEFAULT_MAX_INTERNED_VALUES
+        )
 
     def test_overflow_opens_epochs_and_bounds_growth(self):
         schema = _schema()
-        prepared, plan = _fresh_plan(cap=20)
+        prepared, plan = self._fresh_plan(cap=20)
         for salt in range(12):
-            prepared.execute(_string_state(schema, salt), backend="compiled")
+            prepared.execute(_string_state(schema, salt), backend=self.kernel)
         assert plan.interner_epoch > 0
         # Growth is bounded by cap + one state's worth of fresh values.
         assert plan.interned_value_count() <= 20 + 4 * 3
 
     def test_results_stay_correct_across_rollovers(self):
         schema = _schema()
-        prepared, plan = _fresh_plan(cap=10)
+        prepared, plan = self._fresh_plan(cap=10)
         for salt in range(15):
             state = _string_state(schema, salt)
-            compiled = prepared.execute(state, backend="compiled")
+            compiled = prepared.execute(state, backend=self.kernel)
             classic = prepared.execute(state, backend="classic")
             assert compiled.result == classic.result
             assert compiled.max_intermediate_size == classic.max_intermediate_size
@@ -72,59 +99,57 @@ class TestEpochRollover:
 
     def test_batch_surfaces_reset_counter(self):
         schema = _schema()
-        prepared, plan = _fresh_plan(cap=10)
+        prepared, plan = self._fresh_plan(cap=10)
         states = [_string_state(schema, salt) for salt in range(10)]
-        runs = prepared.execute_many(states, backend="compiled")
+        runs = prepared.execute_many(states, backend=self.kernel)
         stats = runs[0].stats
         assert stats.interner_resets > 0
         assert stats.interner_resets == plan.interner_epoch
 
     def test_rollover_drops_stale_slot_encodings(self):
         schema = _schema()
-        prepared, plan = _fresh_plan(cap=10)
+        prepared, plan = self._fresh_plan(cap=10)
         state = _string_state(schema, 0)
-        prepared.execute(state, backend="compiled")
+        prepared.execute(state, backend=self.kernel)
         assert sum(plan.cache_sizes()) > 0
         for salt in range(1, 8):
-            prepared.execute(_string_state(schema, salt), backend="compiled")
+            prepared.execute(_string_state(schema, salt), backend=self.kernel)
         assert plan.interner_epoch > 0
         # Re-executing the very first state after rollovers re-encodes it
         # against the new epoch and still answers correctly.
-        rerun = prepared.execute(state, backend="compiled")
+        rerun = prepared.execute(state, backend=self.kernel)
         classic = prepared.execute(state, backend="classic")
         assert rerun.result == classic.result
 
     def test_pinned_compiled_state_survives_rollover(self):
-        """A CompiledState captures its epoch's decoders at encode time, so
+        """An encoded state captures its epoch's decoders at encode time, so
         executing it after rollovers still decodes the retired epoch's codes
         to the right values."""
-        from repro.relational import CompiledState
-
         schema = _schema()
-        prepared, plan = _fresh_plan(cap=10)
+        prepared, plan = self._fresh_plan(cap=10)
         state = _string_state(schema, 0)
-        pinned = CompiledState.from_state(plan, state)
+        pinned = plan.encode_state(state)
         expected = prepared.execute(state, backend="classic").result
-        assert pinned.execute().result == expected
+        assert plan.execute(pinned).result == expected
         for salt in range(1, 9):
-            prepared.execute(_string_state(schema, salt), backend="compiled")
+            prepared.execute(_string_state(schema, salt), backend=self.kernel)
         assert plan.interner_epoch > 0
         # Same pinned encoding, executed against a plan that has since
         # rolled its interner over (possibly several times).
-        assert pinned.execute().result == expected
+        assert plan.execute(pinned).result == expected
 
     def test_unbounded_cap_never_rolls_over(self):
         schema = _schema()
-        prepared, plan = _fresh_plan(cap=None)
+        prepared, plan = self._fresh_plan(cap=None)
         for salt in range(10):
-            prepared.execute(_string_state(schema, salt), backend="compiled")
+            prepared.execute(_string_state(schema, salt), backend=self.kernel)
         assert plan.interner_epoch == 0
         assert plan.interned_value_count() > 20
 
     def test_identity_columns_unaffected_by_cap(self):
         """Pure-int states intern nothing, so even a tiny cap never triggers."""
         schema = _schema()
-        prepared, plan = _fresh_plan(cap=1)
+        prepared, plan = self._fresh_plan(cap=1)
         for salt in range(6):
             state = DatabaseState(
                 schema,
@@ -133,23 +158,98 @@ class TestEpochRollover:
                     Relation(schema[1], [(i, salt * 10 + i) for i in range(4)]),
                 ],
             )
-            compiled = prepared.execute(state, backend="compiled")
+            compiled = prepared.execute(state, backend=self.kernel)
             classic = prepared.execute(state, backend="classic")
             assert compiled.result == classic.result
         assert plan.interner_epoch == 0
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        cap=st.integers(1, 30),
-        salts=st.lists(st.integers(0, 6), min_size=1, max_size=10),
-    )
+    @given(**RANDOM_CAPS)
     def test_equivalence_under_random_caps(self, cap, salts):
-        """Any cap, any (possibly repeating) state sequence: compiled with
+        self._check_random_caps(cap, salts)
+
+    def _check_random_caps(self, cap, salts):
+        """Any cap, any (possibly repeating) state sequence: the kernel with
         rollovers ≡ classic."""
         schema = _schema()
-        prepared, plan = _fresh_plan(cap=cap)
+        prepared, plan = self._fresh_plan(cap=cap)
         for salt in salts:
             state = _string_state(schema, salt, rows=3)
-            compiled = prepared.execute(state, backend="compiled")
+            compiled = prepared.execute(state, backend=self.kernel)
             classic = prepared.execute(state, backend="classic")
             assert compiled.result == classic.result
+
+    def test_interner_epoch_rollover(self):
+        """A cap passed to the plan constructor bounds a single-slot plan."""
+        schema = DatabaseSchema([RelationSchema("ab")])
+        prepared = analyze(schema).prepare(RelationSchema("ab"))
+        plan = self.plan_class(prepared, max_interned_values=4)
+        stats = ExecutionStats()
+        for index in range(8):
+            state = DatabaseState(
+                schema,
+                [Relation(schema[0], [(f"k{index}", f"v{index}")])],
+            )
+            run = plan.execute_state(state, stats=stats)
+            assert run.result == state.relations[0]
+        assert plan.interner_epoch > 0
+        assert stats.interner_resets > 0
+        cap = plan.max_interned_values
+        assert cap is not None and plan.interned_value_count() <= cap + 2
+
+    def test_batch_dedups_repeated_states(self):
+        _, plan = self._fresh_plan(cap=DEFAULT_MAX_INTERNED_VALUES)
+        state = _string_state(_schema(), 0)
+        runs = plan.execute_batch([state, state, state])
+        assert runs[0] is runs[1] is runs[2]
+        assert runs[0].stats.deduped_states == 2
+
+    def test_miss_streak_disables_slot_cache_until_cleared(self):
+        """A slot that misses more than ``_CACHE_MISS_STREAK_MAX`` times in a
+        row turns its cache off (and drops it); a slot that keeps hitting is
+        unaffected, and ``clear_encode_cache`` re-arms the tripped slot."""
+        schema = _schema()
+        _, plan = self._fresh_plan(cap=None)
+        shared = Relation(schema[1], [(0, 0)])
+
+        def state(value):
+            return DatabaseState(schema, [Relation(schema[0], [(value, 0)]), shared])
+
+        def encode_counts(encoded):
+            stats = ExecutionStats()
+            plan.encode_state(encoded, stats=stats)
+            return stats.encoded_slots, stats.cached_slots
+
+        limit = plan._CACHE_MISS_STREAK_MAX
+        for value in range(limit):
+            plan.encode_state(state(value))
+        assert plan.cache_sizes() == (limit, 1)
+        plan.encode_state(state(limit))  # one miss past the streak limit
+        assert plan.cache_sizes() == (0, 1)
+        repeat = state(0)
+        encode_counts(repeat)
+        # The tripped slot re-encodes every time; the shared slot still hits.
+        assert encode_counts(repeat) == (1, 1)
+        assert plan.cache_sizes() == (0, 1)
+
+        plan.clear_encode_cache()
+        assert plan.cache_sizes() == (0, 0)
+        assert encode_counts(repeat) == (2, 0)
+        assert encode_counts(repeat) == (0, 2)
+
+
+@pytest.mark.skipif(
+    not numpy_available(), reason="the vectorized kernel requires numpy"
+)
+class TestEpochRolloverVectorized(TestEpochRollover):
+    """The same core, driven through the vectorized kernel."""
+
+    kernel = "vectorized"
+    plan_class = VectorizedPlan
+
+    # Hypothesis binds a @given test to one executing class, so this class
+    # declares its own copy of the randomized test.
+    @settings(max_examples=25, deadline=None)
+    @given(**RANDOM_CAPS)
+    def test_equivalence_under_random_caps(self, cap, salts):
+        self._check_random_caps(cap, salts)

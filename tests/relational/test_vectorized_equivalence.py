@@ -29,12 +29,13 @@ from repro.hypergraph import (
     star_schema,
 )
 from repro.relational import (
+    CompiledPlan,
     DatabaseState,
     Relation,
+    VectorizedPlan,
     numpy_available,
-    vectorize_plan,
 )
-from repro.relational.compiled import ExecutionStats, compile_plan
+from repro.relational.compiled import ExecutionStats
 
 #: Value pool spanning the numeric tower (1 == 1.0 == True) plus strings and
 #: None — both interner modes — extended with an int64-overflowing integer
@@ -178,8 +179,8 @@ class TestCompiledStatsParity:
     def test_stats_match_compiled(self, instance):
         schema, target, states = instance
         prepared = analyze(schema).prepare(target)
-        vplan = vectorize_plan(prepared)
-        cplan = compile_plan(prepared)
+        vplan = VectorizedPlan(prepared)
+        cplan = CompiledPlan(prepared)
         vstats, cstats = ExecutionStats(), ExecutionStats()
         for state in states:
             vrun = vplan.execute_state(state, stats=vstats)
@@ -225,7 +226,7 @@ class TestWithoutNumpy:
             assert resolve_backend("vectorized") == "compiled"
             assert resolve_backend("auto") == "compiled"
             with pytest.raises(ImportError):
-                vectorize_plan(prepared)
+                VectorizedPlan(prepared)
             runs = prepared.execute_many(states, backend="vectorized")
             big_run = big_prepared.execute_many([big], backend="vectorized")[0]
         finally:
@@ -263,7 +264,7 @@ class TestValueSemantics:
         schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
         target = RelationSchema("ac")
         prepared = analyze(schema).prepare(target)
-        plan = vectorize_plan(prepared)
+        plan = VectorizedPlan(prepared)
         first = DatabaseState(
             schema,
             [Relation(schema[0], [(5, 1)]), Relation(schema[1], [(1, 9)])],
@@ -336,32 +337,3 @@ class TestValueSemantics:
             classic = prepared.execute(state, backend="classic")
             run = prepared.execute(state, backend="vectorized")
             _assert_runs_agree(classic, run)
-
-
-@requires_numpy
-class TestInternerLifecycle:
-    def test_interner_epoch_rollover(self):
-        schema = DatabaseSchema([RelationSchema("ab")])
-        prepared = analyze(schema).prepare(RelationSchema("ab"))
-        plan = vectorize_plan(prepared, max_interned_values=4)
-        stats = ExecutionStats()
-        for index in range(8):
-            state = DatabaseState(
-                schema,
-                [Relation(schema[0], [(f"k{index}", f"v{index}")])],
-            )
-            run = plan.execute_state(state, stats=stats)
-            assert run.result == state.relations[0]
-        assert plan.interner_epoch > 0
-        assert stats.interner_resets > 0
-        cap = plan.max_interned_values
-        assert cap is not None and plan.interned_value_count() <= cap + 2
-
-    def test_batch_dedups_repeated_states(self):
-        schema = DatabaseSchema([RelationSchema("ab")])
-        prepared = analyze(schema).prepare(RelationSchema("ab"))
-        plan = vectorize_plan(prepared)
-        state = DatabaseState(schema, [Relation(schema[0], [(1, 2)])])
-        runs = plan.execute_batch([state, state, state])
-        assert runs[0] is runs[1] is runs[2]
-        assert runs[0].stats.deduped_states == 2
