@@ -69,8 +69,11 @@ __all__ = [
 _SHRINK_BUDGET = 4096
 
 #: Budget handed to :func:`find_tree_projection` when it is consulted as a
-#: candidate generator (its union-search layer is exponential in the number
-#: of nested lower edges; the greedy-merge candidate does not depend on it).
+#: candidate generator.  It counts subsets enumerated by the union-search
+#: layer, which is exponential in the number of nested lower edges; a
+#: subset's coverage is a bitmask test, so only covering subsets pay for
+#: schema construction and GYO.  The greedy-merge candidate does not depend
+#: on it.
 _SEARCH_BUDGET = 20_000
 
 

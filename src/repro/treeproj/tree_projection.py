@@ -131,8 +131,21 @@ def _search_over_candidates(
     lower: DatabaseSchema,
     budget: int,
 ) -> Optional[DatabaseSchema]:
-    """Exact search over sub-multisets of the candidate pool (small pools only)."""
+    """Exact search over subsets of the (deduplicated) candidate pool.
+
+    Subsets are enumerated by size, and ``budget`` counts subsets
+    enumerated.  Coverage of ``lower`` is a bitmask test: each pool element
+    carries the mask of the ``lower`` relations it contains, and a subset
+    covers ``lower`` exactly when its masks OR to the full mask.  Only
+    covering subsets pay for schema construction and the GYO test.
+    """
     pool = list(dict.fromkeys(candidate_pool))
+    targets = lower.relations
+    full = (1 << len(targets)) - 1
+    masks = [
+        sum(1 << bit for bit, small in enumerate(targets) if small <= big)
+        for big in pool
+    ]
     count = 0
     for size in range(1, len(pool) + 1):
         for subset in combinations(range(len(pool)), size):
@@ -141,8 +154,13 @@ def _search_over_candidates(
                 raise SearchBudgetExceeded(
                     f"tree-projection candidate search exceeded budget of {budget}"
                 )
+            covered = 0
+            for index in subset:
+                covered |= masks[index]
+            if covered != full:
+                continue
             candidate = DatabaseSchema(pool[index] for index in subset)
-            if candidate.covers(lower) and is_tree_schema(candidate):
+            if is_tree_schema(candidate):
                 # Coverage by `upper` holds by construction of the pool.
                 return candidate.reduction()
     return None

@@ -24,8 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import analyze, clear_analysis_cache
 from repro.engine import CyclicPreparedQuery, choose_tree_projection
+from repro.engine import cyclic as cyclic_module
 from repro.engine.analysis import prepared_from_spec
 from repro.engine.cyclic import _SHRINK_BUDGET  # noqa: F401  (import sanity)
+from repro.engine.cyclic import is_valid_projection
 from repro.engine.prepared import (
     VECTORIZED_MIN_STATE_ROWS,
     VECTORIZED_NARROW_RELATIONS,
@@ -33,7 +35,7 @@ from repro.engine.prepared import (
     resolve_backend_for,
     vectorized_batch_profitable,
 )
-from repro.exceptions import SchemaError
+from repro.exceptions import SchemaError, SearchBudgetExceeded
 from repro.hypergraph import (
     DatabaseSchema,
     RelationSchema,
@@ -52,7 +54,7 @@ from repro.relational import (
 )
 from repro.relational.program import Program, default_base_names
 from repro.relational.universal import random_database_state, random_ur_database
-from repro.treeproj import is_tree_projection
+from repro.treeproj import find_tree_projection, is_tree_projection
 from repro.treeproj.solver import solve_with_tree_projection
 
 
@@ -222,6 +224,63 @@ class TestEquivalence:
         baseline, _ = naive_join_project(schema, target, state)
         assert prepared.execute(state, backend="compiled").result == baseline
         assert _solver_oracle(schema, target, state) == baseline
+
+
+def _assert_serial_backends_match_naive(
+    schema: DatabaseSchema, target: RelationSchema, method: str
+) -> None:
+    prepared = analyze(schema).prepare_cyclic(target)
+    assert prepared.projection_method == method
+    states = [
+        random_ur_database(schema, tuple_count=20, domain_size=4, rng=5),
+        random_database_state(schema, tuple_count=10, domain_size=3, rng=5),
+    ]
+    for state in states:
+        baseline, _ = naive_join_project(schema, target, state)
+        for backend in ("classic", "compiled", "vectorized"):
+            assert prepared.execute(state, backend=backend).result == baseline, backend
+
+
+class TestUnionSearchChoices:
+    """Pinned choices where the layered search's candidate wins or is lost.
+
+    The union search is exponential in the pool size, so a change to how it
+    enumerates or tests subsets shows up here as a different choice."""
+
+    @pytest.mark.parametrize(
+        "schema_text, target, expected",
+        [
+            ("cf,af,dfh,cg,aefh,ab,abe,cdg", "ed", "abe,cdfg,adefh"),
+            ("afh,dfgi,agi,abc,bf,efi", "ae", "dfgi,abcfh,aefgi"),
+        ],
+    )
+    def test_union_search_wins(self, schema_text, target, expected):
+        schema = parse_schema(schema_text)
+        target_schema = RelationSchema(target)
+        choice = choose_tree_projection(schema, target_schema)
+        assert choice.method == "tp-union-search"
+        assert choice.width == 5
+        assert choice.projection == parse_schema(expected)
+        _assert_serial_backends_match_naive(schema, target_schema, "tp-union-search")
+
+    def test_budget_exceeded_falls_back_to_greedy_merge(self, monkeypatch):
+        exceeded = []
+
+        def recording_search(*args, **kwargs):
+            try:
+                return find_tree_projection(*args, **kwargs)
+            except SearchBudgetExceeded:
+                exceeded.append(kwargs["budget"])
+                raise
+
+        monkeypatch.setattr(cyclic_module, "find_tree_projection", recording_search)
+        schema = random_cyclic_schema(7, ring_size=3, rng=4)
+        target = RelationSchema(["cr2", "ct0"])
+        choice = choose_tree_projection(schema, target)
+        assert exceeded == [cyclic_module._SEARCH_BUDGET]
+        assert choice.method == "greedy-merge"
+        assert is_valid_projection(choice.projection, schema.add_relation(target))
+        _assert_serial_backends_match_naive(schema, target, "greedy-merge")
 
 
 def _states_strategy(draw, schema: DatabaseSchema, max_states: int):
