@@ -46,6 +46,20 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Create the argument parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -120,20 +134,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--random",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="evaluate against random UR state(s) with N tuples per universal relation",
     )
     query.add_argument(
         "--states",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="M",
         help="with --random: number of states to batch through execute_many",
     )
     query.add_argument(
-        "--domain", type=int, default=8, help="random value domain size (default 8)"
+        "--domain",
+        type=_positive_int,
+        default=8,
+        help="random value domain size (default 8)",
     )
     query.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     query.add_argument(
@@ -148,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="with --backend parallel: process-pool width "
@@ -156,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--shard-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="with --backend parallel: per-shard attempt timeout; a hung "
@@ -165,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="with --backend parallel: shard resubmissions before bisection "
-        "(default: REPRO_PARALLEL_MAX_RETRIES, else 2)",
+        "(default 2)",
     )
     query.add_argument(
         "--failure-policy",
@@ -188,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="with --stream: admission-control cap on in-flight states "
@@ -485,7 +502,7 @@ def _query(arguments: "argparse.Namespace", attribute_separator: Optional[str]) 
                 domain_size=arguments.domain,
                 rng=arguments.seed + index,
             )
-            for index in range(max(arguments.states, 1))
+            for index in range(arguments.states)
         ]
 
     if arguments.max_inflight is not None and not arguments.stream:

@@ -409,12 +409,11 @@ class _CyclicPlanAdapter:
 
     Duck-types the slice of :class:`~repro.relational.compiled.CompiledPlan`
     / :class:`~repro.relational.vectorized.VectorizedPlan` the engine layers
-    touch — ``execute_state``, ``execute_batch``, ``max_interned_values`` —
-    but runs the owner's classic prologue (node materialization + guard
-    semijoins) before handing the *derived* state to the inner tree-schema
-    plan.  This is what lets the parallel shard body, the in-process
-    executor and the routing prober run a cyclic plan without knowing it is
-    one.
+    touch — ``execute_state`` and ``execute_batch`` — but runs the owner's
+    classic prologue (node materialization + guard semijoins) before
+    handing the *derived* state to the inner tree-schema plan.  This is
+    what lets the parallel shard body, the in-process executor and the
+    routing prober run a cyclic plan without knowing it is one.
     """
 
     __slots__ = ("_owner", "_plan", "_backend")
@@ -423,14 +422,6 @@ class _CyclicPlanAdapter:
         self._owner = owner
         self._plan = plan
         self._backend = backend
-
-    @property
-    def max_interned_values(self) -> Optional[int]:
-        return self._plan.max_interned_values
-
-    @max_interned_values.setter
-    def max_interned_values(self, value: Optional[int]) -> None:
-        self._plan.max_interned_values = value
 
     def execute_state(self, state: DatabaseState, stats=None) -> YannakakisRun:
         derived, prologue_max = self._owner._derive(state)

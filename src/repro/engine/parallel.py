@@ -14,7 +14,7 @@ This module puts that behind two entry points:
 **The serialization boundary.**  Compiled plans hold ``itemgetter`` programs
 and closures and are deliberately not picklable, so nothing plan-shaped ever
 crosses a process boundary.  What does cross is a :class:`PlanSpec` — the
-ordered relation tuple, the target, the root and the interner cap — plus the
+ordered relation tuple, the target, the root and the cyclic flag — plus the
 serial kernel the parent picked for the batch and the shard's database
 states; each worker rebuilds the prepared query from the spec through
 :func:`repro.engine.analysis.prepared_from_spec` (hitting the worker's own
@@ -41,7 +41,8 @@ supervision loop rather than a blocking gather:
 
 * **worker death** (``BrokenProcessPool`` — segfault, ``os._exit``, OOM
   kill) respawns the pool within a bounded per-batch budget
-  (``max_respawns``) and resubmits only the shards whose results were lost;
+  (:data:`DEFAULT_MAX_RESPAWNS`) and resubmits only the shards whose results
+  were lost;
 * **per-shard timeouts** (``shard_timeout=`` /
   ``REPRO_PARALLEL_SHARD_TIMEOUT``) detect hung workers: the pool is killed
   and respawned, the overdue shard is charged a failure, and innocent
@@ -49,11 +50,10 @@ supervision loop rather than a blocking gather:
   armed, at most ``workers`` shards are dispatched at a time so a shard's
   deadline clock starts when it can actually run, not when it enters a
   queue;
-* **retry with exponential backoff** (``max_retries=`` /
-  ``REPRO_PARALLEL_MAX_RETRIES``): a failed or timed-out shard is
-  resubmitted up to ``max_retries`` times (sleeping
-  ``retry_backoff * 2**(attempt-1)`` between attempts), after which it is
-  **bisected** — split in half and re-executed — until the offending
+* **retry with exponential backoff** (``max_retries=``): a failed or
+  timed-out shard is resubmitted up to ``max_retries`` times (sleeping
+  ``DEFAULT_RETRY_BACKOFF * 2**(attempt-1)`` between attempts), after which
+  it is **bisected** — split in half and re-executed — until the offending
   state(s) are isolated;
 * **poison-state quarantine**: a state that still fails alone is retried
   once on the in-process compiled backend (which clears pickle failures and
@@ -99,7 +99,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -110,7 +110,7 @@ from ..exceptions import (
     StatePicklingError,
     WorkerCrashError,
 )
-from ..relational.compiled import DEFAULT_MAX_INTERNED_VALUES, ExecutionStats
+from ..relational.compiled import ExecutionStats
 from ..relational.database import DatabaseState
 from ..relational.yannakakis import YannakakisRun
 from ..hypergraph.schema import RelationSchema
@@ -122,7 +122,6 @@ from . import faults
 from .prepared import kernel_plan, resolve_backend_for
 
 __all__ = [
-    "ENV_MAX_RETRIES",
     "ENV_MAX_WORKERS",
     "ENV_SHARD_TIMEOUT",
     "ENV_START_METHOD",
@@ -148,9 +147,6 @@ ENV_START_METHOD = "REPRO_PARALLEL_START_METHOD"
 #: Environment variable holding the default per-shard timeout (seconds).
 ENV_SHARD_TIMEOUT = "REPRO_PARALLEL_SHARD_TIMEOUT"
 
-#: Environment variable holding the default per-shard retry budget.
-ENV_MAX_RETRIES = "REPRO_PARALLEL_MAX_RETRIES"
-
 #: Accepted values for ``failure_policy``.
 FAILURE_POLICIES = ("raise", "degrade")
 
@@ -164,9 +160,15 @@ DEFAULT_MAX_RETRIES = 2
 #: a per-state one.
 DEFAULT_MAX_RESPAWNS = 8
 
-#: Default base for exponential retry backoff (seconds); attempt ``n``
-#: sleeps ``retry_backoff * 2**(n-1)`` before resubmission.
+#: Base for exponential retry backoff (seconds); attempt ``n`` sleeps
+#: ``DEFAULT_RETRY_BACKOFF * 2**(n-1)`` before resubmission.
 DEFAULT_RETRY_BACKOFF = 0.05
+
+#: Shards per worker.  Oversharding (rather than one shard per worker) lets
+#: the pool rebalance when cost estimates are off: a worker that finishes
+#: its light shards early picks up queued ones instead of idling behind a
+#: mis-estimated heavy shard.
+DEFAULT_SHARDS_PER_WORKER = 4
 
 
 def resolve_worker_count(workers: Optional[int]) -> int:
@@ -245,18 +247,10 @@ def resolve_shard_timeout(timeout: Optional[float]) -> Optional[float]:
 
 
 def resolve_max_retries(retries: Optional[int]) -> int:
-    """Resolve the per-shard retry budget: explicit beats
-    :data:`ENV_MAX_RETRIES` beats :data:`DEFAULT_MAX_RETRIES` (2)."""
+    """Resolve the per-shard retry budget: ``None`` means
+    :data:`DEFAULT_MAX_RETRIES` (2)."""
     if retries is None:
-        text = os.environ.get(ENV_MAX_RETRIES)
-        if not text:
-            return DEFAULT_MAX_RETRIES
-        try:
-            retries = int(text)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_MAX_RETRIES} must be an integer, got {text!r}"
-            ) from None
+        return DEFAULT_MAX_RETRIES
     if retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {retries}")
     return retries
@@ -279,13 +273,7 @@ class PlanSpec:
     Everything a worker needs to rebuild (and cache) the plan: the **ordered**
     relation tuple (plans are positional — order is part of the identity, see
     the analysis-cache notes in :mod:`repro.engine.analysis`), the projection
-    target, the qual-tree root, and the interner cap.
-    ``max_interned_values`` is carried *resolved* (the literal cap, ``None``
-    meaning unbounded); it **seeds** whichever serial plan a worker builds
-    fresh for this spec.  A plan already resident in the worker — inherited
-    over ``fork``, or shared through the analysis LRU with a spec differing
-    only in cap — keeps its existing policy (one plan has one interner and
-    therefore one rollover policy; see ``_plan_for_spec``).
+    target, the qual-tree root, and whether the plan is cyclic.
 
     Specs are frozen, hashable and comparable, which makes them directly
     usable as worker-side cache keys; an unpickled spec compares equal to the
@@ -295,7 +283,6 @@ class PlanSpec:
     relations: Tuple[RelationSchema, ...]
     target: RelationSchema
     root: int = 0
-    max_interned_values: Optional[int] = DEFAULT_MAX_INTERNED_VALUES
     #: True when the spec identifies a cyclic plan
     #: (:class:`~repro.engine.cyclic.CyclicPreparedQuery`): workers rebuild
     #: through ``prepare_cyclic`` (treefication prologue + inner tree plan).
@@ -305,23 +292,10 @@ class PlanSpec:
     def of(cls, prepared) -> "PlanSpec":
         """The spec of a :class:`~repro.engine.prepared.PreparedQuery`
         (normally reached through ``prepared.plan_spec()``)."""
-        # Carry the interner cap of a resident serial plan (a caller may
-        # have configured either one); it seeds the workers' plans.
-        resident = [
-            plan
-            for plan in (prepared._compiled, prepared._vectorized)
-            if plan is not None
-        ]
-        cap = (
-            resident[0].max_interned_values
-            if resident
-            else DEFAULT_MAX_INTERNED_VALUES
-        )
         return cls(
             relations=prepared.schema.relations,
             target=prepared.target,
             root=prepared.root,
-            max_interned_values=cap,
             cyclic=bool(getattr(prepared, "is_cyclic_plan", False)),
         )
 
@@ -364,17 +338,11 @@ def _plan_for_spec(spec: PlanSpec, backend: str) -> Tuple[Any, int]:
         _worker_plans.move_to_end(spec)
     # The flag counts *actual* plan builds: a fork-started worker inherits
     # the parent's analysis LRU, so the rebuilt query may already carry the
-    # plan and the first shard pays nothing.  Such a resident plan keeps its
-    # existing interner cap: a plan has one interner and therefore one
-    # rollover policy, and silently overwriting it would re-enable (or
-    # un-bound) epochs behind the back of whichever client configured it
-    # first.  Only a plan built here is seeded with the spec's cap.
+    # plan and the first shard pays nothing.
     resident = getattr(prepared, "_" + backend)  # the built plan, if any
     if resident is not None:
         return resident, 0
-    plan = kernel_plan(prepared, backend)
-    plan.max_interned_values = spec.max_interned_values
-    return plan, 1
+    return kernel_plan(prepared, backend), 1
 
 
 def _execute_shard(
@@ -569,13 +537,6 @@ class _ShardTask:
 
     indices: List[int]
     attempt: int = 0
-    last_error: Optional[BaseException] = None
-    timed_out: bool = False
-    #: Charged on pool breakage without proof this task was executing (the
-    #: parent cannot attribute a worker death to a shard).  An innocent task
-    #: that exhausts retries this way still ends in a *correct* place — its
-    #: bisected children, or the in-process fallback, simply succeed.
-    pessimistic: bool = field(default=False, repr=False)
 
 
 def _looks_like_pickling_error(error: BaseException) -> bool:
@@ -605,10 +566,10 @@ class ParallelExecutor:
     benchmarks time exactly this distinction.
 
     Fault tolerance is always on: worker death respawns the pool (within
-    ``max_respawns`` per batch) and resubmits only the lost shards, and
-    failed shards are retried/bisected per the module docstring.  The
-    optional knobs — ``shard_timeout``, ``max_retries``, ``failure_policy``,
-    ``retry_backoff`` — set executor-wide defaults that individual
+    :data:`DEFAULT_MAX_RESPAWNS` per batch) and resubmits only the lost
+    shards, and failed shards are retried/bisected per the module docstring.
+    The optional knobs — ``shard_timeout``, ``max_retries``,
+    ``failure_policy`` — set executor-wide defaults that individual
     :meth:`execute_many` calls may override.  :attr:`healthy` and
     :attr:`restarts` expose the supervision state for serving dashboards.
 
@@ -618,12 +579,6 @@ class ParallelExecutor:
     executor.
     """
 
-    #: Default shards per worker.  Oversharding (rather than one shard per
-    #: worker) lets the pool rebalance when cost estimates are off: a worker
-    #: that finishes its light shards early picks up queued ones instead of
-    #: idling behind a mis-estimated heavy shard.
-    DEFAULT_SHARDS_PER_WORKER = 4
-
     _UNSET = object()
 
     def __init__(
@@ -631,34 +586,15 @@ class ParallelExecutor:
         workers: Optional[int] = None,
         *,
         start_method: Optional[str] = None,
-        shards_per_worker: Optional[int] = None,
         shard_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         failure_policy: str = "raise",
-        max_respawns: Optional[int] = None,
-        retry_backoff: Optional[float] = None,
     ) -> None:
         self._workers = resolve_worker_count(workers)
         self._start_method = resolve_start_method(start_method)
-        shards = (
-            self.DEFAULT_SHARDS_PER_WORKER
-            if shards_per_worker is None
-            else shards_per_worker
-        )
-        if shards < 1:
-            raise ValueError(f"shards_per_worker must be >= 1, got {shards}")
-        self._shards_per_worker = shards
         self._shard_timeout = resolve_shard_timeout(shard_timeout)
         self._max_retries = resolve_max_retries(max_retries)
         self._failure_policy = resolve_failure_policy(failure_policy)
-        respawns = DEFAULT_MAX_RESPAWNS if max_respawns is None else max_respawns
-        if respawns < 0:
-            raise ValueError(f"max_respawns must be >= 0, got {respawns}")
-        self._max_respawns = respawns
-        backoff = DEFAULT_RETRY_BACKOFF if retry_backoff is None else retry_backoff
-        if backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {backoff}")
-        self._retry_backoff = backoff
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
         self._restarts = 0
@@ -843,7 +779,7 @@ class ParallelExecutor:
         # One kernel for the whole batch, the one the serial paths pick.
         backend = resolve_backend_for("auto", unique_states)
         costs = [state.total_rows() for state in unique_states]
-        shards = plan_shards(costs, self._workers * self._shards_per_worker)
+        shards = plan_shards(costs, self._workers * DEFAULT_SHARDS_PER_WORKER)
         # Heaviest shard first: it starts executing while the rest are still
         # being pickled onto the queue.
         shards.sort(key=lambda indices: -sum(costs[index] for index in indices))
@@ -860,7 +796,7 @@ class ParallelExecutor:
         tasks: "deque[_ShardTask]" = deque(_ShardTask(list(s)) for s in shards)
         inflight: Dict[Future, _ShardTask] = {}
         deadlines: Dict[Future, float] = {}
-        respawns_left = self._max_respawns
+        respawn_budget = respawns_left = DEFAULT_MAX_RESPAWNS
         # When a timeout is armed, dispatch at most one shard per worker so a
         # shard's deadline clock starts when it can actually run; unlimited
         # dispatch would start the clock while the shard sits in the queue.
@@ -891,18 +827,11 @@ class ParallelExecutor:
             unique_runs[index] = run
 
         def fail_task(
-            task: _ShardTask,
-            error: BaseException,
-            *,
-            timed_out: bool = False,
-            pessimistic: bool = False,
+            task: _ShardTask, error: BaseException, *, timed_out: bool = False
         ) -> None:
             """Charge one failure to a task and route it onward: resubmit
             (with backoff), bisect, or isolate."""
             task.attempt += 1
-            task.last_error = error
-            task.timed_out = timed_out
-            task.pessimistic = pessimistic
             if timed_out:
                 stats.timeouts += 1
             if _looks_like_pickling_error(error):
@@ -931,7 +860,7 @@ class ParallelExecutor:
                 return
             if task.attempt <= retries:
                 stats.retries += 1
-                backoff = self._retry_backoff * (2 ** (task.attempt - 1))
+                backoff = DEFAULT_RETRY_BACKOFF * (2 ** (task.attempt - 1))
                 if backoff:
                     time.sleep(backoff)
                 tasks.append(task)
@@ -970,7 +899,7 @@ class ParallelExecutor:
             if respawns_left <= 0:
                 self._kill_pool()
                 raise WorkerCrashError(
-                    f"pool respawn budget exhausted ({self._max_respawns} "
+                    f"pool respawn budget exhausted ({respawn_budget} "
                     f"respawns) while executing the batch; last failure: "
                     f"{reason!r}"
                 ) from reason
@@ -1016,7 +945,7 @@ class ParallelExecutor:
                 deadlines.clear()
                 pool = respawn(submit_failure)
                 for task in lost:
-                    fail_task(task, submit_failure, pessimistic=True)
+                    fail_task(task, submit_failure)
                 continue
             if not inflight:
                 continue
@@ -1057,7 +986,7 @@ class ParallelExecutor:
                 deadlines.clear()
                 pool = respawn(breakage)
                 for task in broken_tasks:
-                    fail_task(task, breakage, pessimistic=True)
+                    fail_task(task, breakage)
                 continue
 
             # -- timeout scan --------------------------------------------------

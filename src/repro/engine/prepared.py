@@ -472,10 +472,9 @@ class PreparedQuery:
 
         Long-running serving processes can use this to release interning
         dictionaries that accumulated values from states no longer in
-        rotation; the next execution rebuilds the plan it needs.  (Since the
-        interner cap landed, plans also bound themselves: see
-        ``CompiledPlan.max_interned_values`` and the epoch notes in
-        :mod:`repro.relational.compiled`.)
+        rotation; the next execution rebuilds the plan it needs.  (Plans
+        also bound themselves: see ``DEFAULT_MAX_INTERNED_VALUES`` and the
+        epoch notes in :mod:`repro.relational.compiled`.)
         """
         object.__setattr__(self, "_compiled", None)
         object.__setattr__(self, "_vectorized", None)
@@ -484,9 +483,9 @@ class PreparedQuery:
         """The picklable :class:`~repro.engine.parallel.PlanSpec` identifying
         this query across process boundaries.
 
-        The spec captures the *ordered* relation tuple, target, root and the
-        compiled backend's knobs — everything a worker needs to rebuild the
-        plan via :func:`repro.engine.analysis.prepared_from_spec`.  Workers
+        The spec captures the *ordered* relation tuple, target, root and
+        cyclic flag — everything a worker needs to rebuild the plan via
+        :func:`repro.engine.analysis.prepared_from_spec`.  Workers
         re-derive the canonical qual tree for the schema, so a query built
         with an explicit non-canonical ``tree=`` has no spec: the rebuilt
         plan would compute the same answers (``π_X(⋈ D)`` does not depend on

@@ -17,12 +17,12 @@ Three ideas compose here:
   so every batch's verdict comes from the same
   :meth:`~repro.engine.routing.RoutingPolicy.decide` call.
 
-* **Bounded admission.**  ``max_inflight_states`` / ``max_inflight_bytes``
-  cap what the service will hold in flight.  ``submit(..., wait=True)``
-  blocks (backpressure) until capacity frees; ``wait=False`` or an exceeded
+* **Bounded admission.**  ``max_inflight_states`` caps the states the
+  service will hold in flight.  ``submit(..., wait=True)`` blocks
+  (backpressure) until capacity frees; ``wait=False`` or an exceeded
   ``timeout`` raises a structured
-  :class:`~repro.exceptions.AdmissionError` carrying the sizes involved so
-  callers can shed load intelligently.
+  :class:`~repro.exceptions.AdmissionError` carrying the state counts
+  involved so callers can shed load intelligently.
 
 * **Worker affinity.**  Parallel batches run on one
   :class:`~repro.engine.parallel.ParallelExecutor`, spawned by the first
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass, replace
@@ -63,6 +62,8 @@ from .parallel import (
     execute_in_process,
     plan_shards,
     resolve_failure_policy,
+    resolve_max_retries,
+    resolve_shard_timeout,
     resolve_worker_count,
 )
 from .routing import RoutingDecision, RoutingPolicy
@@ -73,7 +74,6 @@ __all__ = [
     "ServiceStats",
     "ServiceStream",
     "StreamItem",
-    "estimate_state_bytes",
 ]
 
 #: Streaming granularity: target shards per pool worker.  More shards mean
@@ -85,56 +85,6 @@ _STREAM_SHARDS_PER_WORKER = 2
 #: without unbounded thread growth (threads block, the GIL is released in
 #: the pool-wait path, so width is about overlap, not CPU).
 _DISPATCH_THREADS = 8
-
-#: Fixed per-tuple estimate used by admission byte accounting: eight bytes
-#: per value (one int64) plus per-row container overhead.
-_BYTES_PER_VALUE = 8
-_BYTES_PER_ROW_OVERHEAD = 16
-_BYTES_PER_STATE_OVERHEAD = 128
-
-
-#: Per-identity memo for :func:`estimate_state_bytes`: ``id(state) →
-#: (weakref, bytes)``.  States are immutable, so the estimate is a function
-#: of identity; repeated submissions of the same object (the common serving
-#: pattern the admission gate sees) must not re-walk every relation.  The
-#: weakref both guards against id reuse (a dead state's id can be recycled —
-#: the ``ref() is state`` check rejects a stale hit) and evicts the entry
-#: the moment the state is collected, so the memo cannot grow past the set
-#: of live states.
-_STATE_BYTES_MEMO: Dict[int, Tuple["weakref.ref", int]] = {}
-
-
-def estimate_state_bytes(state: DatabaseState) -> int:
-    """Deterministic payload estimate for admission accounting.
-
-    Counts eight bytes per value plus small per-row/per-state overheads —
-    the size of a pure-int state packed as int64, a safe under-estimate
-    for pickled rows.  Admission is a load-shed
-    mechanism, not an allocator, so a consistent estimate beats an exact
-    (and expensive) serialization pass.  Estimates are memoized per state
-    *identity* (states are immutable), so resubmitting the same object is a
-    dictionary hit instead of a walk over every relation.
-    """
-    key = id(state)
-    memo = _STATE_BYTES_MEMO.get(key)
-    if memo is not None and memo[0]() is state:
-        return memo[1]
-    total = _BYTES_PER_STATE_OVERHEAD
-    for relation in state.relations:
-        width = len(relation.schema)
-        total += len(relation.rows) * (
-            width * _BYTES_PER_VALUE + _BYTES_PER_ROW_OVERHEAD
-        )
-    try:
-        ref = weakref.ref(
-            state, lambda _ref, _key=key: _STATE_BYTES_MEMO.pop(_key, None)
-        )
-    except TypeError:
-        # Not weak-referenceable (e.g. a test double); estimate uncached.
-        return total
-    _STATE_BYTES_MEMO[key] = (ref, total)
-    return total
-
 
 @dataclass(frozen=True)
 class StreamItem:
@@ -279,17 +229,17 @@ class QueryService:
     """Thread-safe, long-lived serving front end over the execution backends.
 
     One service owns: a routing policy (shared cost model), an admission
-    gate (bounded in-flight states/bytes with blocking backpressure), a
+    gate (bounded in-flight states with blocking backpressure), a
     small dispatcher thread pool (asynchronous ``submit``), and one lazily
     spawned :class:`~repro.engine.parallel.ParallelExecutor` shared by every
     parallel batch.  All public methods are safe to call from any thread.
 
     Parameters mirror the executor's where they overlap; ``workers``,
     ``shard_timeout``, ``max_retries`` and ``failure_policy`` configure
-    that pool.  ``routing=None`` installs a
-    default :class:`~repro.engine.routing.RoutingPolicy`;
-    ``max_inflight_states`` / ``max_inflight_bytes`` of ``None`` disable the
-    respective admission limit.
+    that pool and are validated here, when the service is built.
+    ``routing=None`` installs a default
+    :class:`~repro.engine.routing.RoutingPolicy`; ``max_inflight_states`` of
+    ``None`` disables the admission limit.
     """
 
     def __init__(
@@ -298,7 +248,6 @@ class QueryService:
         workers: Optional[int] = None,
         routing: Optional[RoutingPolicy] = None,
         max_inflight_states: Optional[int] = None,
-        max_inflight_bytes: Optional[int] = None,
         shard_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         failure_policy: str = "raise",
@@ -308,17 +257,12 @@ class QueryService:
             raise ValueError(
                 f"max_inflight_states must be >= 1, got {max_inflight_states}"
             )
-        if max_inflight_bytes is not None and max_inflight_bytes < 1:
-            raise ValueError(
-                f"max_inflight_bytes must be >= 1, got {max_inflight_bytes}"
-            )
         self._workers = resolve_worker_count(workers)
         self._routing = routing if routing is not None else RoutingPolicy()
         self._failure_policy = resolve_failure_policy(failure_policy)
-        self._shard_timeout = shard_timeout
-        self._max_retries = max_retries
+        self._shard_timeout = resolve_shard_timeout(shard_timeout)
+        self._max_retries = resolve_max_retries(max_retries)
         self._max_inflight_states = max_inflight_states
-        self._max_inflight_bytes = max_inflight_bytes
         #: The persistent plan catalog this service reports on (an instance,
         #: a directory path, or ``None`` for the ``REPRO_CATALOG_DIR``
         #: default).  The serving path itself never blocks on the catalog —
@@ -334,7 +278,6 @@ class QueryService:
         self._lock = threading.Lock()
         self._admission = threading.Condition(self._lock)
         self._inflight_states = 0
-        self._inflight_bytes = 0
         self._closed = False
         #: True only inside close(drain=True), between refusing new
         #: submissions and the dispatcher running dry: in-flight batches may
@@ -421,68 +364,35 @@ class QueryService:
     # -- admission -------------------------------------------------------------
 
     def _admit(
-        self,
-        states: int,
-        nbytes: int,
-        *,
-        wait: bool,
-        timeout: Optional[float],
+        self, states: int, *, wait: bool, timeout: Optional[float]
     ) -> None:
         """Reserve capacity for a submission, blocking if asked to.
 
         Raises :class:`~repro.exceptions.AdmissionError` when the submission
-        can *never* fit (it alone exceeds a limit), when ``wait=False`` and
+        can *never* fit (it alone exceeds the limit), when ``wait=False`` and
         capacity is unavailable, or when the wait exceeds ``timeout``.
         """
+        limit = self._max_inflight_states
         with self._admission:
             if self._closed:
                 raise RuntimeError("QueryService is closed")
-            over_states = (
-                self._max_inflight_states is not None
-                and states > self._max_inflight_states
-            )
-            over_bytes = (
-                self._max_inflight_bytes is not None
-                and nbytes > self._max_inflight_bytes
-            )
-            if over_states or over_bytes:
+            if limit is not None and states > limit:
                 self.stats.admission_rejections += 1
                 raise AdmissionError(
-                    f"submission of {states} state(s) (~{nbytes} bytes) can "
-                    f"never be admitted: it alone exceeds "
-                    f"max_inflight_states={self._max_inflight_states} / "
-                    f"max_inflight_bytes={self._max_inflight_bytes}",
+                    f"submission of {states} state(s) can never be admitted: "
+                    f"it alone exceeds max_inflight_states={limit}",
                     requested_states=states,
-                    requested_bytes=nbytes,
                     inflight_states=self._inflight_states,
-                    inflight_bytes=self._inflight_bytes,
                 )
             deadline = None if timeout is None else time.monotonic() + timeout
-
-            def fits() -> bool:
-                if (
-                    self._max_inflight_states is not None
-                    and self._inflight_states + states > self._max_inflight_states
-                ):
-                    return False
-                if (
-                    self._max_inflight_bytes is not None
-                    and self._inflight_bytes + nbytes > self._max_inflight_bytes
-                ):
-                    return False
-                return True
-
-            while not fits():
+            while limit is not None and self._inflight_states + states > limit:
                 if not wait:
                     self.stats.admission_rejections += 1
                     raise AdmissionError(
-                        f"admission refused: {states} state(s) "
-                        f"(~{nbytes} bytes) would exceed the in-flight "
-                        f"limits and wait=False",
+                        f"admission refused: {states} state(s) would exceed "
+                        f"the in-flight limit and wait=False",
                         requested_states=states,
-                        requested_bytes=nbytes,
                         inflight_states=self._inflight_states,
-                        inflight_bytes=self._inflight_bytes,
                     )
                 remaining = None
                 if deadline is not None:
@@ -491,30 +401,27 @@ class QueryService:
                         self.stats.admission_rejections += 1
                         raise AdmissionError(
                             f"admission wait timed out after {timeout:g}s "
-                            f"for {states} state(s) (~{nbytes} bytes)",
+                            f"for {states} state(s)",
                             requested_states=states,
-                            requested_bytes=nbytes,
                             inflight_states=self._inflight_states,
-                            inflight_bytes=self._inflight_bytes,
                         )
                 self.stats.admission_waits += 1
                 self._admission.wait(remaining)
                 if self._closed:
                     raise RuntimeError("QueryService is closed")
             self._inflight_states += states
-            self._inflight_bytes += nbytes
 
-    def _release(self, states: int, nbytes: int) -> None:
+    def _release(self, states: int) -> None:
         with self._admission:
             self._inflight_states -= states
-            self._inflight_bytes -= nbytes
             self._admission.notify_all()
 
     @property
-    def inflight(self) -> Tuple[int, int]:
-        """Currently admitted ``(states, bytes)``."""
+    def inflight(self) -> Tuple[int]:
+        """Currently admitted states, as the one-element tuple ``(states,)``
+        (``inflight[0]`` is the count)."""
         with self._admission:
-            return self._inflight_states, self._inflight_bytes
+            return (self._inflight_states,)
 
     # -- routing ---------------------------------------------------------------
 
@@ -616,20 +523,19 @@ class QueryService:
         state_list = list(states)
         decision = self._decide(prepared, state_list, backend)
         self._record_decision(decision, len(state_list))
-        nbytes = sum(estimate_state_bytes(state) for state in state_list)
         overrides: Dict[str, object] = {}
         if failure_policy is not None:
             overrides["failure_policy"] = resolve_failure_policy(failure_policy)
-        self._admit(len(state_list), nbytes, wait=wait, timeout=timeout)
+        self._admit(len(state_list), wait=wait, timeout=timeout)
         try:
             future = self._dispatcher.submit(
                 self._execute_batch, prepared, state_list, decision, overrides
             )
         except BaseException:
-            self._release(len(state_list), nbytes)
+            self._release(len(state_list))
             raise
         future.add_done_callback(
-            lambda _f, n=len(state_list), b=nbytes: self._release(n, b)
+            lambda _f, n=len(state_list): self._release(n)
         )
         return ServiceHandle(decision, future)
 
@@ -669,7 +575,7 @@ class QueryService:
 
         The batch is split into cost-balanced shards
         (two per pool worker, capped so every shard fits
-        the admission limits); each shard is admitted, dispatched, and its
+        the admission limit); each shard is admitted, dispatched, and its
         :class:`StreamItem` results yielded the moment it finishes — the
         first results arrive while later shards are still queued or
         executing.  Admission capacity is released shard by shard, so a
@@ -730,7 +636,7 @@ class QueryService:
             return items
 
         def generate() -> Iterator[StreamItem]:
-            inflight: Dict[Future, Tuple[int, int]] = {}
+            inflight: Dict[Future, int] = {}
 
             def emit(future: Future) -> Iterator[StreamItem]:
                 for position, run, error in future.result():
@@ -741,23 +647,16 @@ class QueryService:
             try:
                 for positions in shards:
                     shard_states = len(positions)
-                    shard_bytes = sum(
-                        estimate_state_bytes(state_list[p]) for p in positions
-                    )
-                    self._admit(
-                        shard_states, shard_bytes, wait=wait, timeout=timeout
-                    )
+                    self._admit(shard_states, wait=wait, timeout=timeout)
                     try:
                         future = self._dispatcher.submit(run_shard, positions)
                     except BaseException:
-                        self._release(shard_states, shard_bytes)
+                        self._release(shard_states)
                         raise
                     future.add_done_callback(
-                        lambda _f, n=shard_states, b=shard_bytes: self._release(
-                            n, b
-                        )
+                        lambda _f, n=shard_states: self._release(n)
                     )
-                    inflight[future] = (shard_states, shard_bytes)
+                    inflight[future] = shard_states
                     # Surface anything already finished before dispatching
                     # more — this is what makes results stream.
                     for done_future in [f for f in list(inflight) if f.done()]:

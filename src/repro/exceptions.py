@@ -114,11 +114,11 @@ class ExecutionError(ReproError):
 class AdmissionError(ExecutionError):
     """A submission was refused by the query service's admission control.
 
-    Raised by :class:`repro.engine.service.QueryService` when accepting a
-    batch would push the service past its configured in-flight limits
-    (``max_inflight_states`` / ``max_inflight_bytes``) and the caller asked
-    not to block (``wait=False``), or when the admission wait exceeded the
-    caller's timeout.  Carries the sizes involved so callers can shed load
+    Raised by :class:`repro.engine.service.QueryService` when a batch alone
+    exceeds its ``max_inflight_states``, when accepting it would push the
+    service past that limit and the caller asked not to block
+    (``wait=False``), or when the admission wait exceeded the caller's
+    timeout.  Carries the state counts involved so callers can shed load
     intelligently: retry later, shrink the batch, or route elsewhere.
     """
 
@@ -127,19 +127,13 @@ class AdmissionError(ExecutionError):
         message: str,
         *,
         requested_states: int = 0,
-        requested_bytes: int = 0,
         inflight_states: int = 0,
-        inflight_bytes: int = 0,
     ) -> None:
         super().__init__(message)
         #: States in the refused submission.
         self.requested_states = requested_states
-        #: Estimated payload bytes of the refused submission.
-        self.requested_bytes = requested_bytes
         #: States already admitted and not yet completed.
         self.inflight_states = inflight_states
-        #: Estimated bytes already admitted and not yet completed.
-        self.inflight_bytes = inflight_bytes
 
 
 class WorkerCrashError(ExecutionError):
@@ -148,8 +142,8 @@ class WorkerCrashError(ExecutionError):
 
     While the respawn budget lasts, worker death is handled transparently —
     the pool is respawned and only the lost shards are resubmitted — so this
-    error surfaces only when crashes repeat past
-    ``ParallelExecutor(max_respawns=...)``.
+    error surfaces only when crashes (and timeout kills) in one batch exceed
+    :data:`repro.engine.parallel.DEFAULT_MAX_RESPAWNS`.
     """
 
 

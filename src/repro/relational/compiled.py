@@ -53,12 +53,12 @@ The classic operators remain in place as the property-test oracle
 Lifecycle: a :class:`CompiledPlan` (and its interning dictionaries) lives as
 long as the :class:`~repro.engine.prepared.PreparedQuery` that owns it.  The
 dictionaries grow with the distinct values ever executed, but growth is
-*bounded*: each plan carries a ``max_interned_values`` cap (default
-:data:`DEFAULT_MAX_INTERNED_VALUES`), and when the interned-value count
-overflows it, the next :meth:`CompiledPlan.encode_state` opens a new interner
-*epoch* — the dictionary-mode interning maps and identity-mode stray tables
-are rebuilt empty and every cached slot encoding (whose code tuples reference
-the retired epoch's codes) is dropped.  Epochs are transparent to callers:
+*bounded*: when the interned-value count of a plan overflows
+:data:`DEFAULT_MAX_INTERNED_VALUES`, the next
+:meth:`CompiledPlan.encode_state` opens a new interner *epoch* — the
+dictionary-mode interning maps and identity-mode stray tables are rebuilt
+empty and every cached slot encoding (whose code tuples reference the
+retired epoch's codes) is dropped.  Epochs are transparent to callers:
 codes never leak across an epoch boundary because the stale encodings are
 evicted with the epoch, and results are always decoded before the next state
 is encoded.  The number of rebuilds is surfaced as
@@ -71,7 +71,7 @@ Process boundaries: a ``CompiledPlan`` is **not** picklable by design — it is
 built from closures and ``itemgetter`` programs, and its interner is a
 process-local, mutable object.  The pickle-safe boundary is one level up:
 :class:`repro.engine.parallel.PlanSpec` (ordered relation tuple, target,
-root, backend knobs) crosses the process boundary and each worker rebuilds
+root, cyclic flag) crosses the process boundary and each worker rebuilds
 and caches its own plan from the spec.  Per-worker interners are therefore
 *independent*, which is sound because codes are a private encoding detail:
 every answer a worker ships back is decoded to plain values first
@@ -103,11 +103,11 @@ __all__ = [
     "plan_layout",
 ]
 
-#: Default cap on distinct interned values per plan (dictionary-mode codes
-#: plus identity-mode strays).  Overflow opens a new interner epoch at the
-#: next state-encode boundary; see the module notes.  Sized so that ordinary
-#: serving never trips it while a long-lived process churning through
-#: unbounded string domains stays bounded.
+#: Cap on distinct interned values per plan (dictionary-mode codes plus
+#: identity-mode strays), read at every state-encode boundary.  Overflow
+#: opens a new interner epoch there; see the module notes.  Sized so that
+#: ordinary serving never trips it while a long-lived process churning
+#: through unbounded string domains stays bounded.
 DEFAULT_MAX_INTERNED_VALUES = 1 << 20
 
 
@@ -158,8 +158,9 @@ class ExecutionStats:
         self.bucket_builds: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         self.identity_semijoins = 0
         self.filtering_semijoins = 0
-        #: Interner epochs opened while this batch ran (``max_interned_values``
-        #: overflows observed at state-encode boundaries).
+        #: Interner epochs opened while this batch ran
+        #: (``DEFAULT_MAX_INTERNED_VALUES`` overflows observed at
+        #: state-encode boundaries).
         self.interner_resets = 0
 
     def absorb(self, other: "ExecutionStats") -> None:
@@ -648,16 +649,10 @@ class EncodedPlan:
         "_final_schema",
         "_slot_cache",
         "_cache_meta",
-        "max_interned_values",
         "interner_epoch",
     )
 
-    def __init__(
-        self,
-        prepared,
-        *,
-        max_interned_values: Optional[int] = DEFAULT_MAX_INTERNED_VALUES,
-    ) -> None:
+    def __init__(self, prepared) -> None:
         schema = prepared.schema
         self.schema = schema
         self.target = prepared.target
@@ -682,10 +677,6 @@ class EncodedPlan:
         )
         # Per slot: [consecutive miss count, cache disabled flag].
         self._cache_meta: List[List[int]] = [[0, 0] for _ in columns]
-        #: Interned-value cap; ``None`` disables epoch rollover entirely.
-        #: Plain-assignable: serving processes may tune it on a live plan
-        #: (the cap is only read at state-encode boundaries).
-        self.max_interned_values = max_interned_values
         #: Number of interner epochs opened so far (0 = the original epoch).
         self.interner_epoch = 0
 
@@ -698,7 +689,7 @@ class EncodedPlan:
 
     # -- encoding --------------------------------------------------------------
 
-    def _encode_slots(self, state: DatabaseState, use_cache: bool):
+    def _encode_slots(self, state: DatabaseState):
         """One cache-assisted encode pass over every slot (lock held).
 
         Returns ``(encodings, encoded, cached_hits)``; :meth:`encode_state`
@@ -708,7 +699,7 @@ class EncodedPlan:
         encoded = cached_hits = 0
         for slot, relation in enumerate(state.relations):
             meta = self._cache_meta[slot]
-            caching = use_cache and not meta[1]
+            caching = not meta[1]
             if caching:
                 cache = self._slot_cache[slot]
                 encoding = cache.get(relation)
@@ -736,31 +727,29 @@ class EncodedPlan:
         self,
         state: DatabaseState,
         *,
-        use_cache: bool = True,
         stats: Optional[ExecutionStats] = None,
     ) -> "EncodedState":
         """Encode a database state against this plan's interner.
 
-        With ``use_cache`` (the default for batches), encodings are looked up
-        in the per-slot bounded cache keyed by the relation value, so states
-        that repeat a slot's rows share one encoding — and therefore one set
-        of key indexes.  Encoding mutates the shared interning dictionaries
-        and is serialized by a per-plan lock.  Execution never mutates rows,
-        but it does lazily *fill* the per-encoding index caches outside that
-        lock: concurrent threads may race to insert the same immutable index
-        (a benign duplicate build under the GIL; on free-threaded builds
-        those dict writes are unsynchronized and would need the lock).
+        Encodings are looked up in the per-slot bounded cache keyed by the
+        relation value, so states that repeat a slot's rows share one
+        encoding — and therefore one set of key indexes.  Encoding mutates
+        the shared interning dictionaries and is serialized by a per-plan
+        lock.  Execution never mutates rows, but it does lazily *fill* the
+        per-encoding index caches outside that lock: concurrent threads may
+        race to insert the same immutable index (a benign duplicate build
+        under the GIL; on free-threaded builds those dict writes are
+        unsynchronized and would need the lock).
         """
         schema = state.schema
         if schema is not self.schema and schema != self.schema:
             raise SchemaError("the state is for a different schema than the query")
         with self._encode_lock:
-            cap = self.max_interned_values
-            if cap is not None and self.interned_value_count() > cap:
+            if self.interned_value_count() > DEFAULT_MAX_INTERNED_VALUES:
                 self._open_interner_epoch_locked()
                 if stats is not None:
                     stats.interner_resets += 1
-            encodings, encoded, cached_hits = self._encode_slots(state, use_cache)
+            encodings, encoded, cached_hits = self._encode_slots(state)
             decoders = self._decoders()
         if stats is not None:
             stats.states += 1

@@ -23,7 +23,7 @@ __all__ = ["DatabaseState", "universal_database", "is_universal_database"]
 class DatabaseState:
     """A positional assignment of relation states to the relation schemas of ``D``."""
 
-    __slots__ = ("_schema", "_relations", "__weakref__")
+    __slots__ = ("_schema", "_relations")
 
     def __init__(self, schema: DatabaseSchema, relations: Sequence[Relation]) -> None:
         if len(schema) != len(relations):

@@ -52,7 +52,8 @@ equal dict keys, so they intern to one code.
 **Epochs, caches, lifecycle.**  :class:`VectorizedPlan` subclasses the
 compiled backend's :class:`~repro.relational.compiled.EncodedPlan`, so the
 bounded growth machinery is literally the same code: per-slot LRU encoding
-caches with miss-streak self-disable, a ``max_interned_values`` cap whose
+caches with miss-streak self-disable, the
+:data:`~repro.relational.compiled.DEFAULT_MAX_INTERNED_VALUES` cap whose
 overflow opens a new interner epoch at the next state-encode boundary, and
 per-state decoders captured at encode time so in-flight states decode
 against the epoch that minted their codes.  This module adds only the array
@@ -486,14 +487,14 @@ class VectorizedPlan(EncodedPlan):
             for attribute in self._final_columns
         )
 
-    def _encode_slots(self, state: DatabaseState, use_cache: bool):
+    def _encode_slots(self, state: DatabaseState):
         """The shared slot loop plus the identity→dictionary promotion
         restart described in the module notes (lock held).  The core commits
         stats only after a successful pass, so a restarted encode is not
         double-counted."""
         while True:
             try:
-                return super()._encode_slots(state, use_cache)
+                return super()._encode_slots(state)
             except _PromoteToDict as promote:
                 self._modes[promote.attribute] = _MODE_DICT
                 self.mode_promotions += 1

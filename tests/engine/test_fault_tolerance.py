@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import ParallelExecutor, analyze
-from repro.engine import faults
+from repro.engine import faults, parallel
 from repro.exceptions import (
     ExecutionError,
     ReproError,
@@ -151,6 +151,14 @@ def _poison_state(schema):
     )
 
 
+@pytest.fixture(autouse=True)
+def immediate_retries(monkeypatch):
+    """Retry at once: the recovery paths, not the backoff sleeps, are under
+    test.  (Autouse function-scoped fixtures pass hypothesis's health
+    check.)"""
+    monkeypatch.setattr(parallel, "DEFAULT_RETRY_BACKOFF", 0.0)
+
+
 @pytest.fixture()
 def prepared():
     schema = chain_schema(3)
@@ -191,15 +199,16 @@ class TestCrashRecovery:
         )
         _assert_parallel_matches_classic(classic, second)
 
-    def test_respawn_budget_exhaustion_raises_worker_crash_error(self, prepared):
+    def test_respawn_budget_exhaustion_raises_worker_crash_error(
+        self, prepared, monkeypatch
+    ):
         # Every poison execution kills its worker and the sentinel state
         # keeps being resubmitted, so a tiny respawn budget must trip.
+        monkeypatch.setattr(parallel, "DEFAULT_MAX_RESPAWNS", 1)
         schema = prepared.schema
         states = [_poison_state(schema)]
         with armed(**{faults.ENV_POISON: "crash"}):
-            with ParallelExecutor(
-                workers=1, max_respawns=1, max_retries=3, retry_backoff=0.0
-            ) as executor:
+            with ParallelExecutor(workers=1, max_retries=3) as executor:
                 with pytest.raises(WorkerCrashError) as info:
                     executor.execute_many(prepared, states)
         assert isinstance(info.value, ReproError)
@@ -211,9 +220,7 @@ class TestHangRecovery:
         states = _chain_states(schema, 4)
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_HANG: "1:30"}):
-            with ParallelExecutor(
-                workers=2, shard_timeout=1.0, retry_backoff=0.0
-            ) as executor:
+            with ParallelExecutor(workers=2, shard_timeout=1.0) as executor:
                 runs = executor.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic, runs)
         stats = runs[0].stats
@@ -228,7 +235,7 @@ class TestHangRecovery:
         states = [_poison_state(schema)]  # any single state; hang is counted
         with armed(**{faults.ENV_HANG: "10:30"}):
             with ParallelExecutor(
-                workers=1, shard_timeout=0.5, max_retries=1, retry_backoff=0.0
+                workers=1, shard_timeout=0.5, max_retries=1
             ) as executor:
                 with pytest.raises(ShardExecutionError) as info:
                     executor.execute_many(prepared, states)
@@ -238,16 +245,13 @@ class TestHangRecovery:
         assert isinstance(cause, ShardTimeoutError)
         assert cause.state_indices == (0,)
 
-    def test_repeated_hang_degrades_to_partial_results(self, prepared):
+    def test_repeated_hang_degrades_to_partial_results(self, prepared, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_SHARDS_PER_WORKER", 1)
         schema = prepared.schema
         good = _chain_states(schema, 2)
         with armed(**{faults.ENV_HANG: "10:30"}):
             with ParallelExecutor(
-                workers=1,
-                shard_timeout=0.5,
-                max_retries=0,
-                retry_backoff=0.0,
-                shards_per_worker=1,
+                workers=1, shard_timeout=0.5, max_retries=0
             ) as executor:
                 runs = executor.execute_many(
                     prepared, good, failure_policy="degrade"
@@ -264,9 +268,7 @@ class TestTransientFailures:
         states = _chain_states(schema, 6)
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_TRANSIENT: "2"}):
-            with ParallelExecutor(
-                workers=2, max_retries=2, retry_backoff=0.0
-            ) as executor:
+            with ParallelExecutor(workers=2, max_retries=2) as executor:
                 runs = executor.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic, runs)
         stats = runs[0].stats
@@ -274,20 +276,16 @@ class TestTransientFailures:
         assert stats.respawns == 0  # clean exceptions never break the pool
         assert stats.quarantined == []
 
-    def test_exhausted_retries_bisect_then_fall_back(self, prepared):
+    def test_exhausted_retries_bisect_then_fall_back(self, prepared, monkeypatch):
         # With a zero retry budget and a fault that fires on *every* shard
         # attempt, a 4-state shard must bisect 4 -> (2, 2) -> 4 singletons
         # and recover every state on the in-process backend.
+        monkeypatch.setattr(parallel, "DEFAULT_SHARDS_PER_WORKER", 1)
         schema = prepared.schema
         states = _chain_states(schema, 4)
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_TRANSIENT: "100"}):
-            with ParallelExecutor(
-                workers=1,
-                shards_per_worker=1,
-                max_retries=0,
-                retry_backoff=0.0,
-            ) as executor:
+            with ParallelExecutor(workers=1, max_retries=0) as executor:
                 runs = executor.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic, runs)
         stats = runs[0].stats
@@ -303,9 +301,7 @@ class TestPoisonQuarantine:
         states = [good[0], _poison_state(schema), good[1]]
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_POISON: "worker"}):
-            with ParallelExecutor(
-                workers=2, max_retries=0, retry_backoff=0.0
-            ) as executor:
+            with ParallelExecutor(workers=2, max_retries=0) as executor:
                 runs = executor.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic, runs)
         stats = runs[0].stats
@@ -317,9 +313,7 @@ class TestPoisonQuarantine:
         states = [_poison_state(schema)] + _chain_states(schema, 3)
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_POISON: "crash"}):
-            with ParallelExecutor(
-                workers=2, max_retries=1, retry_backoff=0.0
-            ) as executor:
+            with ParallelExecutor(workers=2, max_retries=1) as executor:
                 runs = executor.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic, runs)
         stats = runs[0].stats
@@ -332,9 +326,7 @@ class TestPoisonQuarantine:
         good = _chain_states(schema, 2)
         states = [good[0], _poison_state(schema), good[1]]
         with armed(**{faults.ENV_POISON: "always"}):
-            with ParallelExecutor(
-                workers=2, max_retries=0, retry_backoff=0.0
-            ) as executor:
+            with ParallelExecutor(workers=2, max_retries=0) as executor:
                 with pytest.raises(ShardExecutionError) as info:
                     executor.execute_many(prepared, states)
         error = info.value
@@ -350,9 +342,7 @@ class TestPoisonQuarantine:
         states = [good[0], poison, good[1], poison, good[2]]
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_POISON: "always"}):
-            with ParallelExecutor(
-                workers=2, max_retries=0, retry_backoff=0.0
-            ) as executor:
+            with ParallelExecutor(workers=2, max_retries=0) as executor:
                 runs = executor.execute_many(
                     prepared, states, failure_policy="degrade"
                 )
@@ -369,10 +359,7 @@ class TestPoisonQuarantine:
         states = [_poison_state(schema), _chain_states(schema, 1)[0]]
         with armed(**{faults.ENV_POISON: "always"}):
             with ParallelExecutor(
-                workers=1,
-                max_retries=0,
-                retry_backoff=0.0,
-                failure_policy="degrade",
+                workers=1, max_retries=0, failure_policy="degrade"
             ) as executor:
                 runs = executor.execute_many(prepared, states)
                 assert runs[0] is None and runs[1] is not None
@@ -400,7 +387,7 @@ class TestPicklingFailures:
         # globally armed fault points: the assertions below pin down the
         # pickling path specifically.
         with armed():
-            with ParallelExecutor(workers=2, retry_backoff=0.0) as executor:
+            with ParallelExecutor(workers=2) as executor:
                 runs = executor.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic, runs)
         stats = runs[0].stats
@@ -422,9 +409,7 @@ class TestPicklingFailures:
         # opaque PicklingError must surface as a structured error naming the
         # offending input position.
         with armed(**{faults.ENV_POISON: "always"}):
-            with ParallelExecutor(
-                workers=2, max_retries=0, retry_backoff=0.0
-            ) as executor:
+            with ParallelExecutor(workers=2, max_retries=0) as executor:
                 with pytest.raises(ShardExecutionError) as info:
                     executor.execute_many(prepared, states)
         cause = info.value.causes[2]
@@ -443,7 +428,7 @@ class TestRecoveredBatchesMatchClassic:
         prepared = analyze(schema).prepare(target)
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_CRASH: "1"}):
-            with ParallelExecutor(workers=2, retry_backoff=0.0) as executor:
+            with ParallelExecutor(workers=2) as executor:
                 runs = executor.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic, runs)
 
@@ -454,7 +439,7 @@ class TestRecoveredBatchesMatchClassic:
         prepared = analyze(schema).prepare(target)
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_TRANSIENT: "1"}):
-            with ParallelExecutor(workers=2, retry_backoff=0.0) as executor:
+            with ParallelExecutor(workers=2) as executor:
                 runs = executor.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic, runs)
 

@@ -284,54 +284,52 @@ class TestPlanSpec:
         second = analyze(backward).prepare(target).plan_spec()
         assert first != second  # positional identity, multiset-equal schemas
 
-    def test_spec_carries_interner_cap(self):
+    def test_spec_fields(self):
+        """A spec is the plan's identity and nothing else: no kernel
+        settings ride along (the interner cap is a module constant)."""
+        from dataclasses import fields
+
         schema = chain_schema(2)
         prepared = analyze(schema).prepare(RelationSchema({"x0"}))
-        prepared.reset_compiled()
-        prepared.compiled.max_interned_values = 7
-        assert prepared.plan_spec().max_interned_values == 7
-        assert PlanSpec.of(prepared).describe()
+        spec = PlanSpec.of(prepared)
+        assert [field.name for field in fields(PlanSpec)] == [
+            "relations",
+            "target",
+            "root",
+            "cyclic",
+        ]
+        assert spec == prepared.plan_spec()
+        assert spec.describe()
 
-    def test_spec_cap_seeds_fresh_plans_only(self):
-        """The cap configures whichever serial plan the worker builds; a
-        resident plan (shared via the analysis LRU with a cap-only-different
-        spec) keeps the policy it was built with."""
-        from dataclasses import replace as dc_replace
-
+    def test_plan_for_spec_reuses_resident_plans(self):
+        """The worker builds a spec's serial plan once; a plan already
+        resident on the query (shared via the analysis LRU, or inherited
+        over fork) is reused and not counted as a build."""
         from repro.engine.parallel import _plan_for_spec, _worker_plans
         from repro.engine.prepared import resolve_backend
 
         schema = chain_schema(2)
         prepared = analyze(schema).prepare(RelationSchema({"x0", "x2"}))
         spec = prepared.plan_spec()
-        first = dc_replace(spec, max_interned_values=None)
-        second = dc_replace(spec, max_interned_values=11)
         for backend in {resolve_backend("compiled"), resolve_backend("vectorized")}:
             prepared.reset_compiled()
-            _worker_plans.pop(first, None)
-            _worker_plans.pop(second, None)
+            _worker_plans.pop(spec, None)
             try:
-                serial_a, compiled_a = _plan_for_spec(first, backend)
+                serial_a, compiled_a = _plan_for_spec(spec, backend)
                 assert compiled_a == 1
-                assert serial_a.max_interned_values is None
-                serial_b, compiled_b = _plan_for_spec(second, backend)
-                # Same resident plan; the later spec must not overwrite its
-                # policy.
+                # A fresh worker-cache entry over the same analysis finds
+                # the plan already resident.
+                _worker_plans.pop(spec, None)
+                serial_b, compiled_b = _plan_for_spec(spec, backend)
                 assert compiled_b == 0
                 assert serial_b is serial_a
-                assert serial_b.max_interned_values is None
+                # A worker-cache hit neither rebuilds nor swaps the plan.
+                serial_c, compiled_c = _plan_for_spec(spec, backend)
+                assert compiled_c == 0
+                assert serial_c is serial_a
             finally:
-                _worker_plans.pop(first, None)
-                _worker_plans.pop(second, None)
+                _worker_plans.pop(spec, None)
                 prepared.reset_compiled()
-
-    def test_spec_of_unbuilt_plan_uses_default_cap(self):
-        from repro.relational.compiled import DEFAULT_MAX_INTERNED_VALUES
-
-        schema = chain_schema(2)
-        prepared = analyze(schema).prepare(RelationSchema({"x1"}))
-        prepared.reset_compiled()
-        assert prepared.plan_spec().max_interned_values == DEFAULT_MAX_INTERNED_VALUES
 
     def test_non_canonical_tree_has_no_spec(self):
         """A query planned over an explicit non-canonical qual tree cannot be
@@ -432,16 +430,10 @@ class TestWorkerResolution:
         with pytest.raises(ValueError):
             resolve_shard_timeout(0)
 
-    def test_max_retries_env_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_MAX_RETRIES", raising=False)
+    def test_max_retries_resolution(self):
         assert resolve_max_retries(None) == 2  # documented default
         assert resolve_max_retries(0) == 0
-        monkeypatch.setenv("REPRO_PARALLEL_MAX_RETRIES", "5")
-        assert resolve_max_retries(None) == 5
-        assert resolve_max_retries(1) == 1  # explicit beats env
-        monkeypatch.setenv("REPRO_PARALLEL_MAX_RETRIES", "many")
-        with pytest.raises(ValueError):
-            resolve_max_retries(None)
+        assert resolve_max_retries(1) == 1
         with pytest.raises(ValueError):
             resolve_max_retries(-1)
 

@@ -15,7 +15,7 @@ from repro.engine import QueryService, analyze, clear_analysis_cache
 from repro.engine import faults
 from repro.engine import service as service_module
 from repro.engine.prepared import resolve_backend_for
-from repro.engine.service import StreamItem, estimate_state_bytes
+from repro.engine.service import StreamItem
 from repro.exceptions import AdmissionError, ShardExecutionError
 from repro.hypergraph import (
     DatabaseSchema,
@@ -270,40 +270,31 @@ class TestAdmission:
             error = excinfo.value
             assert error.requested_states == 3
             assert error.inflight_states == 0
-            assert error.requested_bytes > 0
             assert svc.stats.admission_rejections == 1
-
-    def test_oversized_bytes_rejected_immediately(self, prepared):
-        states = _states(prepared.schema, 2, rows=6)
-        nbytes = sum(estimate_state_bytes(state) for state in states)
-        with QueryService(workers=2, max_inflight_bytes=nbytes - 1) as svc:
-            with pytest.raises(AdmissionError) as excinfo:
-                svc.submit(prepared, states)
-            assert excinfo.value.requested_bytes == nbytes
 
     def test_wait_false_rejects_when_full(self, prepared):
         states = _states(prepared.schema, 2)
         with QueryService(workers=2, max_inflight_states=2) as svc:
-            svc._admit(2, 64, wait=True, timeout=None)
+            svc._admit(2, wait=True, timeout=None)
             try:
                 with pytest.raises(AdmissionError) as excinfo:
                     svc.submit(prepared, states[:1], wait=False)
                 assert excinfo.value.inflight_states == 2
             finally:
-                svc._release(2, 64)
+                svc._release(2)
             # Capacity restored: the same submission now sails through.
             svc.execute_many(prepared, states[:1])
 
     def test_wait_timeout_raises(self, prepared):
         states = _states(prepared.schema, 1)
         with QueryService(workers=2, max_inflight_states=1) as svc:
-            svc._admit(1, 64, wait=True, timeout=None)
+            svc._admit(1, wait=True, timeout=None)
             try:
                 with pytest.raises(AdmissionError, match="timed out"):
                     svc.submit(prepared, states, timeout=0.05)
                 assert svc.stats.admission_waits >= 1
             finally:
-                svc._release(1, 64)
+                svc._release(1)
 
     def test_admission_released_after_completion(self, service, prepared):
         states = _states(prepared.schema, 2)
@@ -311,10 +302,10 @@ class TestAdmission:
         handle.result(timeout=60)
         # The done-callback releases asynchronously; give it a beat.
         for _ in range(100):
-            if service.inflight == (0, 0):
+            if service.inflight == (0,):
                 break
             threading.Event().wait(0.01)
-        assert service.inflight == (0, 0)
+        assert service.inflight == (0,)
 
     def test_stream_shards_respect_max_inflight_states(self, prepared):
         states = _states(prepared.schema, 7)
@@ -462,8 +453,12 @@ class TestLifecycle:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="max_inflight_states"):
             QueryService(max_inflight_states=0)
-        with pytest.raises(ValueError, match="max_inflight_bytes"):
-            QueryService(max_inflight_bytes=0)
+        # Pool settings fail when the service is built, not at the first
+        # batch routed to the pool.
+        with pytest.raises(ValueError, match="shard_timeout"):
+            QueryService(workers=2, shard_timeout=-1)
+        with pytest.raises(ValueError, match="max_retries"):
+            QueryService(workers=2, max_retries=-5)
 
     def test_stream_metadata_surface(self, service, prepared):
         streamed = service.stream(prepared, _states(prepared.schema, 4))

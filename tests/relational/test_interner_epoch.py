@@ -1,9 +1,11 @@
-"""Bounded interner growth: epoch rollover under ``max_interned_values``.
+"""Bounded interner growth: epoch rollover under ``DEFAULT_MAX_INTERNED_VALUES``.
 
 PR-4 left plan interners growing monotonically (``reset_compiled`` was the
-only relief, and manual).  Plans now carry a cap checked at every
+only relief, and manual).  Plans now check a cap, the module constant
+``repro.relational.compiled.DEFAULT_MAX_INTERNED_VALUES``, at every
 state-encode boundary; overflow opens a new epoch — interning maps rebuilt,
-stale encodings evicted — without changing any answer.
+stale encodings evicted — without changing any answer.  Tests shrink the
+cap by patching that constant.
 
 The interner, its epochs and the per-slot encode cache are one core shared
 by both serial kernels (``EncodedPlan``), so every test here runs on the
@@ -12,6 +14,8 @@ compiled kernel (:class:`TestEpochRollover`) and again on the vectorized one
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +29,7 @@ from repro.relational import (
     VectorizedPlan,
     numpy_available,
 )
+from repro.relational import compiled as compiled_module
 from repro.relational.compiled import DEFAULT_MAX_INTERNED_VALUES, ExecutionStats
 
 
@@ -48,6 +53,11 @@ def _string_state(schema, salt: int, rows: int = 4) -> DatabaseState:
     )
 
 
+def _set_cap(monkeypatch, cap):
+    """Shrink the interner cap every plan reads at its encode boundary."""
+    monkeypatch.setattr(compiled_module, "DEFAULT_MAX_INTERNED_VALUES", cap)
+
+
 #: Strategies of the randomized cap test (shared by both kernels' copies).
 RANDOM_CAPS = dict(
     cap=st.integers(1, 30),
@@ -61,34 +71,32 @@ class TestEpochRollover:
     kernel = "compiled"
     plan_class = CompiledPlan
 
-    def _fresh_plan(self, cap):
+    def _fresh_plan(self):
         prepared = analyze(_schema()).prepare(RelationSchema("ac"))
         prepared.reset_compiled()
-        plan = getattr(prepared, self.kernel)
-        plan.max_interned_values = cap
-        return prepared, plan
+        return prepared, getattr(prepared, self.kernel)
 
     def test_default_cap_is_finite(self):
-        _, plan = self._fresh_plan(cap=DEFAULT_MAX_INTERNED_VALUES)
-        assert plan.max_interned_values == DEFAULT_MAX_INTERNED_VALUES
+        assert DEFAULT_MAX_INTERNED_VALUES == 1 << 20
+        _, plan = self._fresh_plan()
         assert plan.interner_epoch == 0
-        prepared = analyze(_schema()).prepare(RelationSchema("ac"))
-        assert self.plan_class(prepared).max_interned_values == (
-            DEFAULT_MAX_INTERNED_VALUES
-        )
+        # The cap is the module constant, not a per-plan setting.
+        assert not hasattr(plan, "max_interned_values")
 
-    def test_overflow_opens_epochs_and_bounds_growth(self):
+    def test_overflow_opens_epochs_and_bounds_growth(self, monkeypatch):
+        _set_cap(monkeypatch, 20)
         schema = _schema()
-        prepared, plan = self._fresh_plan(cap=20)
+        prepared, plan = self._fresh_plan()
         for salt in range(12):
             prepared.execute(_string_state(schema, salt), backend=self.kernel)
         assert plan.interner_epoch > 0
         # Growth is bounded by cap + one state's worth of fresh values.
         assert plan.interned_value_count() <= 20 + 4 * 3
 
-    def test_results_stay_correct_across_rollovers(self):
+    def test_results_stay_correct_across_rollovers(self, monkeypatch):
+        _set_cap(monkeypatch, 10)
         schema = _schema()
-        prepared, plan = self._fresh_plan(cap=10)
+        prepared, plan = self._fresh_plan()
         for salt in range(15):
             state = _string_state(schema, salt)
             compiled = prepared.execute(state, backend=self.kernel)
@@ -97,18 +105,20 @@ class TestEpochRollover:
             assert compiled.max_intermediate_size == classic.max_intermediate_size
         assert plan.interner_epoch >= 1
 
-    def test_batch_surfaces_reset_counter(self):
+    def test_batch_surfaces_reset_counter(self, monkeypatch):
+        _set_cap(monkeypatch, 10)
         schema = _schema()
-        prepared, plan = self._fresh_plan(cap=10)
+        prepared, plan = self._fresh_plan()
         states = [_string_state(schema, salt) for salt in range(10)]
         runs = prepared.execute_many(states, backend=self.kernel)
         stats = runs[0].stats
         assert stats.interner_resets > 0
         assert stats.interner_resets == plan.interner_epoch
 
-    def test_rollover_drops_stale_slot_encodings(self):
+    def test_rollover_drops_stale_slot_encodings(self, monkeypatch):
+        _set_cap(monkeypatch, 10)
         schema = _schema()
-        prepared, plan = self._fresh_plan(cap=10)
+        prepared, plan = self._fresh_plan()
         state = _string_state(schema, 0)
         prepared.execute(state, backend=self.kernel)
         assert sum(plan.cache_sizes()) > 0
@@ -121,12 +131,13 @@ class TestEpochRollover:
         classic = prepared.execute(state, backend="classic")
         assert rerun.result == classic.result
 
-    def test_pinned_compiled_state_survives_rollover(self):
+    def test_pinned_compiled_state_survives_rollover(self, monkeypatch):
         """An encoded state captures its epoch's decoders at encode time, so
         executing it after rollovers still decodes the retired epoch's codes
         to the right values."""
+        _set_cap(monkeypatch, 10)
         schema = _schema()
-        prepared, plan = self._fresh_plan(cap=10)
+        prepared, plan = self._fresh_plan()
         state = _string_state(schema, 0)
         pinned = plan.encode_state(state)
         expected = prepared.execute(state, backend="classic").result
@@ -138,18 +149,19 @@ class TestEpochRollover:
         # rolled its interner over (possibly several times).
         assert plan.execute(pinned).result == expected
 
-    def test_unbounded_cap_never_rolls_over(self):
+    def test_default_cap_never_rolls_over_small_domains(self):
         schema = _schema()
-        prepared, plan = self._fresh_plan(cap=None)
+        prepared, plan = self._fresh_plan()
         for salt in range(10):
             prepared.execute(_string_state(schema, salt), backend=self.kernel)
         assert plan.interner_epoch == 0
         assert plan.interned_value_count() > 20
 
-    def test_identity_columns_unaffected_by_cap(self):
+    def test_identity_columns_unaffected_by_cap(self, monkeypatch):
         """Pure-int states intern nothing, so even a tiny cap never triggers."""
+        _set_cap(monkeypatch, 1)
         schema = _schema()
-        prepared, plan = self._fresh_plan(cap=1)
+        prepared, plan = self._fresh_plan()
         for salt in range(6):
             state = DatabaseState(
                 schema,
@@ -170,20 +182,23 @@ class TestEpochRollover:
 
     def _check_random_caps(self, cap, salts):
         """Any cap, any (possibly repeating) state sequence: the kernel with
-        rollovers ≡ classic."""
+        rollovers ≡ classic.  (Patched per example: hypothesis rejects
+        function-scoped fixtures such as ``monkeypatch``.)"""
         schema = _schema()
-        prepared, plan = self._fresh_plan(cap=cap)
-        for salt in salts:
-            state = _string_state(schema, salt, rows=3)
-            compiled = prepared.execute(state, backend=self.kernel)
-            classic = prepared.execute(state, backend="classic")
-            assert compiled.result == classic.result
+        with mock.patch.object(compiled_module, "DEFAULT_MAX_INTERNED_VALUES", cap):
+            prepared, _ = self._fresh_plan()
+            for salt in salts:
+                state = _string_state(schema, salt, rows=3)
+                compiled = prepared.execute(state, backend=self.kernel)
+                classic = prepared.execute(state, backend="classic")
+                assert compiled.result == classic.result
 
-    def test_interner_epoch_rollover(self):
-        """A cap passed to the plan constructor bounds a single-slot plan."""
+    def test_interner_epoch_rollover(self, monkeypatch):
+        """The cap bounds a directly constructed single-slot plan."""
+        _set_cap(monkeypatch, 4)
         schema = DatabaseSchema([RelationSchema("ab")])
         prepared = analyze(schema).prepare(RelationSchema("ab"))
-        plan = self.plan_class(prepared, max_interned_values=4)
+        plan = self.plan_class(prepared)
         stats = ExecutionStats()
         for index in range(8):
             state = DatabaseState(
@@ -194,11 +209,10 @@ class TestEpochRollover:
             assert run.result == state.relations[0]
         assert plan.interner_epoch > 0
         assert stats.interner_resets > 0
-        cap = plan.max_interned_values
-        assert cap is not None and plan.interned_value_count() <= cap + 2
+        assert plan.interned_value_count() <= 4 + 2
 
     def test_batch_dedups_repeated_states(self):
-        _, plan = self._fresh_plan(cap=DEFAULT_MAX_INTERNED_VALUES)
+        _, plan = self._fresh_plan()
         state = _string_state(_schema(), 0)
         runs = plan.execute_batch([state, state, state])
         assert runs[0] is runs[1] is runs[2]
@@ -209,7 +223,7 @@ class TestEpochRollover:
         row turns its cache off (and drops it); a slot that keeps hitting is
         unaffected, and ``clear_encode_cache`` re-arms the tripped slot."""
         schema = _schema()
-        _, plan = self._fresh_plan(cap=None)
+        _, plan = self._fresh_plan()
         shared = Relation(schema[1], [(0, 0)])
 
         def state(value):

@@ -289,6 +289,27 @@ class TestQueryRobustnessFlags:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--backend", "parallel", "--workers", "0"], "positive"),
+            (["--backend", "parallel", "--retries", "-1"], "non-negative"),
+            (["--backend", "parallel", "--shard-timeout", "0"], "positive"),
+            (["--stream", "--max-inflight", "0"], "positive"),
+            (["--domain", "0"], "positive"),
+            (["--states", "0"], "positive"),
+            (["--random", "-1"], "non-negative"),
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, flags, message, capsys):
+        arguments = ["query", "ab,bc", "ab"]
+        if "--random" not in flags:
+            arguments += ["--random", "5"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(arguments + flags)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_parallel_json_includes_failure_stats(self, capsys):
         assert main(
             [
