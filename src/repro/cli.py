@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="execution backend: the array-backed vectorized kernel "
         "(vectorized; auto prefers it when numpy imports), the compiled "
-        "interned-value kernel (compiled; the auto fallback), the classic "
+        "row-program kernel (compiled; the auto fallback), the classic "
         "object-tuple operators, or the sharded multi-process pool "
         "(parallel)",
     )

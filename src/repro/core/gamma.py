@@ -20,7 +20,6 @@ polynomial γ-acyclicity test itself is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from ..hypergraph.acyclicity import is_gamma_acyclic
 from ..hypergraph.gyo import gyo_reduction

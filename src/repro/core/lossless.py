@@ -20,10 +20,10 @@ used by the tests to cross-validate these criteria.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from ..exceptions import NotASubSchemaError, NotATreeSchemaError
-from ..hypergraph.gyo import gyo_reduction, is_tree_schema
+from ..hypergraph.gyo import is_tree_schema
 from ..hypergraph.join_tree import is_subtree
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
 from ..tableau.canonical import canonical_connection

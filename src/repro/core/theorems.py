@@ -20,7 +20,6 @@ from typing import Iterable, Optional, Union
 from ..engine.analysis import analyze
 from ..hypergraph.acyclicity import (
     find_weak_gamma_cycle,
-    is_gamma_acyclic,
     is_gamma_acyclic_via_subtrees,
     violating_pair,
 )

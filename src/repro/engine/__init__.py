@@ -10,7 +10,7 @@ This package is the primary public API of the library:
   reducer + Yannakakis join order + early-projection schedule, derived once)
   whose :meth:`~PreparedQuery.execute` / :meth:`~PreparedQuery.execute_many`
   evaluate the query against any number of database states with zero
-  re-planning cost, routed by default through the columnar interned-value
+  re-planning cost, routed by default through the positional row-program
   backend of :mod:`repro.relational.compiled` (``backend="classic"``
   selects the object-tuple oracle operators).
 

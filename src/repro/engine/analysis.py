@@ -321,12 +321,11 @@ class AnalyzedSchema:
 
         The memo is also the plan→compiled-plan map: each cached
         :class:`PreparedQuery` lazily builds and holds its
-        :class:`~repro.relational.compiled.CompiledPlan` (interning
-        dictionaries, positional step programs, encoding cache), so every
-        caller that prepares the same ``(X, root)`` shares one compiled
-        backend — and one interner — per analysis.  Eviction from this LRU
-        is what ultimately releases a compiled plan's interner; callers
-        holding a reference can drop theirs early with
+        :class:`~repro.relational.compiled.CompiledPlan` (positional step
+        programs, encoding cache), so every caller that prepares the same
+        ``(X, root)`` shares one compiled backend per analysis.  Eviction
+        from this LRU is what ultimately releases a plan's encode cache;
+        callers holding a reference can drop theirs early with
         :meth:`PreparedQuery.reset_compiled`.
 
         Raises :class:`~repro.exceptions.SchemaError` when ``X ⊄ U(D)`` and

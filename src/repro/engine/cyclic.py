@@ -43,7 +43,7 @@ equivalence oracle (see ``tests/engine/test_cyclic_pipeline.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..exceptions import SchemaError, SearchBudgetExceeded, TreeProjectionError
 from ..hypergraph.gyo import is_tree_schema
@@ -660,7 +660,7 @@ class CyclicPreparedQuery:
 
     @property
     def compiled(self) -> _CyclicPlanAdapter:
-        """The interned-value kernel behind the classic prologue."""
+        """The compiled row-program kernel behind the classic prologue."""
         if self._compiled is None:
             object.__setattr__(
                 self,
@@ -854,7 +854,7 @@ class CyclicPreparedQuery:
 
         Identical contract and knob matrix to
         :meth:`PreparedQuery.execute_many` — serial batches share the inner
-        plan's interner and per-slot encoding caches (plus input-level
+        plan's per-slot encoding caches (plus input-level
         dedup of repeated states before the prologue runs), and
         ``backend="parallel"`` ships the plan to the process pool as a cyclic
         :class:`~repro.engine.parallel.PlanSpec` (workers rebuild via

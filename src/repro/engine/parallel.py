@@ -20,11 +20,10 @@ states; each worker rebuilds the prepared query from the spec through
 :func:`repro.engine.analysis.prepared_from_spec` (hitting the worker's own
 analysis LRU) and caches it in worker-local storage keyed by the spec.  The
 first shard a worker sees for a spec pays analysis + compilation once; every
-later shard is pure execution.  Worker interners are independent
-by construction, which is sound because integer codes are a process-private
-encoding detail: answers are decoded to plain values inside the worker before
-they are shipped back (see the lifecycle notes in
-:mod:`repro.relational.compiled`).
+later shard is pure execution.  Worker plans are independent by
+construction, which is sound because answers cross back as plain-value
+relations: the compiled kernel runs on the values, and the vectorized
+kernel's interner codes are decoded inside the worker.
 
 **Sharding.**  States are deduplicated (verbatim duplicates execute once),
 then grouped by estimated cost — total tuple count, assigned largest-first to
@@ -351,9 +350,9 @@ def _execute_shard(
     """Worker entry point: execute one shard on the batch's serial kernel.
 
     ``backend`` is the kernel the parent picked once for the whole batch.
-    Returns ``(pid, plans_compiled, runs, shard_stats)``; runs are decoded
-    (plain-value relations) before pickling back, so worker-local interner
-    codes never leave the process.  The injectable fault points of
+    Returns ``(pid, plans_compiled, runs, shard_stats)``; runs hold
+    plain-value relations, so worker-local interner codes never leave the
+    process.  The injectable fault points of
     :mod:`repro.engine.faults` hook in here — once per shard, once per
     state — and cost four env lookups per shard when nothing is armed.
     """

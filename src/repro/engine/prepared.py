@@ -65,7 +65,7 @@ def resolve_backend(backend: str) -> str:
 
     With numpy importable that is the array-backed vectorized kernel of
     :mod:`repro.relational.vectorized`; without it, the compiled
-    interned-value backend — and an explicit ``"vectorized"`` request maps
+    row-program backend — and an explicit ``"vectorized"`` request maps
     to compiled too, since the array kernel needs numpy.  Both compute
     exactly what the classic object-tuple operators compute — the
     equivalence suites hold on every exposed entry point — so ``auto``
@@ -437,10 +437,10 @@ class PreparedQuery:
 
     @property
     def compiled(self) -> CompiledPlan:
-        """The interned-value compiled plan, built lazily and cached.
+        """The compiled row-program plan, built lazily and cached.
 
-        The plan owns interning dictionaries and an encoding cache shared by
-        every state this query executes (keyed per plan, not per state); see
+        The plan owns an encoding cache shared by every state this query
+        executes (keyed per plan, not per state); see
         :mod:`repro.relational.compiled` for the lifecycle.  Building is
         idempotent, so a benign duplicate under concurrency is harmless.
         """
@@ -454,8 +454,8 @@ class PreparedQuery:
     def vectorized(self) -> VectorizedPlan:
         """The array-backed vectorized plan, built lazily and cached.
 
-        Like :attr:`compiled`, the plan owns its interner and per-slot
-        encoding cache, shared by every state this query executes.  It
+        The plan owns its interner and per-slot encoding cache, shared by
+        every state this query executes.  It
         requires numpy (``ImportError`` otherwise — the ``auto`` and
         ``vectorized`` backend names route to :attr:`compiled` instead); see
         :mod:`repro.relational.vectorized`.
@@ -467,14 +467,16 @@ class PreparedQuery:
         return plan
 
     def reset_compiled(self) -> None:
-        """Drop the compiled and vectorized plans (interners and encoding
-        caches included).
+        """Drop the compiled and vectorized plans (encoding caches and the
+        vectorized interner included).
 
-        Long-running serving processes can use this to release interning
-        dictionaries that accumulated values from states no longer in
-        rotation; the next execution rebuilds the plan it needs.  (Plans
-        also bound themselves: see ``DEFAULT_MAX_INTERNED_VALUES`` and the
-        epoch notes in :mod:`repro.relational.compiled`.)
+        Long-running serving processes can use this to release the relations
+        a plan's encode cache holds, or the interning dictionaries a
+        vectorized plan accumulated from states no longer in rotation; the
+        next execution rebuilds the plan it needs.  (Plans also bound
+        themselves: the encode cache per slot, and the vectorized interner
+        through ``repro.relational.vectorized.DEFAULT_MAX_INTERNED_VALUES``
+        and its epochs.)
         """
         object.__setattr__(self, "_compiled", None)
         object.__setattr__(self, "_vectorized", None)
@@ -543,7 +545,7 @@ class PreparedQuery:
         the state is large enough to amortize the array toll — the
         shape-aware :func:`vectorized_batch_profitable` gate, which adds a
         per-relation term to the :data:`VECTORIZED_MIN_STATE_ROWS` floor —
-        and the interned-value columnar backend of
+        and the row-program backend of
         :mod:`repro.relational.compiled` otherwise;
         ``"vectorized"``/``"compiled"`` request those kernels explicitly and
         ``"classic"`` forces the object-tuple
@@ -604,9 +606,8 @@ class PreparedQuery:
         kernel when numpy is importable and the batch passes the shape-aware
         :func:`vectorized_batch_profitable` gate, the compiled backend
         otherwise) this is a true batch: all states share the plan's
-        interning dictionaries and per-slot encoding cache, so a slot whose
-        rows repeat across states is encoded — and its key indexes built —
-        once for the whole batch.  The returned runs all carry one shared
+        per-slot encoding cache, so a relation object repeated across states
+        is encoded — and its key indexes built — once for the whole batch.  The returned runs all carry one shared
         :class:`~repro.relational.compiled.ExecutionStats` describing the
         batch; with ``backend="classic"`` each state is executed
         independently by the object-tuple operators.

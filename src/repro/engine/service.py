@@ -28,7 +28,7 @@ Three ideas compose here:
   :class:`~repro.engine.parallel.ParallelExecutor`, spawned by the first
   parallel batch and kept for the service's lifetime.  Its workers cache
   plans per spec (up to 128 specs each), so a (worker, spec) pair keeps its
-  interner epoch and compiled plan warm across batches of any mix of specs.
+  kernel plan warm across batches of any mix of specs.
 
 :meth:`QueryService.stream` is the streaming API: it splits a batch into
 cost-balanced shards and yields :class:`StreamItem` results *as each shard

@@ -22,9 +22,8 @@ Notes on fidelity
 
 from __future__ import annotations
 
-from ..hypergraph.cycles import aclique, aring
 from ..hypergraph.parsing import parse_schema
-from ..hypergraph.schema import DatabaseSchema, RelationSchema
+from ..hypergraph.schema import RelationSchema
 
 __all__ = [
     "FIGURE_1_TREE_CHAIN",

@@ -25,11 +25,11 @@ property tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from ..exceptions import SearchBudgetExceeded
 from .gyo import is_tree_schema
-from .schema import Attribute, DatabaseSchema, RelationSchema
+from .schema import Attribute, DatabaseSchema
 
 __all__ = [
     "is_alpha_acyclic",

@@ -13,10 +13,10 @@ integer seed, never the global RNG, so every experiment is reproducible.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Set, Union
 
 from ..exceptions import SchemaError
-from .cycles import aclique, aring, default_attribute_names
+from .cycles import aclique, aring
 from .schema import Attribute, DatabaseSchema, RelationSchema
 
 __all__ = [

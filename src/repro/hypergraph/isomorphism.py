@@ -16,9 +16,9 @@ works with.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .schema import Attribute, DatabaseSchema, RelationSchema
+from .schema import Attribute, DatabaseSchema
 
 __all__ = [
     "attribute_profile",

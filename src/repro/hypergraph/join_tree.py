@@ -23,12 +23,12 @@ iff ``GR(D, U(D')) ⊆ D'``, with equality iff ``D'`` is reduced.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..exceptions import NotASubSchemaError, NotATreeSchemaError
 from .gyo import gyo_reduce
 from .qual_graph import QualGraph, enumerate_qual_trees
-from .schema import DatabaseSchema, RelationSchema
+from .schema import DatabaseSchema
 
 __all__ = [
     "join_tree_from_gyo",

@@ -20,15 +20,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from typing import (
-    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,

@@ -17,22 +17,23 @@ benchmark baseline recorded in ``BENCH_PR1.json``.
 
 Since PR 4 the serving hot path no longer runs on these object-tuple
 operators at all: :mod:`repro.relational.compiled` compiles each prepared
-query into a columnar, interned-value program (``CompiledPlan``, whose
-``encode_state`` returns an ``EncodedState``) that executes on tuples of
-dense integer codes and only decodes the final answer back into a
-:class:`Relation`.  The operators here remain the semantics reference — the
-equivalence suite checks the compiled kernel against them on random schemas
-and states.
+query into a positional row program (``CompiledPlan``, whose
+``encode_state`` returns an ``EncodedState``) that runs on the state's own
+row tuples with prebuilt ``itemgetter`` keys and builds the answer
+:class:`Relation` straight from its final rows.  The operators here remain
+the semantics reference — the equivalence suite checks the compiled kernel
+against them on random schemas and states.
 
-Since PR 8 :mod:`repro.relational.vectorized` layers an array-backed kernel
-over the same interned encoding: contiguous int64 code columns, semijoins as
-membership masks over sorted key arrays, joins as ``searchsorted`` bucket
-matches plus index gathers (it requires numpy; without numpy every
-backend name that would reach it resolves to compiled).  ``backend="auto"``
-prefers it for large states; classic and compiled stay as the property-test
-oracles.  Both kernels are subclasses of one ``EncodedPlan`` core that owns
-the interner, its epochs, the per-slot encode cache and the batch entry
-points; each kernel adds only its encoder, decoders and step program.
+:mod:`repro.relational.vectorized` runs the same positional layout as an
+array-backed kernel: values interned to contiguous int64 code
+columns, semijoins as membership masks over sorted key arrays, joins as
+``searchsorted`` bucket matches plus index gathers (it requires numpy;
+without numpy every backend name that would reach it resolves to
+compiled).  ``backend="auto"`` prefers it for large states; classic and
+compiled stay as the property-test oracles.  Both kernels are subclasses of
+one ``EncodedPlan`` core that owns the per-slot encode cache and the batch
+entry points; each kernel adds its encoder and step program, and the
+vectorized one its interner and epochs.
 """
 
 from .relation import Relation, Row

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Union
 
-from ..exceptions import RelationError
 from ..hypergraph.schema import Attribute, RelationSchema
 from .relation import Relation
 

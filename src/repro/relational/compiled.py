@@ -1,4 +1,4 @@
-"""Columnar, interned-value execution backend for prepared queries.
+"""Positional row-program execution backend for prepared queries.
 
 The classic executor (:meth:`repro.engine.prepared.PreparedQuery.execute`
 with ``backend="classic"``) runs the plan's semijoin program and the
@@ -11,16 +11,12 @@ which columns are compared and which are kept.
 This module compiles a :class:`~repro.engine.prepared.PreparedQuery` into a
 :class:`CompiledPlan` that freezes *all* of that algebra ahead of time:
 
-* **Interned values.**  Every attribute owns an interning dictionary mapping
-  values to integer codes (shared across all states executed by the plan), so
-  rows become tuples of ints — cheap to hash, cheap to compare — and the
-  codes of a value agree across relations and states.  Columns of native
-  Python ints take an identity fast path (the value *is* the code, as in
-  columnar engines that skip dictionary-encoding integer columns), so integer
-  data is encoded and decoded at near-zero cost; each attribute's mode
-  (identity vs. dictionary) is pinned at first encounter and equality across
-  the numeric tower (``1 == 1.0 == True``) is preserved by canonicalizing
-  int-valued strays onto their int code.
+* **Rows are the values.**  A relation slot's encoding is its own row
+  tuples.  The row program compares cells only through ``hash`` and ``==``
+  (key sets, bucket dictionaries, ``itemgetter`` keys), which is exactly the
+  value equality of the classic operators, numeric tower included
+  (``1 == 1.0 == True``).  So nothing is interned, nothing is decoded, and
+  every cell of an answer is a value of the state it answers.
 * **Positional step programs.**  Each semijoin step is compiled to integer
   column positions and prebuilt ``itemgetter`` extractors; each join step is
   resolved at compile time to one of two shapes (child-semijoin, general
@@ -29,56 +25,38 @@ This module compiles a :class:`~repro.engine.prepared.PreparedQuery` into a
   child's kept columns all inside the mother, a semijoin of the mother —
   never reaches the kernels: the prepared plan prunes exactly those steps
   as identities.
-* **Encode-time key indexes.**  :meth:`CompiledPlan.encode_state` encodes each
-  relation slot column-major into code tuples; key sets and join buckets are
-  built at most once per (slot, key) and cached on the encoding, where every
-  later step that touches the slot — both reducer passes and the join — finds
-  them.  :meth:`CompiledPlan.execute_batch` additionally shares encodings
-  across the states of a batch, so a slot whose rows repeat across states
-  (e.g. fixed dimension tables under a changing fact table) is encoded and
-  indexed once per batch, not once per state.
+* **Encode-time key indexes.**  Key sets and join buckets are built at most
+  once per (slot, key) and cached on the slot's encoding, where every later
+  step that touches the slot — both reducer passes and the join — finds
+  them.  :meth:`CompiledPlan.encode_state` looks encodings up in a bounded
+  per-slot cache keyed by relation object, so a relation shared across the
+  states of a batch (e.g. a fixed dimension table under a changing fact
+  table) is indexed once per batch, not once per state.
 
-Everything around the step program — the interner and its epochs, the
-bounded per-slot encode cache, ``encode_state`` / ``execute`` /
-``execute_batch`` and the diagnostics — is the :class:`EncodedPlan` core,
-which the vectorized kernel (:mod:`repro.relational.vectorized`) shares;
-both kernels return :class:`EncodedState` objects from ``encode_state``.
+Everything around the step program — the bounded per-slot encode cache,
+``encode_state`` / ``execute`` / ``execute_batch`` and the diagnostics — is
+the :class:`EncodedPlan` core, which the vectorized kernel
+(:mod:`repro.relational.vectorized`) shares; both kernels return
+:class:`EncodedState` objects from ``encode_state``.  The interner and its
+epochs belong to the vectorized kernel alone, the one that needs int64
+codes.
 
-Intermediates never materialize object tuples; only the final result is
-decoded back to a classic :class:`~repro.relational.relation.Relation`.
 The classic operators remain in place as the property-test oracle
 (``tests/relational/test_compiled_equivalence.py``), mirroring how
 ``repro.tableau.reference`` anchors the interned tableau kernel.
 
-Lifecycle: a :class:`CompiledPlan` (and its interning dictionaries) lives as
-long as the :class:`~repro.engine.prepared.PreparedQuery` that owns it.  The
-dictionaries grow with the distinct values ever executed, but growth is
-*bounded*: when the interned-value count of a plan overflows
-:data:`DEFAULT_MAX_INTERNED_VALUES`, the next
-:meth:`CompiledPlan.encode_state` opens a new interner *epoch* — the
-dictionary-mode interning maps and identity-mode stray tables are rebuilt
-empty and every cached slot encoding (whose code tuples reference the
-retired epoch's codes) is dropped.  Epochs are transparent to callers:
-codes never leak across an epoch boundary because the stale encodings are
-evicted with the epoch, and results are always decoded before the next state
-is encoded.  The number of rebuilds is surfaced as
-:attr:`CompiledPlan.interner_epoch` and, per batch, as
-:attr:`ExecutionStats.interner_resets`.
-:meth:`repro.engine.prepared.PreparedQuery.reset_compiled` remains the
-heavier hammer (drops the whole plan).
+Lifecycle: a :class:`CompiledPlan` lives as long as the
+:class:`~repro.engine.prepared.PreparedQuery` that owns it; what it keeps
+between states is bounded by the encode cache's per-slot cap.
+:meth:`repro.engine.prepared.PreparedQuery.reset_compiled` drops the whole
+plan.
 
 Process boundaries: a ``CompiledPlan`` is **not** picklable by design — it is
-built from closures and ``itemgetter`` programs, and its interner is a
-process-local, mutable object.  The pickle-safe boundary is one level up:
-:class:`repro.engine.parallel.PlanSpec` (ordered relation tuple, target,
-root, cyclic flag) crosses the process boundary and each worker rebuilds
-and caches its own plan from the spec.  Per-worker interners are therefore
-*independent*, which is sound because codes are a private encoding detail:
-every answer a worker ships back is decoded to plain values first
-(:meth:`Relation.from_interned` runs inside the worker, under that worker's
-own interner), so integer codes never cross a process boundary and two
-workers assigning different codes to the same value can never disagree about
-results.
+built from closures and ``itemgetter`` programs.  The pickle-safe boundary
+is one level up: :class:`repro.engine.parallel.PlanSpec` (ordered relation
+tuple, target, root, cyclic flag) crosses the process boundary and each
+worker rebuilds and caches its own plan from the spec.  Answers cross back
+as plain-value relations.
 """
 
 from __future__ import annotations
@@ -91,31 +69,22 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..exceptions import SchemaError
 from ..hypergraph.schema import Attribute
 from .database import DatabaseState
-from .relation import Relation, _tuple_getter, pure_int_column, pure_int_rows
+from .relation import Relation, _tuple_getter
 from .yannakakis import YannakakisRun
 
 __all__ = [
     "CompiledPlan",
-    "DEFAULT_MAX_INTERNED_VALUES",
     "EncodedPlan",
     "EncodedState",
     "ExecutionStats",
     "plan_layout",
 ]
 
-#: Cap on distinct interned values per plan (dictionary-mode codes plus
-#: identity-mode strays), read at every state-encode boundary.  Overflow
-#: opens a new interner epoch there; see the module notes.  Sized so that
-#: ordinary serving never trips it while a long-lived process churning
-#: through unbounded string domains stays bounded.
-DEFAULT_MAX_INTERNED_VALUES = 1 << 20
-
-
 def _key_getter(positions: Sequence[int]):
-    """An extractor for join/semijoin keys over code rows.
+    """An extractor for join/semijoin keys over rows.
 
     Unlike :func:`~repro.relational.relation._tuple_getter`, a single-column
-    key is extracted as the *bare* int code (no 1-tuple wrapping): key sets
+    key is extracted as the *bare* cell (no 1-tuple wrapping): key sets
     and bucket dictionaries over bare ints hash faster and allocate nothing
     per row.  Both sides of every step use this consistently, so the key
     representations always agree.
@@ -158,9 +127,9 @@ class ExecutionStats:
         self.bucket_builds: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         self.identity_semijoins = 0
         self.filtering_semijoins = 0
-        #: Interner epochs opened while this batch ran
-        #: (``DEFAULT_MAX_INTERNED_VALUES`` overflows observed at
-        #: state-encode boundaries).
+        #: Vectorized interner epochs opened while this batch ran
+        #: (``repro.relational.vectorized.DEFAULT_MAX_INTERNED_VALUES``
+        #: overflows observed at state-encode boundaries); 0 on compiled.
         self.interner_resets = 0
 
     def absorb(self, other: "ExecutionStats") -> None:
@@ -195,60 +164,24 @@ class ExecutionStats:
         )
 
 
-class _Stray:
-    """Code for a non-int value living in an identity-mode (int) column.
-
-    Identity-mode codes are the int values themselves, so stray non-int
-    values need codes from a disjoint space: wrapper objects hash and compare
-    by identity, which is exactly value equality because strays are interned
-    (one wrapper per distinct value).  Numeric strays equal to an int
-    (``2.0``, ``True``) never reach here — they canonicalize onto the int
-    itself so the numeric tower keeps joining correctly.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"_Stray({self.value!r})"
-
-
-def _unwrap(code: Any) -> Any:
-    """Decode one identity-mode cell (stray wrappers carry their value)."""
-    return code.value if type(code) is _Stray else code
-
-
-# Identity-mode codes that *are* native ints decode to themselves;
-# ``Relation.from_interned`` uses this marker to skip the decode map on
-# result columns the pure-int classifier clears (the attribute may carry
-# strays plan-wide while this particular column does not).
-_unwrap.identity_when_int = True  # type: ignore[attr-defined]
-
-
-#: Per-attribute encoding modes, pinned the first time the attribute is seen.
-_MODE_IDENTITY = 0  # codes are the int values themselves (+ stray wrappers)
-_MODE_DICT = 1  # codes are dense ints assigned by the interning dictionary
-
-
 class _Encoding:
     """Encoded rows of one relation slot plus its reusable key indexes.
 
-    ``rows`` is a tuple of row tuples of int codes (one per column, in the
-    slot's canonical column order).  ``keysets`` caches, per key-position
-    tuple, the set of key tuples occurring in ``rows``; ``buckets`` caches,
-    per join-step tag, grouped rows for the join probe.  Encodings held in a
-    batch cache are shared across states, so cached indexes amortize across
-    every state whose slot carries the same rows.
+    ``rows`` is a tuple of row tuples (one cell per column, in the slot's
+    canonical column order): the relation's own rows, or the rows a step
+    derived from them.  ``keysets`` caches, per key-position tuple, the set
+    of key tuples occurring in ``rows``; ``buckets`` caches, per join-step
+    tag, grouped rows for the join probe.  Encodings held in a batch cache
+    are shared across states, so cached indexes amortize across every state
+    whose slot carries the same relation.
     """
 
     __slots__ = ("rows", "keysets", "buckets")
 
-    def __init__(self, rows: Tuple[Tuple[int, ...], ...]) -> None:
+    def __init__(self, rows: Tuple[Tuple[Any, ...], ...]) -> None:
         self.rows = rows
         self.keysets: Dict[Tuple[int, ...], set] = {}
-        self.buckets: Dict[int, Tuple[Dict[Tuple[int, ...], tuple], Optional[int]]] = {}
+        self.buckets: Dict[int, Tuple[Dict[Any, tuple], Optional[int]]] = {}
 
 
 class _SemijoinOp:
@@ -606,16 +539,15 @@ class EncodedPlan:
 
     A kernel plan is built once per :class:`~repro.engine.prepared
     .PreparedQuery` (see its ``compiled`` / ``vectorized`` properties) and
-    owns the per-attribute interning dictionaries shared by every state the
-    plan ever executes, a bounded per-slot encoding cache, and the epoch
-    rollover that bounds the interner.  This class implements all of that
-    once, with the encode/execute/batch entry points and the diagnostics.
-    A kernel subclass supplies only what differs: ``_lower`` (the shared
+    owns a bounded per-slot encoding cache shared by every state the plan
+    ever executes.  This class implements that cache once, with the
+    encode/execute/batch entry points and the diagnostics.  A kernel
+    subclass supplies only what differs: ``_lower`` (the shared
     :func:`plan_layout` into the kernel's step program), ``_encode_relation``
-    (one relation slot into the kernel's encoding), ``_decoders``
-    (per-final-column decoders of the current epoch), ``_run`` (its row or
+    (one relation slot into the kernel's encoding), ``_run`` (its row or
     array program over an encoded state) and the ``backend`` name its runs
-    report.
+    report.  The vectorized kernel adds its interner on top (see
+    :mod:`repro.relational.vectorized`).
     """
 
     #: Cap on cached encodings per slot — bounds what long-running serving
@@ -639,9 +571,6 @@ class EncodedPlan:
         "target",
         "root",
         "slot_columns",
-        "_modes",
-        "_intern",
-        "_values",
         "_encode_lock",
         "_semijoins",
         "_joins",
@@ -649,7 +578,6 @@ class EncodedPlan:
         "_final_schema",
         "_slot_cache",
         "_cache_meta",
-        "interner_epoch",
     )
 
     def __init__(self, prepared) -> None:
@@ -662,23 +590,12 @@ class EncodedPlan:
         )
         self.slot_columns = columns
 
-        self._modes: Dict[Attribute, Optional[int]] = {
-            attribute: None for attribute in schema.attributes
-        }
-        self._intern: Dict[Attribute, Dict[Any, Any]] = {
-            attribute: {} for attribute in schema.attributes
-        }
-        self._values: Dict[Attribute, List[Any]] = {
-            attribute: [] for attribute in schema.attributes
-        }
         self._encode_lock = threading.Lock()
-        self._slot_cache: Tuple["OrderedDict[Relation, Any]", ...] = tuple(
-            OrderedDict() for _ in columns
+        self._slot_cache: Tuple["OrderedDict[int, Tuple[Relation, Any]]", ...] = (
+            tuple(OrderedDict() for _ in columns)
         )
         # Per slot: [consecutive miss count, cache disabled flag].
         self._cache_meta: List[List[int]] = [[0, 0] for _ in columns]
-        #: Number of interner epochs opened so far (0 = the original epoch).
-        self.interner_epoch = 0
 
         final = prepared.final_projection
         self._final_schema = final
@@ -689,11 +606,18 @@ class EncodedPlan:
 
     # -- encoding --------------------------------------------------------------
 
-    def _encode_slots(self, state: DatabaseState):
+    def _encode_slots(self, state: DatabaseState, stats: Optional[ExecutionStats]):
         """One cache-assisted encode pass over every slot (lock held).
 
         Returns ``(encodings, encoded, cached_hits)``; :meth:`encode_state`
-        commits the counts to its stats only after the pass succeeds.
+        commits the counts to its stats only after the pass succeeds (a
+        kernel override may record its own encode-time events in ``stats``).
+
+        The cache is keyed by the relation *object*, and each entry holds the
+        relation so its ``id`` stays unique while cached.  Relations are
+        immutable, so a hit is exactly the rows the encoding was made from;
+        a value-keyed cache would hand one state the representatives of an
+        equal relation of another (``1.0`` for ``1``).
         """
         encodings: List[Any] = []
         encoded = cached_hits = 0
@@ -702,18 +626,18 @@ class EncodedPlan:
             caching = not meta[1]
             if caching:
                 cache = self._slot_cache[slot]
-                encoding = cache.get(relation)
-                if encoding is not None:
-                    cache.move_to_end(relation)
+                key = id(relation)
+                entry = cache.get(key)
+                if entry is not None:
+                    cache.move_to_end(key)
                     meta[0] = 0
                     cached_hits += 1
-                    encodings.append(encoding)
+                    encodings.append(entry[1])
                     continue
             encoding = self._encode_relation(slot, relation)
             encoded += 1
             if caching:
-                cache = self._slot_cache[slot]
-                cache[relation] = encoding
+                cache[key] = (relation, encoding)
                 if len(cache) > self._ENCODE_CACHE_MAX:
                     cache.popitem(last=False)
                 meta[0] += 1
@@ -729,33 +653,34 @@ class EncodedPlan:
         *,
         stats: Optional[ExecutionStats] = None,
     ) -> "EncodedState":
-        """Encode a database state against this plan's interner.
+        """Encode a database state for this plan's program.
 
-        Encodings are looked up in the per-slot bounded cache keyed by the
-        relation value, so states that repeat a slot's rows share one
-        encoding — and therefore one set of key indexes.  Encoding mutates
-        the shared interning dictionaries and is serialized by a per-plan
-        lock.  Execution never mutates rows, but it does lazily *fill* the
-        per-encoding index caches outside that lock: concurrent threads may
-        race to insert the same immutable index (a benign duplicate build
-        under the GIL; on free-threaded builds those dict writes are
-        unsynchronized and would need the lock).
+        Encodings are looked up in the per-slot bounded cache (see
+        :meth:`_encode_slots`), so states that repeat a slot's relation share
+        one encoding — and therefore one set of key indexes.  Encoding is
+        serialized by a per-plan lock.  Execution never mutates rows, but it
+        does lazily *fill* the per-encoding index caches outside that lock:
+        concurrent threads may race to insert the same immutable index (a
+        benign duplicate build under the GIL; on free-threaded builds those
+        dict writes are unsynchronized and would need the lock).
         """
         schema = state.schema
         if schema is not self.schema and schema != self.schema:
             raise SchemaError("the state is for a different schema than the query")
         with self._encode_lock:
-            if self.interned_value_count() > DEFAULT_MAX_INTERNED_VALUES:
-                self._open_interner_epoch_locked()
-                if stats is not None:
-                    stats.interner_resets += 1
-            encodings, encoded, cached_hits = self._encode_slots(state)
+            encodings, encoded, cached_hits = self._encode_slots(state, stats)
             decoders = self._decoders()
         if stats is not None:
             stats.states += 1
             stats.encoded_slots += encoded
             stats.cached_slots += cached_hits
         return EncodedState(self, state, tuple(encodings), decoders)
+
+    def _decoders(self) -> Tuple[Any, ...]:
+        """What an encoded state needs to turn final codes back into values
+        (lock held).  The compiled kernel's rows are the values, so it needs
+        nothing; the vectorized kernel captures its epoch's decoders."""
+        return ()
 
     # -- execution -------------------------------------------------------------
 
@@ -802,10 +727,10 @@ class EncodedPlan:
     ) -> List[YannakakisRun]:
         """Execute many states as one batch with shared instrumentation.
 
-        All states share the plan's interner and per-slot encoding cache, so
-        slots whose rows repeat across states are encoded — and their key
-        indexes built — once for the whole batch; states repeated verbatim
-        (duplicate requests) are executed once and their immutable run is
+        All states share the plan's per-slot encoding cache, so a relation
+        object repeated across states is encoded — and its key indexes
+        built — once for the whole batch; states repeated verbatim (equal
+        duplicate requests) are executed once and their immutable run is
         shared.  Every returned run carries the same :class:`ExecutionStats`
         object describing the batch; a wrapping plan (the cyclic prologue
         adapter of :mod:`repro.engine.cyclic`) may pass its own ``stats`` to
@@ -835,48 +760,20 @@ class EncodedPlan:
             meta[0] = 0
             meta[1] = 0
 
-    def _open_interner_epoch_locked(self) -> None:
-        """Rebuild the interner and retire every encoding of the old epoch.
-
-        Called at a state-encode boundary with the encode lock held, *before*
-        the incoming state is encoded: the dictionary-mode interning maps and
-        value lists (and the identity-mode stray tables living in the same
-        maps) are **replaced with fresh objects** — never cleared in place —
-        and the slot encoding caches are dropped wholesale, because every
-        cached encoding holds codes minted by the retired epoch and must
-        never mix with codes of the new one.  Attribute *modes* stay pinned
-        (they describe column shape, not code assignment).
-
-        Replacement rather than clearing is what makes rollover safe for
-        everything in flight: each :class:`EncodedState` captures its
-        epoch's decoders — bound to that epoch's value-list objects — at
-        encode time, so states encoded before a rollover (including ones a
-        concurrent thread is executing right now, and ones a caller pinned
-        long-term) keep decoding against the retired epoch's intact lists.
-        The retired objects die with the last such state.
-        """
-        self._intern = {attribute: {} for attribute in self._intern}
-        self._values = {attribute: [] for attribute in self._values}
-        self._reset_slot_caches_locked()
-        self.interner_epoch += 1
-
     def cache_sizes(self) -> Tuple[int, ...]:
         """Cached encodings per slot (diagnostic)."""
         return tuple(len(cache) for cache in self._slot_cache)
 
     def clear_encode_cache(self) -> None:
-        """Drop cached slot encodings and re-arm tripped slot caches (the
-        interner is left intact)."""
+        """Drop cached slot encodings and re-arm tripped slot caches (a
+        kernel's interner, if it has one, is left intact)."""
         with self._encode_lock:
             self._reset_slot_caches_locked()
 
     def interned_value_count(self) -> int:
-        """Total distinct values interned across all attributes (diagnostic).
-
-        Identity-mode int values are never interned, so this counts only
-        dictionary-mode values and identity-mode strays.
-        """
-        return sum(len(intern_map) for intern_map in self._intern.values())
+        """Distinct values interned by the kernel (diagnostic): always 0
+        here, since only the vectorized kernel interns."""
+        return 0
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -887,12 +784,13 @@ class EncodedPlan:
 
 
 class EncodedState:
-    """One database state encoded against a kernel plan's interner.
+    """One database state encoded for a kernel plan.
 
-    Holds one (possibly cache-shared) encoding per relation slot — code
-    tuples for the compiled kernel, int64 code arrays for the vectorized
-    one — plus the decoders of the interner epoch that minted its codes (so
-    the state stays executable across epoch rollovers).  ``state`` is the
+    Holds one (possibly cache-shared) encoding per relation slot — the row
+    tuples themselves for the compiled kernel, int64 code arrays for the
+    vectorized one — plus, for the vectorized kernel, the decoders of the
+    interner epoch that minted its codes (so the state stays executable
+    across epoch rollovers; empty for the compiled kernel).  ``state`` is the
     source :class:`DatabaseState`.  Immutable from the executor's point of
     view: execution replaces slot views instead of mutating their rows, so
     an encoded state can be executed any number of times.  Under the GIL
@@ -917,11 +815,11 @@ class EncodedState:
 
 
 class CompiledPlan(EncodedPlan):
-    """A fully positional, interned-value program for one prepared query.
+    """A fully positional row program for one prepared query.
 
-    Runs the shared layout as ``itemgetter`` programs over tuples of int
-    codes (:func:`execute_row_program`); everything around the program is
-    the :class:`EncodedPlan` core.
+    Runs the shared layout as ``itemgetter`` programs over the state's own
+    row tuples (:func:`execute_row_program`); everything around the program
+    is the :class:`EncodedPlan` core.
     """
 
     backend = "compiled"
@@ -930,115 +828,14 @@ class CompiledPlan(EncodedPlan):
 
     def _lower(self, layout: _PlanLayout) -> None:
         # ``build_row_ops`` compiles each layout entry's positions into
-        # ``itemgetter`` programs over code-tuple rows.
+        # ``itemgetter`` programs over row tuples.
         self._semijoins, self._joins, self._final_get = build_row_ops(layout)
 
-    # -- encoding --------------------------------------------------------------
-
-    def _stray_code(self, attribute: Attribute, value: Any) -> Any:
-        """Code for a non-int value in an identity-mode column.
-
-        Values equal to an int (``2.0``, ``True``, ``Decimal(3)``) must join
-        with that int, so they canonicalize onto the int itself; everything
-        else is interned to a :class:`_Stray` wrapper, one per distinct value.
-        """
-        intern_map = self._intern[attribute]
-        code = intern_map.get(value)
-        if code is None:
-            try:
-                as_int = int(value)
-            except (TypeError, ValueError, OverflowError):
-                as_int = None
-            if as_int is not None and as_int == value:
-                code = as_int
-            else:
-                code = _Stray(value)
-            intern_map[value] = code
-        return code
-
     def _encode_relation(self, slot: int, relation: Relation) -> _Encoding:
-        """Encode one relation column-major into code tuples (no cache)."""
-        rows = relation.rows
-        attrs = self.slot_columns[slot]
-        if not attrs or not rows:
-            return _Encoding(tuple(rows))
-        modes = self._modes
-        # Identity fast path: when every column is (or can become)
-        # identity-mode and every cell is a native int, the value rows are
-        # their own encoding — no per-cell work at all.
-        if all(modes[a] != _MODE_DICT for a in attrs) and pure_int_rows(rows):
-            for a in attrs:
-                if modes[a] is None:
-                    modes[a] = _MODE_IDENTITY
-            return _Encoding(tuple(rows))
-        coded_columns: List[Sequence[Any]] = []
-        for attribute, column in zip(attrs, zip(*rows)):
-            mode = modes[attribute]
-            if mode is None:
-                mode = _MODE_IDENTITY if pure_int_column(column) else _MODE_DICT
-                modes[attribute] = mode
-            if mode == _MODE_IDENTITY:
-                if pure_int_column(column):
-                    coded_columns.append(column)
-                else:
-                    stray = self._stray_code
-                    coded_columns.append(
-                        [
-                            v if type(v) is int else stray(attribute, v)
-                            for v in column
-                        ]
-                    )
-                continue
-            # Hot path of string-heavy encoding.  On the serving steady
-            # state the interner has already seen every value the column
-            # carries (fresh states drawing from a stable domain), so the
-            # whole column encodes as one C-level ``map`` over the interning
-            # dictionary — measured ~1.8× over the per-cell loop (see
-            # docs/performance.md).  A novel value raises ``KeyError`` and
-            # falls back to the interning loop with the dictionary locally
-            # bound; the map attempt is gated on a non-empty interner so the
-            # cold first column never pays a guaranteed-failing scan.
-            intern_map = self._intern[attribute]
-            values = self._values[attribute]
-            if intern_map:
-                try:
-                    coded_columns.append(list(map(intern_map.__getitem__, column)))
-                    continue
-                except KeyError:
-                    pass
-            get = intern_map.get
-            codes: List[int] = []
-            append = codes.append
-            for value in column:
-                code = get(value)
-                if code is None:
-                    code = len(values)
-                    intern_map[value] = code
-                    values.append(value)
-                append(code)
-            coded_columns.append(codes)
-        return _Encoding(tuple(zip(*coded_columns)))
-
-    def _decoders(self) -> Tuple[Optional[Any], ...]:
-        """Per-final-column decoders for the *current* interner epoch.
-
-        ``None`` means the column's codes are the values themselves (pure
-        identity columns); identity columns that interned strays unwrap them;
-        dictionary columns index their value list.  Captured onto each
-        :class:`EncodedState` at encode time (under the encode lock), so a
-        state always decodes against the epoch that minted its codes — even
-        if the plan has rolled its interner over since.
-        """
-        decoders: List[Optional[Any]] = []
-        for attribute in self._final_columns:
-            mode = self._modes[attribute]
-            if mode == _MODE_DICT:
-                decoders.append(self._values[attribute].__getitem__)
-            elif self._intern[attribute]:
-                decoders.append(_unwrap)
-            else:
-                decoders.append(None)
-        return tuple(decoders)
+        """A relation slot's encoding is its own rows: the row program
+        compares cells only by ``hash``/``==``, which is exactly the classic
+        operators' value equality."""
+        return _Encoding(tuple(relation.rows))
 
     def _run(self, encoded: EncodedState, stats: Optional[ExecutionStats]):
         final_rows, join_count, max_intermediate = execute_row_program(
@@ -1049,13 +846,8 @@ class CompiledPlan(EncodedPlan):
             list(encoded.encodings),
             stats,
         )
-        # Final projection + decode: the only value-level materialization
-        # (and a no-op for pure identity-mode columns).
-        result = Relation.from_interned(
-            self._final_schema,
-            self._final_columns,
-            final_rows,
-            encoded.decoders,
+        result = Relation._from_trusted(
+            self._final_schema, self._final_columns, frozenset(final_rows)
         )
         return result, join_count, max_intermediate
 
@@ -1073,8 +865,8 @@ def execute_row_program(
     The execution core of the compiled backend: ``views`` holds one
     encoding per slot (its ``keysets``/``buckets`` filled lazily) and is
     mutated in place as steps replace slot views.  Returns
-    ``(final_rows, join_count, max_intermediate)`` with ``final_rows`` still
-    interned — the caller decodes against its own epoch decoders.
+    ``(final_rows, join_count, max_intermediate)``; ``final_rows`` are the
+    answer's rows (the caller wraps them in a relation).
 
     Semantics — result, semijoin/join counts and the intermediate-size
     accounting — match the classic executor exactly; the equivalence suite
@@ -1195,7 +987,7 @@ def execute_row_program(
             # Distinct (mother row, part) pairs concatenate injectively —
             # key + new part cover every child column — so the output
             # rows are distinct by construction and need no dedup set.
-            combined: List[Tuple[int, ...]] = []
+            combined: List[Tuple[Any, ...]] = []
             append = combined.append
             mget = op.mget
             get_bucket = buckets.get
@@ -1209,7 +1001,7 @@ def execute_row_program(
             max_intermediate = len(joined.rows)
         views[op.mother] = joined
 
-    # Final projection: still interned — the caller decodes.
+    # Final projection.
     root_rows = views[root].rows
     if final_get is None:
         final_rows: Iterable = root_rows

@@ -9,11 +9,10 @@ the paper's results quantify over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import RelationError, SchemaError
-from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
+from ..hypergraph.schema import DatabaseSchema
 from .algebra import join_all
 from .relation import Relation
 

@@ -20,13 +20,12 @@ This module provides the semantic operations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional
 
 from ..exceptions import SchemaError
 from ..hypergraph.generators import ResolvableRandom, resolve_rng
-from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
+from ..hypergraph.schema import DatabaseSchema
 from .algebra import join_all
-from .database import universal_database
 from .relation import Relation
 from .universal import random_universal_relation
 

@@ -20,9 +20,9 @@ implemented in :mod:`repro.treeproj`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..exceptions import ProgramError, SchemaError
+from ..exceptions import ProgramError
 from ..hypergraph.generators import ResolvableRandom, resolve_rng
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
 from .database import DatabaseState

@@ -15,11 +15,11 @@ validate the syntactic criteria.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional
 
 from ..exceptions import SchemaError
 from ..hypergraph.generators import ResolvableRandom, resolve_rng
-from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
+from ..hypergraph.schema import DatabaseSchema, RelationSchema
 from .algebra import join_all, join_all_in_order
 from .database import DatabaseState, universal_database
 from .relation import Relation

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from operator import itemgetter
 from typing import (
-    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -50,7 +49,7 @@ from typing import (
 from ..exceptions import RelationError
 from ..hypergraph.schema import Attribute, RelationSchema
 
-__all__ = ["Row", "Relation", "pure_int_column", "pure_int_rows"]
+__all__ = ["Row", "Relation"]
 
 #: A row is exposed to callers as an attribute -> value mapping.
 Row = Mapping[Attribute, Any]
@@ -62,28 +61,6 @@ def _coerce_schema(attributes: _AttributesLike) -> RelationSchema:
     if isinstance(attributes, RelationSchema):
         return attributes
     return RelationSchema(attributes)
-
-
-def pure_int_column(column: Iterable[Any]) -> bool:
-    """True when every cell is a *native* ``int`` (``bool`` excluded).
-
-    The per-column form of :func:`pure_int_rows`; such a column of interned
-    codes is its own decoding (value == code in identity mode), so decode
-    can skip per-cell work entirely.
-    """
-    return all(type(value) is int for value in column)
-
-
-def pure_int_rows(rows: Iterable[Tuple[Any, ...]]) -> bool:
-    """True when every cell of every row is a native ``int``.
-
-    This is the classifier behind the compiled backend's identity encode
-    fast path: for pure-int rows the values *are* the identity-mode codes.
-    ``bool`` is deliberately excluded (``type(True) is int`` is false):
-    booleans join with their int values but must round-trip through the
-    interner.
-    """
-    return all(type(value) is int for row in rows for value in row)
 
 
 def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
@@ -228,56 +205,6 @@ class Relation:
         )
         object.__setattr__(self, "_indexes", {})
         return self
-
-    @classmethod
-    def from_interned(
-        cls,
-        schema: RelationSchema,
-        columns: Tuple[Attribute, ...],
-        code_rows: Iterable[Tuple[Any, ...]],
-        decoders: Sequence[Optional[Callable[[Any], Any]]],
-    ) -> "Relation":
-        """Decode rows of interned codes back into a relation.
-
-        The column-major decode path of the compiled execution backend
-        (:mod:`repro.relational.compiled`): ``decoders[i]`` maps the codes of
-        column ``i`` back to values, with ``None`` meaning the codes *are*
-        the values (identity-mode integer columns).  When every column is an
-        identity column the rows pass through untouched.  Like
-        :meth:`_from_trusted`, callers must pass ``columns ==
-        schema.sorted_attributes()``; decode runs column-wise so the per-cell
-        work is a C-level ``map`` over each column.
-
-        Decoders marked ``identity_when_int`` (the compiled backend's
-        identity-mode stray unwrapper) additionally skip the decode map
-        whenever the column at hand is classified pure-int
-        (:func:`pure_int_column`): the attribute may
-        have interned strays plan-wide, but *this* result column carries only
-        native ints, which are their own values.
-        """
-        if not columns or all(decoder is None for decoder in decoders):
-            rows: FrozenSet[Tuple[Any, ...]] = frozenset(code_rows)
-        else:
-            materialized = (
-                code_rows
-                if isinstance(code_rows, (tuple, list, set, frozenset))
-                else tuple(code_rows)
-            )
-            if materialized:
-                decoded_columns = [
-                    column
-                    if decoder is None
-                    or (
-                        getattr(decoder, "identity_when_int", False)
-                        and pure_int_column(column)
-                    )
-                    else tuple(map(decoder, column))
-                    for decoder, column in zip(decoders, zip(*materialized))
-                ]
-                rows = frozenset(zip(*decoded_columns))
-            else:
-                rows = frozenset()
-        return cls._from_trusted(schema, columns, rows)
 
     @classmethod
     def from_dicts(

@@ -13,8 +13,7 @@ interesting at small scale.
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Union
 
 from ..hypergraph.generators import ResolvableRandom, resolve_rng
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema

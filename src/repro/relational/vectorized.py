@@ -4,8 +4,8 @@ The compiled backend (:mod:`repro.relational.compiled`) freezes the plan's
 column algebra into positional step programs, but still *executes* them as
 per-row Python: key sets are built by mapping ``itemgetter`` over tuple rows,
 semijoins probe Python sets row by row, and general joins concatenate tuples
-in a Python loop.  Since every intermediate is already a table of dense
-``int`` codes, all of that is vector work in disguise.  This module runs the
+in a Python loop.  Once every cell is interned to a dense ``int`` code, all
+of that is vector work in disguise.  This module runs the
 same positional programs (:func:`repro.relational.compiled.plan_layout` is
 shared verbatim, so the step semantics — and the stats lineages — are
 identical by construction) over contiguous int64 **code arrays**:
@@ -34,30 +34,35 @@ identical by construction) over contiguous int64 **code arrays**:
 * **Bulk interning.**  Dictionary-mode encode of an all-string column runs
   ``np.unique(return_inverse)`` over the raw values and only walks the
   *unique* values through the interning dictionary — the vectorized
-  canonical-value mode the ROADMAP left open.  Warm columns still take the
-  C-level ``map`` fast path shared with the compiled backend.
+  canonical-value mode the ROADMAP left open.  Warm columns take a C-level
+  ``map`` over the interning dictionary.
 
-**Interning modes and promotion.**  Codes must live in int64 arrays, so the
-compiled backend's ``_Stray`` wrappers (objects used as out-of-band codes in
-identity-mode columns) have no representation here.  Instead, an attribute
-pinned identity-mode that later meets a non-int value — or an int outside
-int64 — is **promoted** to dictionary mode: the promotion drops every cached
-slot encoding (their identity codes for that attribute are retired) and
-restarts the in-progress state encode so a single state never mixes modes.
-Promotions are monotone (identity → dict only) and surface as
-:attr:`VectorizedPlan.mode_promotions`.  Numeric-tower equality
+**The interner.**  Codes must live in int64 arrays, so this kernel — and
+only this one; the compiled kernel runs on the values themselves — owns a
+per-attribute interner.  Each attribute's mode is pinned at first
+encounter: *identity* (native int columns, the value is the code) or
+*dictionary* (dense codes assigned by an interning dictionary).  An
+attribute pinned identity-mode that later meets a non-int value — or an int
+outside int64 — is **promoted** to dictionary mode: the promotion drops
+every cached slot encoding of that attribute (their identity codes for it
+are retired) and restarts the in-progress state encode so a single state
+never mixes modes.  Promotions are monotone (identity → dict only) and
+surface as :attr:`VectorizedPlan.mode_promotions`.  Numeric-tower equality
 (``1 == 1.0 == True``) holds in dictionary mode for free: equal values are
-equal dict keys, so they intern to one code.
+equal dict keys, so they intern to one code.  That code decodes to the
+first representative the plan interned, so answers equal the classic
+oracle's *by value*; a cell may be ``1.0`` where the state held ``1``.
 
 **Epochs, caches, lifecycle.**  :class:`VectorizedPlan` subclasses the
 compiled backend's :class:`~repro.relational.compiled.EncodedPlan`, so the
-bounded growth machinery is literally the same code: per-slot LRU encoding
-caches with miss-streak self-disable, the
-:data:`~repro.relational.compiled.DEFAULT_MAX_INTERNED_VALUES` cap whose
-overflow opens a new interner epoch at the next state-encode boundary, and
-per-state decoders captured at encode time so in-flight states decode
-against the epoch that minted their codes.  This module adds only the array
-encoder, the decoders and the array program.
+per-slot LRU encoding caches with miss-streak self-disable are literally
+the same code.  The interner is bounded here: when its value count
+overflows :data:`DEFAULT_MAX_INTERNED_VALUES`, the next state encode opens
+a new interner *epoch* (fresh maps, every cached encoding dropped), and
+per-state decoders captured at encode time let in-flight states decode
+against the epoch that minted their codes.  The number of rollovers is
+:attr:`VectorizedPlan.interner_epoch` and, per batch,
+:attr:`~repro.relational.compiled.ExecutionStats.interner_resets`.
 
 **numpy is required.**  Building a plan without numpy raises
 ``ImportError``; without it :func:`repro.engine.prepared.resolve_backend`
@@ -87,17 +92,27 @@ from .compiled import (
     EncodedState,
     ExecutionStats,
     _JOIN_SEMI_CHILD,
-    _MODE_DICT,
-    _MODE_IDENTITY,
     _PlanLayout,
 )
 from .database import DatabaseState
 from .relation import Relation
 
 __all__ = [
+    "DEFAULT_MAX_INTERNED_VALUES",
     "VectorizedPlan",
     "numpy_available",
 ]
+
+#: Cap on distinct interned values per plan (dictionary-mode codes), read at
+#: every state-encode boundary.  Overflow opens a new interner epoch there;
+#: see the module notes.  Sized so that ordinary serving never trips it
+#: while a long-lived process churning through unbounded string domains
+#: stays bounded.
+DEFAULT_MAX_INTERNED_VALUES = 1 << 20
+
+#: Per-attribute encoding modes, pinned the first time the attribute is seen.
+_MODE_IDENTITY = 0  # codes are the int values themselves
+_MODE_DICT = 1  # codes are dense ints assigned by the interning dictionary
 
 
 def numpy_available() -> bool:
@@ -308,7 +323,25 @@ class VectorizedPlan(EncodedPlan):
 
     backend = "vectorized"
 
-    __slots__ = ("_np", "_final_positions", "_final_permutes", "mode_promotions")
+    __slots__ = (
+        "_np",
+        "_final_positions",
+        "_final_permutes",
+        "mode_promotions",
+        "_modes",
+        "_intern",
+        "_values",
+        "interner_epoch",
+    )
+
+    def __init__(self, prepared) -> None:
+        super().__init__(prepared)
+        attributes = self.schema.attributes
+        self._modes: Dict[Any, Optional[int]] = {a: None for a in attributes}
+        self._intern: Dict[Any, Dict[Any, int]] = {a: {} for a in attributes}
+        self._values: Dict[Any, List[Any]] = {a: [] for a in attributes}
+        #: Number of interner epochs opened so far (0 = the original epoch).
+        self.interner_epoch = 0
 
     def _lower(self, layout: _PlanLayout) -> None:
         if _np is None:
@@ -336,16 +369,16 @@ class VectorizedPlan(EncodedPlan):
 
         Conversion without an explicit dtype lets numpy *classify* instead
         of coerce: pure native-int data lands exactly on int64, while every
-        hazard the per-cell classifier guards against lands elsewhere —
+        value an identity column cannot carry lands elsewhere —
         floats on float64 (never truncated), pure bools on bool, out-of-range
         ints on object (or an ``OverflowError``), strings on unicode, ragged
         or exotic values on object/``ValueError`` — and is rejected by the
         dtype/ndim check.  The one deliberate coarsening: a *mixed* int/bool
         column converts to int64, canonicalizing ``True``/``False`` onto
         ``1``/``0``.  That is equality-preserving (``True == 1`` across the
-        numeric tower, and the dictionary mode of both backends already
-        canonicalizes tower-equal values onto one representative), so
-        results still compare equal to the classic oracle's.
+        numeric tower, and the dictionary mode already canonicalizes
+        tower-equal values onto one representative), so results still
+        compare equal to the classic oracle's.
         """
         np = self._np
         try:
@@ -361,14 +394,13 @@ class VectorizedPlan(EncodedPlan):
 
         Warm columns — every value already interned, the serving steady
         state on stable value domains — encode as one C-level ``map`` over
-        the interning dictionary (the idiom shared with the compiled
-        backend) and stay columnar: no zip back into row tuples.  A novel
-        value falls through to the bulk path: for all-string columns,
-        ``np.unique`` collapses the raw values at C speed and only the
-        *unique* values touch the interning dictionary, so per-cell Python
-        work is proportional to the distinct-value count, not the row count
-        (the vectorized canonical-value mode).  Everything else takes the
-        interning loop.
+        the interning dictionary and stay columnar: no zip back into row
+        tuples.  A novel value falls through to the bulk path: for
+        all-string columns, ``np.unique`` collapses the raw values at C
+        speed and only the *unique* values touch the interning dictionary,
+        so per-cell Python work is proportional to the distinct-value count,
+        not the row count (the vectorized canonical-value mode).  Everything
+        else takes the interning loop.
         """
         np = self._np
         intern_map = self._intern[attribute]
@@ -487,14 +519,18 @@ class VectorizedPlan(EncodedPlan):
             for attribute in self._final_columns
         )
 
-    def _encode_slots(self, state: DatabaseState):
-        """The shared slot loop plus the identity→dictionary promotion
-        restart described in the module notes (lock held).  The core commits
-        stats only after a successful pass, so a restarted encode is not
-        double-counted."""
+    def _encode_slots(self, state: DatabaseState, stats: Optional[ExecutionStats]):
+        """The shared slot loop behind the interner's epoch check, plus the
+        identity→dictionary promotion restart described in the module notes
+        (lock held).  The core commits stats only after a successful pass,
+        so a restarted encode is not double-counted."""
+        if self.interned_value_count() > DEFAULT_MAX_INTERNED_VALUES:
+            self._open_interner_epoch_locked()
+            if stats is not None:
+                stats.interner_resets += 1
         while True:
             try:
-                return super()._encode_slots(state)
+                return super()._encode_slots(state, stats)
             except _PromoteToDict as promote:
                 self._modes[promote.attribute] = _MODE_DICT
                 self.mode_promotions += 1
@@ -505,6 +541,38 @@ class VectorizedPlan(EncodedPlan):
                 for slot, columns in enumerate(self.slot_columns):
                     if promote.attribute in columns:
                         self._slot_cache[slot].clear()
+
+    def _open_interner_epoch_locked(self) -> None:
+        """Rebuild the interner and retire every encoding of the old epoch.
+
+        Called at a state-encode boundary with the encode lock held, *before*
+        the incoming state is encoded: the interning maps and value lists are
+        **replaced with fresh objects** — never cleared in place — and the
+        slot encoding caches are dropped wholesale, because every cached
+        encoding holds codes minted by the retired epoch and must never mix
+        with codes of the new one.  Attribute *modes* stay pinned (they
+        describe column shape, not code assignment).
+
+        Replacement rather than clearing is what makes rollover safe for
+        everything in flight: each :class:`EncodedState` captures its
+        epoch's decoders — bound to that epoch's value-list objects — at
+        encode time, so states encoded before a rollover (including ones a
+        concurrent thread is executing right now, and ones a caller pinned
+        long-term) keep decoding against the retired epoch's intact lists.
+        The retired objects die with the last such state.
+        """
+        self._intern = {attribute: {} for attribute in self._intern}
+        self._values = {attribute: [] for attribute in self._values}
+        self._reset_slot_caches_locked()
+        self.interner_epoch += 1
+
+    def interned_value_count(self) -> int:
+        """Total distinct values interned across all attributes (diagnostic).
+
+        Identity-mode int values are never interned, so this counts only
+        dictionary-mode values.
+        """
+        return sum(len(intern_map) for intern_map in self._intern.values())
 
     # -- execution -------------------------------------------------------------
 

@@ -149,7 +149,7 @@ class YannakakisRun:
     query processing.
 
     ``backend`` reports which execution backend produced the run:
-    ``"classic"`` object-tuple operators, the ``"compiled"`` interned-value
+    ``"classic"`` object-tuple operators, the ``"compiled"`` row-program
     kernel of :mod:`repro.relational.compiled`, or ``"parallel"`` when the
     run came out of the sharded process-pool layer of
     :mod:`repro.engine.parallel` (workers execute on the compiled kernel;

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 __all__ = ["VariableKind", "Variable", "distinguished", "shared", "unique"]
 

@@ -14,8 +14,8 @@ polynomial-time companion used by the treefication planner example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..exceptions import SearchBudgetExceeded, TreeficationError
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from ..exceptions import SearchBudgetExceeded
 from ..hypergraph.gyo import gyo_reduction, is_tree_schema

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Set
 
-from ..exceptions import NotASubSchemaError, SearchBudgetExceeded, TreeProjectionError
+from ..exceptions import NotASubSchemaError, SearchBudgetExceeded
 from ..hypergraph.gyo import is_tree_schema
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
 

@@ -9,7 +9,7 @@ instances and prints comparable rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..hypergraph.cycles import aclique, aring
 from ..hypergraph.generators import (

@@ -10,7 +10,7 @@ from repro.core import (
     check_gamma_equivalences,
     gr_condition_holds_for_all_connected,
 )
-from repro.hypergraph import aclique, aring, chain_schema, parse_schema, star_schema
+from repro.hypergraph import aclique, aring, parse_schema, star_schema
 
 
 GAMMA_ACYCLIC = [

@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.exceptions import NotASubSchemaError, NotATreeSchemaError
 from repro.figures import SECTION_5_1_SCHEMA, SECTION_5_1_SUBSCHEMA
-from repro.hypergraph import aring, chain_schema, parse_schema
+from repro.hypergraph import aring, parse_schema
 from repro.relational import satisfies_join_dependency, search_implication_counterexample
 from repro.tableau import canonical_connection
 

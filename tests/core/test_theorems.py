@@ -23,7 +23,6 @@ from repro.core import (
 from repro.figures import (
     FIGURE_1_CASES,
     SECTION_5_1_SCHEMA,
-    SECTION_5_1_SUBSCHEMA,
     SECTION_6_EXPECTED_CC,
     SECTION_6_SCHEMA,
     SECTION_6_TARGET,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core import connected_node_subsets, find_ujr_violation, is_ujr, minimum_qual_graphs
-from repro.hypergraph import aring, chain_schema, parse_schema
+from repro.hypergraph import aring, parse_schema
 from repro.relational import Relation, random_ur_database, universal_database
 
 

@@ -10,7 +10,6 @@ from repro.hypergraph import (
     aring,
     chain_schema,
     is_tree_schema,
-    parse_schema,
     random_cyclic_schema,
     random_tree_schema,
 )

@@ -1,10 +1,10 @@
-"""Property-based tests: the compiled interned-value backend ≡ the classic
+"""Property-based tests: the compiled row-program backend ≡ the classic
 object-tuple operators on every exposed entry point.
 
 The classic executor (``backend="classic"``) is the retained oracle — it is
 itself property-tested against ``naive_join_project`` — and shares no
-execution code with :mod:`repro.relational.compiled`: no interning, no
-positional step programs, no identity fast paths.  Agreement on random tree
+execution code with :mod:`repro.relational.compiled`: no positional step
+programs, no cached key indexes.  Agreement on random tree
 schemas and random states (empty relations, dangling tuples, mixed value
 types across the numeric tower, repeated relations across states) is strong
 evidence the compilation is faithful.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import analyze, clear_analysis_cache
@@ -24,11 +25,10 @@ from repro.hypergraph import (
     random_tree_schema,
     star_schema,
 )
-from repro.relational import DatabaseState, Relation, yannakakis
+from repro.relational import DatabaseState, Relation, numpy_available, yannakakis
 
 #: Value pool spanning the numeric tower (1 == 1.0 == True) plus strings and
-#: None, so both interner modes (identity ints, dictionary codes) and the
-#: stray-canonicalization path are exercised.
+#: None, so equal values of different types meet in keys and joins.
 VALUES = st.one_of(
     st.integers(-3, 6),
     st.sampled_from([1.0, 2.5, -1.0, True, False, "a", "b", "v1", None]),
@@ -153,22 +153,31 @@ class TestEncodeDecodeRoundTrip:
         assert run.backend == "compiled"
         assert run.result == relation
 
-    def test_round_trip_interns_shared_values_across_states(self):
+    def test_round_trip_returns_input_rows_without_interning(self):
         schema = DatabaseSchema([RelationSchema("ab")])
         prepared = analyze(schema).prepare(RelationSchema("ab"))
         prepared.reset_compiled()  # other tests may share this cached plan
         plan = prepared.compiled
         states = [
             DatabaseState(
-                schema, [Relation(schema[0], [("k", i), ("k", i + 1)])]
+                schema, [Relation(schema[0], [("k", i), ("k", i + 1.0)])]
             )
             for i in range(4)
         ]
         runs = prepared.execute_many(states, backend="compiled")
         for state, run in zip(states, runs):
-            assert run.result == state.relations[0]
-        # "k" is dictionary-interned once for the whole batch.
-        assert plan.interned_value_count() == 1
+            # The answer's rows are the input rows, cell types included.
+            assert _cells(run.result) == _cells(state.relations[0])
+        # The compiled kernel runs on the values: nothing is interned.
+        assert plan.interned_value_count() == 0
+
+
+def _cells(relation):
+    """A relation's rows with each cell's type, so ``1``, ``1.0`` and
+    ``True`` compare unequal."""
+    return sorted(
+        (tuple((type(v).__name__, repr(v)) for v in row) for row in relation.rows)
+    )
 
 
 class TestValueSemantics:
@@ -188,8 +197,50 @@ class TestValueSemantics:
         _assert_runs_agree(classic, compiled)
         assert len(compiled.result) == 3
 
+    def test_answers_carry_the_states_own_values(self):
+        """Each answer holds the values of its own state, as classic's does:
+        equal values of another type that the plan met in an earlier state
+        never stand in for them."""
+        schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
+        prepared = analyze(schema).prepare(RelationSchema("ac"))
+        prepared.reset_compiled()  # a fresh plan
+        for a, c in ((1.0, "y"), (1, "y"), (True, "x")):
+            state = DatabaseState(
+                schema,
+                [
+                    Relation(schema[0], [(a, 0)]),
+                    Relation(schema[1], [(0, c)]),
+                ],
+            )
+            classic = prepared.execute(state, backend="classic")
+            compiled = prepared.execute(state, backend="compiled")
+            _assert_runs_agree(classic, compiled)
+            assert _cells(compiled.result) == _cells(classic.result)
+
+    def test_vectorized_answers_equal_classic_by_value(self):
+        """The vectorized kernel's documented contract on the same states:
+        its answers equal classic's by value (a dictionary-mode cell may be
+        an equal value of another type that the plan interned first)."""
+        if not numpy_available():
+            pytest.skip("the vectorized kernel requires numpy")
+        schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
+        prepared = analyze(schema).prepare(RelationSchema("ac"))
+        prepared.reset_compiled()  # a fresh plan
+        for a, c in ((1.0, "y"), (1, "y"), (True, "x")):
+            state = DatabaseState(
+                schema,
+                [
+                    Relation(schema[0], [(a, 0)]),
+                    Relation(schema[1], [(0, c)]),
+                ],
+            )
+            classic = prepared.execute(state, backend="classic")
+            vectorized = prepared.execute(state, backend="vectorized")
+            assert vectorized.result == classic.result
+            assert vectorized.max_intermediate_size == classic.max_intermediate_size
+
     def test_identity_mode_pinned_then_strays_arrive(self):
-        """A plan that saw pure-int columns first must still join later
+        """A plan that ran pure-int states first must still join later
         states carrying equal floats, bools, and unrelated strings."""
         schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
         target = RelationSchema("ac")
@@ -201,7 +252,7 @@ class TestValueSemantics:
                 Relation(schema[1], [(1, 9)]),
             ],
         )
-        prepared.execute(first)  # pins both attributes to identity mode
+        prepared.execute(first)
         mixed = DatabaseState(
             schema,
             [

@@ -7,11 +7,8 @@ import pytest
 from repro.exceptions import ProgramError
 from repro.hypergraph import RelationSchema, parse_schema
 from repro.relational import (
-    JoinStatement,
     NaturalJoinQuery,
     Program,
-    ProjectStatement,
-    SemijoinStatement,
     default_base_names,
     random_ur_database,
 )

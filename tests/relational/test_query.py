@@ -10,7 +10,6 @@ from repro.relational import (
     NaturalJoinQuery,
     Relation,
     random_ur_database,
-    universal_database,
     weakly_contained_empirically,
     weakly_equivalent_empirically,
 )

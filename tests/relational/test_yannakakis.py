@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import analyze
 from repro.exceptions import NotATreeSchemaError, SchemaError
-from repro.hypergraph import RelationSchema, aring, chain_schema, parse_schema, random_tree_schema
+from repro.hypergraph import RelationSchema, chain_schema, parse_schema, random_tree_schema
 from repro.relational import (
     NaturalJoinQuery,
     full_reduce,

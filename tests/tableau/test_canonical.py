@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.hypergraph import (
     aring,
     chain_schema,
     gyo_reduction,
-    is_tree_schema,
     parse_schema,
     random_tree_schema,
 )

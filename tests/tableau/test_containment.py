@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import TableauError
-from repro.hypergraph import aring, chain_schema, parse_schema
+from repro.hypergraph import aring, parse_schema
 from repro.tableau import (
     find_containment_mapping,
     find_isomorphism,

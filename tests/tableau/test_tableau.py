@@ -5,11 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import TableauError
-from repro.hypergraph import parse_schema
 from repro.tableau import (
     Tableau,
-    TableauRow,
-    Variable,
     VariableKind,
     distinguished,
     shared,

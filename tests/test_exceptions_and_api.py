@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 import repro
 from repro import exceptions

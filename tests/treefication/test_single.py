@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.hypergraph import (
     aclique,
     aring,
-    chain_schema,
     grid_schema,
     gyo_reduction,
     is_tree_schema,

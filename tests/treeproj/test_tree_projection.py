@@ -14,13 +14,7 @@ from repro.figures import (
     SECTION_3_2_D_DOUBLE_PRIME,
     SECTION_3_2_D_PRIME,
 )
-from repro.hypergraph import (
-    DatabaseSchema,
-    aring,
-    chain_schema,
-    is_tree_schema,
-    parse_schema,
-)
+from repro.hypergraph import DatabaseSchema, aring, is_tree_schema, parse_schema
 from repro.treeproj import tree_projection as tree_projection_module
 from repro.treeproj import (
     find_tree_projection,
