@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 from ..exceptions import SchemaError, SearchBudgetExceeded, TreeProjectionError
 from ..hypergraph.gyo import is_tree_schema
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
-from ..relational.database import DatabaseState
+from ..relational.database import DatabaseState, dedupe_states
 from ..relational.relation import Relation, semijoin_key_layout
 from ..relational.yannakakis import YannakakisRun
 from ..treefication.single import treefying_relation
@@ -433,28 +433,18 @@ class _CyclicPlanAdapter:
         return self._owner._merge(run, prologue_max)
 
     def execute_batch(self, states: Iterable[DatabaseState]) -> List[YannakakisRun]:
-        """Batched execution with input-level dedup on top of the plan's own.
+        """Batched execution with input-level dedup.
 
-        Duplicate *input* states are derived and executed once; distinct
-        inputs whose derived node states coincide still dedup inside the
-        inner plan's batch.  Every returned run carries the one shared
-        :class:`~repro.relational.compiled.ExecutionStats` of the batch.
+        A state object repeated in the batch is derived and executed once
+        (:func:`~repro.relational.database.dedupe_states`).  Every returned
+        run carries the one shared :class:`~repro.relational.compiled
+        .ExecutionStats` of the batch.
         """
         from ..relational.compiled import ExecutionStats
 
         stats = ExecutionStats()
-        unique: List[DatabaseState] = []
-        index_of: Dict[DatabaseState, int] = {}
-        positions: List[int] = []
-        for state in states:
-            index = index_of.get(state)
-            if index is None:
-                index = len(unique)
-                index_of[state] = index
-                unique.append(state)
-            else:
-                stats.deduped_states += 1
-            positions.append(index)
+        unique, positions = dedupe_states(states)
+        stats.deduped_states += len(positions) - len(unique)
         derived_list: List[DatabaseState] = []
         prologue_maxes: List[int] = []
         for state in unique:

@@ -25,10 +25,10 @@ construction, which is sound because answers cross back as plain-value
 relations: the compiled kernel runs on the values, and the vectorized
 kernel's interner codes are decoded inside the worker.
 
-**Sharding.**  States are deduplicated (verbatim duplicates execute once),
-then grouped by estimated cost — total tuple count, assigned largest-first to
-the least-loaded shard (LPT scheduling) — so one heavy state cannot serialize
-the batch behind it.  Shards are submitted heaviest-first and results are
+**Sharding.**  States are deduplicated (a repeated state object executes
+once), then grouped by estimated cost — total tuple count, assigned
+largest-first to the least-loaded shard (LPT scheduling) — so one heavy state
+cannot serialize the batch behind it.  Shards are submitted heaviest-first and results are
 reassembled in input order; per-shard :class:`ExecutionStats` are merged into
 one :class:`ParallelStats` with per-worker attribution, shared by every run
 of the batch, and every run reports ``backend="parallel"``.
@@ -110,7 +110,7 @@ from ..exceptions import (
     WorkerCrashError,
 )
 from ..relational.compiled import ExecutionStats
-from ..relational.database import DatabaseState
+from ..relational.database import DatabaseState, dedupe_states
 from ..relational.yannakakis import YannakakisRun
 from ..hypergraph.schema import RelationSchema
 from . import faults
@@ -728,7 +728,7 @@ class ParallelExecutor:
 
         Semantics match ``prepared.execute_many(states)`` exactly — same
         results, same per-run accounting — with results in input order;
-        verbatim duplicate states are executed once and share a run.  Every
+        a repeated state object is executed once and shares a run.  Every
         returned run reports ``backend="parallel"`` and carries one shared
         :class:`ParallelStats` for the batch.
 
@@ -761,19 +761,9 @@ class ParallelExecutor:
             else resolve_failure_policy(failure_policy)
         )
 
-        # Verbatim-duplicate dedup (mirrors EncodedPlan.execute_batch):
-        # duplicate requests ride along for free and never cross the wire
-        # twice.
-        unique_states: List[DatabaseState] = []
-        unique_of: Dict[DatabaseState, int] = {}
-        positions: List[int] = []
-        for state in state_list:
-            index = unique_of.get(state)
-            if index is None:
-                index = len(unique_states)
-                unique_of[state] = index
-                unique_states.append(state)
-            positions.append(index)
+        # Repeated state objects (the dedup of EncodedPlan.execute_batch)
+        # ride along for free and never cross the wire twice.
+        unique_states, positions = dedupe_states(state_list)
 
         # One kernel for the whole batch, the one the serial paths pick.
         backend = resolve_backend_for("auto", unique_states)
@@ -1073,16 +1063,14 @@ def execute_in_process(prepared, states: Iterable[DatabaseState]) -> List[Yannak
     state_list = list(states)
     if not state_list:
         return []
-    unique_runs: Dict[DatabaseState, YannakakisRun] = {}
+    unique, positions = dedupe_states(state_list)
     stats = ParallelStats(0)
     plan = kernel_plan(prepared, resolve_backend_for("auto", state_list))
-    for state in state_list:
-        if state not in unique_runs:
-            unique_runs[state] = plan.execute_state(state, stats=stats)
-    stats.deduped_states += len(state_list) - len(unique_runs)
-    stats.routed_in_process = len(unique_runs)
-    stats.shard_sizes.append(len(unique_runs))
-    return [
-        replace(unique_runs[state], backend="parallel", stats=stats)
-        for state in state_list
+    runs = [
+        replace(plan.execute_state(state, stats=stats), backend="parallel", stats=stats)
+        for state in unique
     ]
+    stats.deduped_states += len(positions) - len(unique)
+    stats.routed_in_process = len(unique)
+    stats.shard_sizes.append(len(unique))
+    return [runs[index] for index in positions]

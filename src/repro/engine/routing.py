@@ -23,7 +23,7 @@ and in-process execution (the serial kernel itself is always
   The probed states run through the plan's normal encode cache, so their
   work is not wasted: the batch that follows reuses the encodings.
 * **Estimate.**  A batch is profiled by its *unique* states (the executors
-  dedup verbatim duplicates, so duplicates are free on every backend):
+  dedup repeated state objects, so duplicates are free on every backend):
   ``serial ≈ per_row_s × unique_rows`` against
   ``parallel ≈ batch_overhead + dispatch_per_state × unique_states +
   serial / workers (+ spawn if the pool is cold)``.
@@ -57,7 +57,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..relational.database import DatabaseState
+from ..relational.database import DatabaseState, dedupe_states
 from .analysis import analyze
 from .prepared import kernel_plan, resolve_backend, resolve_backend_for
 
@@ -145,14 +145,10 @@ class RoutingDecision:
 
 
 def _dedup_profile(states: Sequence[DatabaseState]) -> Tuple[int, int]:
-    """(unique state count, total rows across unique states)."""
-    seen = set()
-    rows = 0
-    for state in states:
-        if state not in seen:
-            seen.add(state)
-            rows += state.total_rows()
-    return len(seen), rows
+    """(unique state count, total rows across unique states), deduped as
+    the kernels dedupe a batch (:func:`~repro.relational.database.dedupe_states`)."""
+    unique, _ = dedupe_states(states)
+    return len(unique), sum(state.total_rows() for state in unique)
 
 
 class RoutingPolicy:

@@ -31,7 +31,9 @@ This module compiles a :class:`~repro.engine.prepared.PreparedQuery` into a
   them.  :meth:`CompiledPlan.encode_state` looks encodings up in a bounded
   per-slot cache keyed by relation object, so a relation shared across the
   states of a batch (e.g. a fixed dimension table under a changing fact
-  table) is indexed once per batch, not once per state.
+  table) is indexed once per batch, not once per state.  An entry holds its
+  relation weakly: it lives exactly as long as the caller keeps the
+  relation, so the cache never pins an input nobody else holds.
 
 Everything around the step program — the bounded per-slot encode cache,
 ``encode_state`` / ``execute`` / ``execute_batch`` and the diagnostics — is
@@ -46,8 +48,9 @@ The classic operators remain in place as the property-test oracle
 ``repro.tableau.reference`` anchors the interned tableau kernel.
 
 Lifecycle: a :class:`CompiledPlan` lives as long as the
-:class:`~repro.engine.prepared.PreparedQuery` that owns it; what it keeps
-between states is bounded by the encode cache's per-slot cap.
+:class:`~repro.engine.prepared.PreparedQuery` that owns it; between states
+it keeps encodings only of relations some caller still holds (at most the
+encode cache's per-slot cap of them).
 :meth:`repro.engine.prepared.PreparedQuery.reset_compiled` drops the whole
 plan.
 
@@ -62,13 +65,14 @@ as plain-value relations.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemaError
 from ..hypergraph.schema import Attribute
-from .database import DatabaseState
+from .database import DatabaseState, dedupe_states
 from .relation import Relation, _tuple_getter
 from .yannakakis import YannakakisRun
 
@@ -534,14 +538,39 @@ def build_row_ops(layout: _PlanLayout):
     return semijoin_ops, tuple(join_ops), final_get
 
 
+def _evicter(cache: "OrderedDict[int, Tuple[weakref.KeyedRef, Any]]"):
+    """The weak-reference callback of one slot cache's entries.
+
+    It pops a dead relation's entry only while the entry still holds that
+    very reference, so it is a no-op once the entry was evicted, cleared
+    (``clear_encode_cache``, a vectorized mode promotion or epoch rollover,
+    the miss streak) or replaced.  It can fire on any thread, possibly one
+    that holds the plan's encode lock, so it never takes that lock: every
+    dict operation it makes is atomic under the GIL, and the dead relation's
+    ``id`` cannot be reused by a new entry before the callback returns.  It
+    holds the cache weakly, so a dropped plan frees its cache without a
+    reference cycle.
+    """
+    cache_ref = weakref.ref(cache)
+
+    def evict(ref: weakref.KeyedRef) -> None:
+        live = cache_ref()
+        if live is not None:
+            entry = live.get(ref.key)
+            if entry is not None and entry[0] is ref:
+                live.pop(ref.key, None)
+
+    return evict
+
+
 class EncodedPlan:
     """The encode core both serial kernels share around their step program.
 
     A kernel plan is built once per :class:`~repro.engine.prepared
     .PreparedQuery` (see its ``compiled`` / ``vectorized`` properties) and
-    owns a bounded per-slot encoding cache shared by every state the plan
-    ever executes.  This class implements that cache once, with the
-    encode/execute/batch entry points and the diagnostics.  A kernel
+    owns a bounded per-slot encoding cache, with weak entries, shared by
+    every state the plan executes.  This class implements that cache once,
+    with the encode/execute/batch entry points and the diagnostics.  A kernel
     subclass supplies only what differs: ``_lower`` (the shared
     :func:`plan_layout` into the kernel's step program), ``_encode_relation``
     (one relation slot into the kernel's encoding), ``_run`` (its row or
@@ -550,11 +579,12 @@ class EncodedPlan:
     :mod:`repro.relational.vectorized`).
     """
 
-    #: Cap on cached encodings per slot — bounds what long-running serving
-    #: processes can accumulate while keeping whole batches of repeated
-    #: relations resident.  Sized above typical batch fan-outs: an LRU whose
-    #: cap sits just *below* the working set degrades to 100% misses under
-    #: sequentially repeated batches.
+    #: Cap on cached encodings per slot.  Entries already die with their
+    #: relations (see :meth:`_encode_slots`); the cap bounds what callers
+    #: that keep many relations alive can make a long-running serving
+    #: process hold on their behalf.  Sized above typical batch fan-outs: an
+    #: LRU whose cap sits just *below* the working set degrades to 100%
+    #: misses under sequentially repeated batches.
     _ENCODE_CACHE_MAX = 1024
 
     #: Consecutive misses after which a slot's encode cache turns itself off.
@@ -577,6 +607,7 @@ class EncodedPlan:
         "_final_columns",
         "_final_schema",
         "_slot_cache",
+        "_evict",
         "_cache_meta",
     )
 
@@ -591,9 +622,10 @@ class EncodedPlan:
         self.slot_columns = columns
 
         self._encode_lock = threading.Lock()
-        self._slot_cache: Tuple["OrderedDict[int, Tuple[Relation, Any]]", ...] = (
-            tuple(OrderedDict() for _ in columns)
-        )
+        self._slot_cache: Tuple[
+            "OrderedDict[int, Tuple[weakref.KeyedRef, Any]]", ...
+        ] = tuple(OrderedDict() for _ in columns)
+        self._evict = tuple(_evicter(cache) for cache in self._slot_cache)
         # Per slot: [consecutive miss count, cache disabled flag].
         self._cache_meta: List[List[int]] = [[0, 0] for _ in columns]
 
@@ -613,8 +645,11 @@ class EncodedPlan:
         commits the counts to its stats only after the pass succeeds (a
         kernel override may record its own encode-time events in ``stats``).
 
-        The cache is keyed by the relation *object*, and each entry holds the
-        relation so its ``id`` stays unique while cached.  Relations are
+        The cache is keyed by the relation *object*: each entry holds a weak
+        reference to its relation whose callback drops the entry when the
+        relation dies.  An entry therefore lives exactly as long as its
+        relation, so its ``id`` key cannot be reused while it is cached, and
+        the cache never keeps alive an input no caller holds.  Relations are
         immutable, so a hit is exactly the rows the encoding was made from;
         a value-keyed cache would hand one state the representatives of an
         equal relation of another (``1.0`` for ``1``).
@@ -637,7 +672,10 @@ class EncodedPlan:
             encoding = self._encode_relation(slot, relation)
             encoded += 1
             if caching:
-                cache[key] = (relation, encoding)
+                cache[key] = (
+                    weakref.KeyedRef(relation, self._evict[slot], key),
+                    encoding,
+                )
                 if len(cache) > self._ENCODE_CACHE_MAX:
                     cache.popitem(last=False)
                 meta[0] += 1
@@ -729,26 +767,20 @@ class EncodedPlan:
 
         All states share the plan's per-slot encoding cache, so a relation
         object repeated across states is encoded — and its key indexes
-        built — once for the whole batch; states repeated verbatim (equal
-        duplicate requests) are executed once and their immutable run is
-        shared.  Every returned run carries the same :class:`ExecutionStats`
-        object describing the batch; a wrapping plan (the cyclic prologue
-        adapter of :mod:`repro.engine.cyclic`) may pass its own ``stats`` to
-        fold pre-batch accounting into the same object.
+        built — once for the whole batch; a state object repeated in the
+        batch is executed once and its immutable run is shared (see
+        :func:`~repro.relational.database.dedupe_states`).  Every returned
+        run carries the same :class:`ExecutionStats` object describing the
+        batch; a wrapping plan (the cyclic prologue adapter of
+        :mod:`repro.engine.cyclic`) may pass its own ``stats`` to fold
+        pre-batch accounting into the same object.
         """
         if stats is None:
             stats = ExecutionStats()
-        runs: List[YannakakisRun] = []
-        memo: Dict[DatabaseState, YannakakisRun] = {}
-        for state in states:
-            run = memo.get(state)
-            if run is None:
-                run = self.execute_state(state, stats=stats)
-                memo[state] = run
-            else:
-                stats.deduped_states += 1
-            runs.append(run)
-        return runs
+        unique, positions = dedupe_states(states)
+        stats.deduped_states += len(positions) - len(unique)
+        runs = [self.execute_state(state, stats=stats) for state in unique]
+        return [runs[index] for index in positions]
 
     # -- maintenance -----------------------------------------------------------
 

@@ -9,14 +9,19 @@ the paper's results quantify over.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import RelationError, SchemaError
 from ..hypergraph.schema import DatabaseSchema
 from .algebra import join_all
 from .relation import Relation
 
-__all__ = ["DatabaseState", "universal_database", "is_universal_database"]
+__all__ = [
+    "DatabaseState",
+    "dedupe_states",
+    "universal_database",
+    "is_universal_database",
+]
 
 
 class DatabaseState:
@@ -119,6 +124,30 @@ class DatabaseState:
                 )
             derived.append(self._relations[source_index].project(target))
         return DatabaseState(sub_schema, derived)
+
+
+def dedupe_states(
+    states: Iterable[DatabaseState],
+) -> Tuple[List[DatabaseState], List[int]]:
+    """Collapse a batch's repeated state *objects*: ``(unique, positions)``.
+
+    ``unique`` lists each distinct state object once, in first-seen order,
+    and ``positions[i]`` is the index into ``unique`` of the batch's
+    ``i``-th state.  Only the very same object dedupes: equal states of
+    different representations (``1`` and ``1.0``) stay apart, because a
+    shared run would answer one with the other's cell values.  ``unique``
+    holds every state of the batch, so none can die — and free its ``id``
+    for the next state a generator yields — while the batch runs.
+    """
+    unique: List[DatabaseState] = []
+    index_of: Dict[int, int] = {}
+    positions: List[int] = []
+    for state in states:
+        index = index_of.setdefault(id(state), len(unique))
+        if index == len(unique):
+            unique.append(state)
+        positions.append(index)
+    return unique, positions
 
 
 def universal_database(schema: DatabaseSchema, universal: Relation) -> DatabaseState:

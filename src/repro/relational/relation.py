@@ -137,7 +137,8 @@ class Relation:
     [{'a': 1, 'b': 2, 'c': 9}]
     """
 
-    __slots__ = ("_schema", "_columns", "_rows", "_positions", "_indexes")
+    # ``__weakref__`` lets a kernel plan's encode cache hold relations weakly.
+    __slots__ = ("_schema", "_columns", "_rows", "_positions", "_indexes", "__weakref__")
 
     def __init__(
         self,

@@ -55,9 +55,10 @@ oracle's *by value*; a cell may be ``1.0`` where the state held ``1``.
 
 **Epochs, caches, lifecycle.**  :class:`VectorizedPlan` subclasses the
 compiled backend's :class:`~repro.relational.compiled.EncodedPlan`, so the
-per-slot LRU encoding caches with miss-streak self-disable are literally
-the same code.  The interner is bounded here: when its value count
-overflows :data:`DEFAULT_MAX_INTERNED_VALUES`, the next state encode opens
+per-slot LRU encoding caches — weak entries that die with their relations,
+miss-streak self-disable — are literally the same code.  The interner is
+bounded here: when its value count overflows
+:data:`DEFAULT_MAX_INTERNED_VALUES`, the next state encode opens
 a new interner *epoch* (fresh maps, every cached encoding dropped), and
 per-state decoders captured at encode time let in-flight states decode
 against the epoch that minted their codes.  The number of rollovers is

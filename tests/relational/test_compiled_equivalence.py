@@ -22,6 +22,7 @@ from repro.hypergraph import (
     DatabaseSchema,
     RelationSchema,
     chain_schema,
+    parse_schema,
     random_tree_schema,
     star_schema,
 )
@@ -216,6 +217,65 @@ class TestValueSemantics:
             compiled = prepared.execute(state, backend="compiled")
             _assert_runs_agree(classic, compiled)
             assert _cells(compiled.result) == _cells(classic.result)
+
+    def test_batch_dedupe_keeps_equal_representations_apart(self):
+        """A batch shares a run only between repeats of one state object:
+        equal states of different representations (``1.0``, ``1``, ``True``)
+        each answer with their own values, as classic does — on the compiled
+        kernel, under ``auto``, through ``prepare_cyclic`` and for a
+        generator-fed batch."""
+        from repro.engine.routing import RoutingPolicy
+
+        def chain_states():
+            schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
+            return schema, RelationSchema("ac"), [
+                DatabaseState(
+                    schema,
+                    [Relation(schema[0], [(a, 0)]), Relation(schema[1], [(0, "x")])],
+                )
+                for a in (1.0, 1, True)
+            ]
+
+        def ring_states():
+            schema = parse_schema("ab,bc,cd,da")
+            return schema, RelationSchema("ac"), [
+                DatabaseState(
+                    schema,
+                    [
+                        Relation(schema[0], [(a, 0)]),
+                        Relation(schema[1], [(0, "c")]),
+                        Relation(schema[2], [("c", 5)]),
+                        Relation(schema[3], [(a, 5)]),
+                    ],
+                )
+                for a in (1.0, 1, True)
+            ]
+
+        cases = [
+            (chain_states, lambda s, t: analyze(s).prepare(t), ("compiled", "auto")),
+            (ring_states, lambda s, t: analyze(s).prepare_cyclic(t), ("compiled", "auto")),
+        ]
+        for make, prepare, backends in cases:
+            schema, target, states = make()
+            prepared = prepare(schema, target)
+            expected = [
+                _cells(prepared.execute(state, backend="classic").result)
+                for state in states
+            ]
+            assert len(set(map(tuple, expected))) == 3  # the oracle tells them apart
+            assert RoutingPolicy().decide(prepared, states).unique_states == 3
+            for backend in backends:
+                prepared.reset_compiled()
+                runs = prepared.execute_many(states + states[:1], backend=backend)
+                assert [_cells(run.result) for run in runs] == expected + expected[:1]
+                assert runs[3] is runs[0]
+                # A generator hands over each state once; none may die (and
+                # free its id for the next) before the batch is done.
+                prepared.reset_compiled()
+                fed = prepared.execute_many(
+                    (make()[2][index] for index in range(3)), backend=backend
+                )
+                assert [_cells(run.result) for run in fed] == expected
 
     def test_vectorized_answers_equal_classic_by_value(self):
         """The vectorized kernel's documented contract on the same states:

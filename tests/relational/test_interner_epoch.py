@@ -220,10 +220,11 @@ class TestCompiledInternsNothing:
         _set_cap(monkeypatch, 1)
         schema = _schema()
         prepared, plan = _fresh_plan(self.kernel)
-        for salt in range(12):
-            prepared.execute(_string_state(schema, salt), backend=self.kernel)
+        states = [_string_state(schema, salt) for salt in range(12)]
+        for state in states:
+            prepared.execute(state, backend=self.kernel)
             assert plan.interned_value_count() == 0
-        # Each slot caches one encoding per distinct relation object.
+        # Each slot caches one encoding per distinct live relation object.
         assert plan.cache_sizes() == (12, 12)
 
     def test_results_match_classic_under_a_tiny_cap(self, monkeypatch):
@@ -373,10 +374,12 @@ class TestEncodeCache:
             return stats.encoded_slots, stats.cached_slots
 
         limit = plan._CACHE_MISS_STREAK_MAX
-        for value in range(limit):
-            plan.encode_state(state(value))
+        # Held, so their (weak) cache entries stay while the streak grows.
+        held = [state(value) for value in range(limit + 1)]
+        for encoded in held[:limit]:
+            plan.encode_state(encoded)
         assert plan.cache_sizes() == (limit, 1)
-        plan.encode_state(state(limit))  # one miss past the streak limit
+        plan.encode_state(held[limit])  # one miss past the streak limit
         assert plan.cache_sizes() == (0, 1)
         repeat = state(0)
         encode_counts(repeat)
