@@ -928,18 +928,18 @@ def bench_service(repeats: int) -> List[Dict[str, Any]]:
     return rows
 
 
-#: The PR-8 vectorized-kernel workloads.  Two regimes where the array
-#: backend's wins concentrate:
+#: The vectorized-kernel workloads, one per side of the ``auto`` gate:
 #:
 #: * ``vec-explosion-star`` — an output-explosion join: star(3) with a
 #:   dense hub (every hub value carried by every relation), so the final
 #:   join materializes ``FANOUT**3`` combinations per hub value.  The
 #:   vectorized backend builds the cross products as index gathers over
-#:   int64 arrays instead of nested Python tuple loops.
-#: * ``vec-string-chain`` — a dict-mode encode-bound batch: wide string
-#:   relations where classic/compiled spend their time hashing Python
-#:   strings row by row; the vectorized encode fast path bulk-interns
-#:   whole columns.
+#:   int64 arrays instead of nested Python tuple loops; ``auto`` picks it.
+#: * ``vec-string-chain`` — wide string relations under a semijoin-only
+#:   plan.  The compiled kernel runs on the string values themselves, while
+#:   the array kernel must first dictionary-encode every cell, so compiled
+#:   is the faster one here (24.4 against 48.5 ms/state before the gate
+#:   learned this) and ``auto`` picks it.
 #:
 #: Fairness protocol (PR-4, tightened): every timed pass gets fresh state
 #: objects AND a fresh plan per backend.  Reusing one plan across passes
@@ -1003,6 +1003,7 @@ def bench_vectorized(repeats: int) -> List[Dict[str, Any]]:
     anything.  The array kernel needs numpy, so without it the section is
     skipped; ``numpy`` stamps that the real array path ran.
     """
+    from repro.engine.prepared import resolve_backend_for
     from repro.relational.compiled import CompiledPlan
     from repro.relational.vectorized import VectorizedPlan, numpy_available
 
@@ -1064,6 +1065,7 @@ def bench_vectorized(repeats: int) -> List[Dict[str, Any]]:
                 assert vectorized.result == classic.result, case
             answer_rows = len(classic_runs[0].result)
             max_intermediate = classic_runs[0].max_intermediate_size
+            auto_backend = resolve_backend_for("auto", states, query=prepared)
         classic_s = statistics.median(classic_times)
         compiled_s = statistics.median(compiled_times)
         vectorized_s = statistics.median(vectorized_times)
@@ -1075,6 +1077,7 @@ def bench_vectorized(repeats: int) -> List[Dict[str, Any]]:
                 "host_cpus": host_cpus,
                 "answer_rows": answer_rows,
                 "max_intermediate": max_intermediate,
+                "auto_backend": auto_backend,
                 "classic_per_state_s": classic_s / state_count,
                 "compiled_per_state_s": compiled_s / state_count,
                 "vectorized_per_state_s": vectorized_s / state_count,

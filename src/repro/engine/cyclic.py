@@ -816,10 +816,10 @@ class CyclicPreparedQuery:
         """Run the frozen plan against one state; no planning happens here.
 
         Same contract as :meth:`PreparedQuery.execute`: ``backend`` picks the
-        serial kernel (``"auto"`` applies the shape-aware profitability gate
-        of :func:`~repro.engine.prepared.resolve_backend_for` to the
-        *original* state), the returned run's counts include the prologue's
-        guard semijoins and node-materialization joins.
+        serial kernel (``"auto"`` applies the gate of
+        :func:`~repro.engine.prepared.resolve_backend_for` to the *original*
+        state and the inner plan), the returned run's counts include the
+        prologue's guard semijoins and node-materialization joins.
         """
         return _execute_one(self, state, backend)
 

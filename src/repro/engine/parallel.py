@@ -766,7 +766,7 @@ class ParallelExecutor:
         unique_states, positions = dedupe_states(state_list)
 
         # One kernel for the whole batch, the one the serial paths pick.
-        backend = resolve_backend_for("auto", unique_states)
+        backend = resolve_backend_for("auto", unique_states, query=prepared)
         costs = [state.total_rows() for state in unique_states]
         shards = plan_shards(costs, self._workers * DEFAULT_SHARDS_PER_WORKER)
         # Heaviest shard first: it starts executing while the rest are still
@@ -1065,7 +1065,9 @@ def execute_in_process(prepared, states: Iterable[DatabaseState]) -> List[Yannak
         return []
     unique, positions = dedupe_states(state_list)
     stats = ParallelStats(0)
-    plan = kernel_plan(prepared, resolve_backend_for("auto", state_list))
+    plan = kernel_plan(
+        prepared, resolve_backend_for("auto", state_list, query=prepared)
+    )
     runs = [
         replace(plan.execute_state(state, stats=stats), backend="parallel", stats=stats)
         for state in unique

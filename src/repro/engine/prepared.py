@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..exceptions import NotATreeSchemaError, SchemaError
 from ..hypergraph.qual_graph import QualGraph
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
-from ..relational.compiled import CompiledPlan
+from ..relational.compiled import _JOIN_GENERAL, CompiledPlan, plan_layout
 from ..relational.database import DatabaseState
 from ..relational.vectorized import VectorizedPlan, numpy_available
 from ..relational.relation import Relation
@@ -127,17 +127,18 @@ def _state_rows(state: DatabaseState) -> int:
 def vectorized_batch_profitable(
     state_count: int, total_rows: int, relation_count: int
 ) -> bool:
-    """The shape-aware ``auto`` gate: is the vectorized kernel worth it?
+    """The shape half of the ``auto`` gate: is the batch big enough for the
+    vectorized kernel?
 
     True when the batch's mean total rows per state clear the
     :data:`VECTORIZED_MIN_STATE_ROWS` floor **and** the mean rows per
     relation clear :data:`VECTORIZED_RELATION_ROWS_FACTOR` ×
     ``(relation_count − VECTORIZED_NARROW_RELATIONS)`` (wide schemas of
     many small relations lose to the per-join array-setup toll even when
-    total rows look large; narrow schemas are floor-only).  This single
-    predicate backs the one kernel seam, :func:`resolve_backend_for`, which
-    serial batches, in-process ``"parallel"`` batches and pool batches all
-    call once per batch.
+    total rows look large; narrow schemas are floor-only).  It counts rows,
+    not value types or plan shape: :func:`resolve_backend_for`, the one
+    kernel seam, asks it first and then checks the plan and the values
+    before it commits a batch to the array kernel.
     """
     if state_count <= 0:
         return False
@@ -153,21 +154,45 @@ def vectorized_batch_profitable(
     )
 
 
+def _samples_non_int(states: Sequence[DatabaseState]) -> bool:
+    """True when the first row of some relation of some state holds a cell
+    that is not an ``int``: a value the array kernel must dictionary-encode."""
+    for state in states:
+        for relation in state.relations:
+            for row in relation.rows:
+                if any(type(cell) is not int for cell in row):
+                    return True
+                break
+    return False
+
+
 def resolve_backend_for(
-    backend: str, states: Sequence[DatabaseState]
+    backend: str, states: Sequence[DatabaseState], *, query=None
 ) -> str:
     """Resolve ``backend`` with the workload in hand: ``auto`` upgrades to
-    the vectorized kernel only when it is profitable.
+    the vectorized kernel only when it is the faster one.
 
     :func:`resolve_backend` answers the static question (which kernels can
     run here); this answers the routing question (which kernel *should* run
     this batch).  ``auto`` resolves to ``"vectorized"`` when numpy is
-    importable **and** the batch clears the shape-aware gate of
-    :func:`vectorized_batch_profitable` — mean state size over the
-    :data:`VECTORIZED_MIN_STATE_ROWS` floor *and* enough rows per relation
-    to amortize the per-join array toll; otherwise it stays on the compiled
-    backend, whose per-row interpreter has no array-construction toll to
-    amortize.  Explicit backend names are never second-guessed.
+    importable and the batch passes two checks, and to ``"compiled"``
+    otherwise:
+
+    * the shape gate, :func:`vectorized_batch_profitable`: mean state size
+      over the :data:`VECTORIZED_MIN_STATE_ROWS` floor *and* enough rows per
+      relation to amortize the per-join array toll;
+    * given the ``query`` (a :class:`PreparedQuery`, or a cyclic query,
+      judged by its inner plan): the batch stays on compiled when the plan
+      has no expanding join (:attr:`PreparedQuery.expands`) *and* the first
+      row of some relation holds a non-``int`` cell.  Such a plan is a
+      semijoin program, which the compiled kernel runs on the values
+      themselves, while the array kernel would first dictionary-encode every
+      cell.  A plan with a general join stays on vectorized whatever its
+      values: there the array join's gathers outrun the row loop by far more
+      than the encode costs.
+
+    With ``query=None`` only the shape gate applies.  Explicit backend
+    names are never second-guessed.
     """
     resolved = resolve_backend(backend)
     if backend != "auto" or resolved != "vectorized":
@@ -176,11 +201,14 @@ def resolve_backend_for(
         return "compiled"
     total_rows = sum(_state_rows(state) for state in states)
     relation_count = max(len(state.relations) for state in states)
-    return (
-        "vectorized"
-        if vectorized_batch_profitable(len(states), total_rows, relation_count)
-        else "compiled"
-    )
+    if not vectorized_batch_profitable(len(states), total_rows, relation_count):
+        return "compiled"
+    if query is not None:
+        if getattr(query, "is_cyclic_plan", False):
+            query = query.inner
+        if not query.expands and _samples_non_int(states):
+            return "compiled"
+    return "vectorized"
 
 
 def default_root(
@@ -269,6 +297,7 @@ class PreparedQuery:
         "_final_projection",
         "_compiled",
         "_vectorized",
+        "_expands",
     )
 
     def __init__(
@@ -294,6 +323,7 @@ class PreparedQuery:
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_compiled", None)
         object.__setattr__(self, "_vectorized", None)
+        object.__setattr__(self, "_expands", None)
 
         if len(schema) == 0:
             object.__setattr__(self, "_tree", None)
@@ -436,6 +466,20 @@ class PreparedQuery:
         return self._final_projection
 
     @property
+    def expands(self) -> bool:
+        """True when some join step combines rows (a general join), so the
+        join can grow past its inputs; False for a plan whose joins only
+        filter, such as a semijoin-only plan.  Read off :func:`plan_layout`
+        once and cached."""
+        expands = self._expands
+        if expands is None:
+            expands = any(
+                step.kind == _JOIN_GENERAL for step in plan_layout(self).joins
+            )
+            object.__setattr__(self, "_expands", expands)
+        return expands
+
+    @property
     def compiled(self) -> CompiledPlan:
         """The compiled row-program plan, built lazily and cached.
 
@@ -545,8 +589,10 @@ class PreparedQuery:
         the state is large enough to amortize the array toll — the
         shape-aware :func:`vectorized_batch_profitable` gate, which adds a
         per-relation term to the :data:`VECTORIZED_MIN_STATE_ROWS` floor —
-        and the row-program backend of
-        :mod:`repro.relational.compiled` otherwise;
+        unless the plan has no expanding join and the state holds
+        non-``int`` values (see :func:`resolve_backend_for`), and through
+        the row-program backend of :mod:`repro.relational.compiled`
+        otherwise;
         ``"vectorized"``/``"compiled"`` request those kernels explicitly and
         ``"classic"`` forces the object-tuple
         :class:`~repro.relational.relation.Relation` operators.  All
@@ -603,9 +649,8 @@ class PreparedQuery:
         """Execute the plan against each state, amortizing the planning cost.
 
         With a serial columnar backend (``"auto"`` picks the vectorized
-        kernel when numpy is importable and the batch passes the shape-aware
-        :func:`vectorized_batch_profitable` gate, the compiled backend
-        otherwise) this is a true batch: all states share the plan's
+        kernel or the compiled one per batch, as :func:`resolve_backend_for`
+        decides) this is a true batch: all states share the plan's
         per-slot encoding cache, so a relation object repeated across states
         is encoded — and its key indexes built — once for the whole batch.  The returned runs all carry one shared
         :class:`~repro.relational.compiled.ExecutionStats` describing the
@@ -669,7 +714,7 @@ def kernel_plan(query, kernel: str):
 def _execute_one(query, state: DatabaseState, backend: str) -> YannakakisRun:
     """The single-state entry shared by :meth:`PreparedQuery.execute` and
     :meth:`~repro.engine.cyclic.CyclicPreparedQuery.execute`."""
-    resolved = resolve_backend_for(backend, (state,))
+    resolved = resolve_backend_for(backend, (state,), query=query)
     if resolved == "parallel":
         raise ValueError(
             "the parallel backend batches states across processes; "
@@ -764,7 +809,7 @@ def _execute_many(
             "backend='parallel'; the serial backends run in-process"
         )
     state_list = states if isinstance(states, list) else list(states)
-    resolved = resolve_backend_for(backend, state_list)
+    resolved = resolve_backend_for(backend, state_list, query=query)
     if resolved == "classic":
         return [_execute_one(query, state, resolved) for state in state_list]
     return kernel_plan(query, resolved).execute_batch(state_list)

@@ -178,7 +178,7 @@ class RoutingPolicy:
         plan's encode cache, so a following batch re-executes them nearly
         for free.
         """
-        serial = resolve_backend_for("auto", states)
+        serial = resolve_backend_for("auto", states, query=prepared)
         analysis = analyze(prepared.schema)
         cached = analysis.cached_cost_probe(
             prepared.target, root=prepared.root, backend=serial
@@ -258,7 +258,7 @@ class RoutingPolicy:
                 resolved, "override", f"backend={resolved!r} requested explicitly"
             )
 
-        kernel = resolve_backend_for("auto", state_list)
+        kernel = resolve_backend_for("auto", state_list, query=prepared)
         if count == 0:
             return verdict(kernel, "empty", "empty batch: nothing to execute")
         if unique_states <= 1:

@@ -31,6 +31,15 @@ identical by construction) over contiguous int64 **code arrays**:
   ``np.repeat``/``cumsum`` index arithmetic: output columns are built by two
   gathers (mother rows by repeat index, child parts by group-offset index)
   with no per-row Python at all.
+* **The last join into the root emits only the final columns.**  Nothing
+  reads the root after that join but the final projection, so when the
+  projection drops columns (the hub of a star), the step skips them: it
+  packs the mother's final columns on the mother's rows and the child's on
+  the bucket rows, before expanding, into one int64 per join row —
+  ``repeat(mother code) × child span + child code`` — dedups those by dense
+  scatter or ``np.unique``, and unpacks only the distinct codes.  Run
+  counts and ``max_intermediate_size`` still count the whole join.  A
+  packed span of 2^62 or more takes the materializing path instead.
 * **Bulk interning.**  Dictionary-mode encode of an all-string column runs
   ``np.unique(return_inverse)`` over the raw values and only walks the
   *unique* values through the interning dictionary — the vectorized
@@ -92,6 +101,7 @@ from .compiled import (
     EncodedPlan,
     EncodedState,
     ExecutionStats,
+    _JOIN_GENERAL,
     _JOIN_SEMI_CHILD,
     _PlanLayout,
 )
@@ -208,39 +218,89 @@ def _member_mask(np, sorted_unique, keys):
 #: Dense-scatter dedup is allowed to allocate up to this many slots per row.
 _DENSE_DEDUP_SLACK = 4
 
+#: Packed row codes stay below this, so packing arithmetic never overflows.
+_PACK_LIMIT = 1 << 62
+
+
+def _pack_columns(np, columns, n: int):
+    """Range-compress int64 columns into one int64 code per row.
+
+    Column ``j`` contributes ``column - low_j`` as a mixed-radix digit of
+    base ``width_j`` (its value range), the first column most significant,
+    so equal rows get equal codes and every code lies in ``[0, span)``.
+    Returns ``(packed, lows, widths, span)``, or ``None`` when ``span``
+    reaches :data:`_PACK_LIMIT` (callers fall back to a path that does not
+    pack).  No columns pack as ``n`` zeros with span 1.
+    """
+    if not columns:
+        return np.zeros(n, dtype=np.int64), (), (), 1
+    lows = [int(column.min()) for column in columns]
+    widths = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    span = 1
+    for width in widths:
+        span *= width
+    if span >= _PACK_LIMIT:
+        return None
+    packed = columns[0] - lows[0]
+    for column, low, width in zip(columns[1:], lows[1:], widths[1:]):
+        packed = packed * width + (column - low)
+    return packed, lows, widths, span
+
+
+def _unpack_columns(np, codes, lows, widths) -> List[Any]:
+    """The columns :func:`_pack_columns` packed into ``codes``, in order."""
+    columns: List[Any] = [None] * len(lows)
+    for j in range(len(lows) - 1, 0, -1):
+        codes, digit = np.divmod(codes, widths[j])
+        columns[j] = digit + lows[j]
+    if lows:
+        columns[0] = codes + lows[0]
+    return columns
+
+
+def _distinct_packed(np, packed, span: int, *, index: bool):
+    """Dedup packed codes in ``[0, span)``.
+
+    Returns the distinct codes or, with ``index``, the position of one
+    representative row per distinct code (an arbitrary one).  A domain small
+    next to the row count dedups by dense scatter, with no sort at all; a
+    larger one by a single typed ``np.unique``.
+    """
+    n = len(packed)
+    if span <= max(_DENSE_DEDUP_SLACK * n, 1 << 16):
+        if index:
+            representative = np.full(span, -1, dtype=np.intp)
+            representative[packed] = np.arange(n, dtype=np.intp)
+            return representative[representative >= 0]
+        seen = np.zeros(span, dtype=bool)
+        seen[packed] = True
+        return np.flatnonzero(seen)
+    if index:
+        return np.unique(packed, return_index=True)[1]
+    return np.unique(packed)
+
 
 def _unique_rows_index(np, encoding: _VecEncoding, positions: Tuple[int, ...]):
     """Indices of one representative of each distinct row at ``positions``.
 
     Within-relation dedup needs no cross-relation key representation, so it
     avoids the void-dtype sort (memcmp comparisons — the slowest kernel in
-    the module) entirely.  Columns pack into a single int64 by range
-    compression; a small packed domain dedups by pure scatter (no sort at
-    all), a larger one by a single typed ``np.unique``.  Domains too wide to
-    pack fall back to iterative inverse recompression: one typed unique per
-    column, with the running group id recompressed below ``n`` each step so
-    the arithmetic never overflows.  Representatives are arbitrary (callers
-    gather whole equal rows), and output order is irrelevant.
+    the module) entirely: the columns pack into one int64 per row
+    (:func:`_pack_columns`) and dedup as :func:`_distinct_packed`.  Domains
+    too wide to pack fall back to iterative inverse recompression: one
+    typed unique per column, with the running group id recompressed below
+    ``n`` each step so the arithmetic never overflows.  Representatives are
+    arbitrary (callers gather whole equal rows), and output order is
+    irrelevant.
     """
     n = encoding.n
     if n == 0:
         return np.empty(0, dtype=np.intp)
     cols = [encoding.columns[p] for p in positions]
-    lows = [int(col.min()) for col in cols]
-    widths = [int(col.max()) - low + 1 for col, low in zip(cols, lows)]
-    span = 1
-    for width in widths:
-        span *= width
-    if span < 1 << 62:
-        combined = cols[0] - lows[0]
-        for col, low, width in zip(cols[1:], lows[1:], widths[1:]):
-            combined = combined * width + (col - low)
-        if span <= max(_DENSE_DEDUP_SLACK * n, 1 << 16):
-            representative = np.full(span, -1, dtype=np.intp)
-            representative[combined] = np.arange(n, dtype=np.intp)
-            return representative[representative >= 0]
-        _, index = np.unique(combined, return_index=True)
-        return index
+    packing = _pack_columns(np, cols, n)
+    if packing is not None:
+        packed, _, _, span = packing
+        return _distinct_packed(np, packed, span, index=True)
     inverse = None
     for col in cols:
         _, col_inverse = np.unique(col, return_inverse=True)
@@ -328,6 +388,7 @@ class VectorizedPlan(EncodedPlan):
         "_np",
         "_final_positions",
         "_final_permutes",
+        "_fused",
         "mode_promotions",
         "_modes",
         "_intern",
@@ -362,6 +423,52 @@ class VectorizedPlan(EncodedPlan):
         self._final_permutes = layout.final_positions is not None and sorted(
             layout.final_positions
         ) == list(range(len(layout.final_positions)))
+        self._fused = self._fuse_last_root_join(layout)
+
+    def _fuse_last_root_join(self, layout: _PlanLayout):
+        """Mark the join that can emit the final columns alone (module notes).
+
+        That is the last join into the root, when it is a general join and
+        the final projection drops some of its output columns: nothing reads
+        the root after it but that projection.  Returns ``(step,
+        mother_positions, child_positions, order)``: the final columns'
+        positions among the mother's columns and among the child's new
+        columns, and where each final column sits in their concatenation.
+        ``None`` when no step qualifies.
+        """
+        final_positions = layout.final_positions
+        if not final_positions:
+            return None
+        # Replay slot widths: a general join appends the child's new
+        # columns to the mother's, a child-semijoin join replaces them.
+        widths = [len(columns) for columns in self.slot_columns]
+        last, mother_width = None, 0
+        for step in layout.joins:
+            if step.mother == self.root:
+                last, mother_width = step, widths[step.mother]
+            if step.kind == _JOIN_SEMI_CHILD:
+                widths[step.mother] = (
+                    widths[step.node] if step.proj_pos is None else len(step.proj_pos)
+                )
+            elif step.extract_pos is None:
+                widths[step.mother] += len(step.cnew_pos)
+            else:
+                widths[step.mother] += len(step.extract_pos) - step.kw
+        if (
+            last is None
+            or last.kind != _JOIN_GENERAL
+            or len(final_positions) == widths[self.root]
+        ):
+            return None
+        from_mother = [p for p in final_positions if p < mother_width]
+        from_child = [p for p in final_positions if p >= mother_width]
+        concatenated = from_mother + from_child
+        return (
+            last,
+            tuple(from_mother),
+            tuple(p - mother_width for p in from_child),
+            tuple(concatenated.index(p) for p in final_positions),
+        )
 
     # -- encoding --------------------------------------------------------------
 
@@ -401,7 +508,8 @@ class VectorizedPlan(EncodedPlan):
         speed and only the *unique* values touch the interning dictionary,
         so per-cell Python work is proportional to the distinct-value count,
         not the row count (the vectorized canonical-value mode).  Everything
-        else takes the interning loop.
+        else — mixed columns, and string columns holding a NUL character,
+        which numpy's unicode dtype would merge — takes the interning loop.
         """
         np = self._np
         intern_map = self._intern[attribute]
@@ -415,7 +523,9 @@ class VectorizedPlan(EncodedPlan):
                 return np.asarray(codes, dtype=np.int64)
         # The type scan runs as C-level ``map``; mixed columns must never
         # reach ``np.asarray`` below, which would silently stringify them.
-        if set(map(type, column)) == {str}:
+        # numpy's unicode dtype drops trailing NULs (``'k\x00'`` reads back
+        # as ``'k'``), so a column holding any NUL takes the loop instead.
+        if set(map(type, column)) == {str} and "\x00" not in "".join(column):
             uniques, inverse = np.unique(np.asarray(column), return_inverse=True)
             unique_codes = np.empty(len(uniques), dtype=np.int64)
             get = intern_map.get
@@ -577,6 +687,40 @@ class VectorizedPlan(EncodedPlan):
 
     # -- execution -------------------------------------------------------------
 
+    def _emit_fused(self, mother_view: _VecEncoding, new_sorted, per_mother, child_index):
+        """The fused step's output: the distinct final rows of the join, as
+        ``(final columns in target order, row count)``, or ``None`` when the
+        packed span would reach :data:`_PACK_LIMIT`.
+
+        The mother's final columns pack on the mother's rows and the
+        child's on the bucket rows; the join then expands one int64 per
+        row, ``repeat(mother code) × child span + child code``, dedups it as
+        :func:`_distinct_packed` and unpacks only the distinct codes.
+        """
+        np = self._np
+        _, mother_positions, child_positions, order = self._fused
+        mother = _pack_columns(
+            np, [mother_view.columns[p] for p in mother_positions], mother_view.n
+        )
+        child = _pack_columns(
+            np, [new_sorted[q] for q in child_positions], len(new_sorted[0])
+        )
+        if mother is None or child is None:
+            return None
+        mother_packed, mother_lows, mother_widths, mother_span = mother
+        child_packed, child_lows, child_widths, child_span = child
+        if mother_span * child_span >= _PACK_LIMIT:
+            return None
+        combined = np.repeat(mother_packed, per_mother)
+        combined *= child_span
+        combined += child_packed[child_index]
+        codes = _distinct_packed(np, combined, mother_span * child_span, index=False)
+        mother_codes, child_codes = np.divmod(codes, child_span)
+        columns = _unpack_columns(
+            np, mother_codes, mother_lows, mother_widths
+        ) + _unpack_columns(np, child_codes, child_lows, child_widths)
+        return tuple(columns[k] for k in order), len(codes)
+
     def _run(self, encoded: EncodedState, stats: Optional[ExecutionStats]):
         np = self._np
         views: List[_VecEncoding] = list(encoded.encodings)
@@ -618,6 +762,8 @@ class VectorizedPlan(EncodedPlan):
 
         # Phase 2: the bottom-up join as gathers.
         join_count = 0
+        fused_step = None if self._fused is None else self._fused[0]
+        fused_final = None
         for op in self._joins:
             child_view = views[op.node]
             mother_view = views[op.mother]
@@ -673,41 +819,41 @@ class VectorizedPlan(EncodedPlan):
                 if proj_len is not None and proj_len > max_intermediate:
                     max_intermediate = proj_len
                 mother_n = mother_view.n
-                if mother_n == 0 or len(group_keys) == 0:
-                    joined = _empty_like(
-                        np, len(mother_view.columns) + len(new_sorted)
-                    )
-                else:
+                total = 0
+                if mother_n and len(group_keys):
                     mother_key = _key_array(np, mother_view, op.mkey)
                     position = group_keys.searchsorted(mother_key)
                     np.minimum(position, len(group_keys) - 1, out=position)
                     match = group_keys[position] == mother_key
                     per_mother = np.where(match, counts[position], 0)
                     total = int(per_mother.sum())
-                    if total == 0:
-                        joined = _empty_like(
-                            np, len(mother_view.columns) + len(new_sorted)
+                if total == 0:
+                    joined = _empty_like(
+                        np, len(mother_view.columns) + len(new_sorted)
+                    )
+                else:
+                    # Expand: per output row, the offset of its row in the
+                    # key-sorted child (its group's start, plus its rank
+                    # among the mother row's matches).
+                    group_start = np.where(match, starts[position], 0)
+                    first_output = np.cumsum(per_mother) - per_mother
+                    child_index = np.arange(total) + np.repeat(
+                        group_start - first_output, per_mother
+                    )
+                    if op is fused_step:
+                        fused_final = self._emit_fused(
+                            mother_view, new_sorted, per_mother, child_index
                         )
-                    else:
-                        # Expand: mother row index per output row, and the
-                        # matched group's offsets into the key-sorted child.
-                        mother_index = np.repeat(
-                            np.arange(mother_n), per_mother
-                        )
-                        cumulative = np.cumsum(per_mother)
-                        offsets = np.arange(total) - np.repeat(
-                            cumulative - per_mother, per_mother
-                        )
-                        group_start = np.where(match, starts[position], 0)
-                        child_index = np.repeat(group_start, per_mother) + offsets
-                        joined = _VecEncoding(
-                            tuple(
-                                column[mother_index]
-                                for column in mother_view.columns
-                            )
-                            + tuple(column[child_index] for column in new_sorted),
-                            total,
-                        )
+                        if fused_final is not None:
+                            if total > max_intermediate:
+                                max_intermediate = total
+                            continue
+                    mother_index = np.repeat(np.arange(mother_n), per_mother)
+                    joined = _VecEncoding(
+                        tuple(column[mother_index] for column in mother_view.columns)
+                        + tuple(column[child_index] for column in new_sorted),
+                        total,
+                    )
             if joined.n > max_intermediate:
                 max_intermediate = joined.n
             views[op.mother] = joined
@@ -716,7 +862,9 @@ class VectorizedPlan(EncodedPlan):
         # (and a bare ``tolist`` for pure identity-mode columns).
         root_view = views[self.root]
         final_positions = self._final_positions
-        if final_positions is None:
+        if fused_final is not None:
+            final_columns, final_n = fused_final
+        elif final_positions is None:
             final_columns = root_view.columns
             final_n = root_view.n
         elif not final_positions:

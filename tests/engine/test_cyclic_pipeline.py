@@ -41,10 +41,12 @@ from repro.hypergraph import (
     RelationSchema,
     aclique,
     aring,
+    chain_schema,
     is_tree_schema,
     parse_schema,
     random_cyclic_schema,
     random_tree_schema,
+    star_schema,
 )
 from repro.relational import (
     DatabaseState,
@@ -457,3 +459,176 @@ class TestBackendGate:
             for seed in range(3)
         ]
         assert resolve_backend_for("auto", wide_states) == "compiled"
+
+
+def _star_explosion(hubs: int, fanout: int, card: int, value=int) -> DatabaseState:
+    """A star-3 state where every hub carries ``fanout`` of ``card`` point
+    values in each relation: the join into the root multiplies rows."""
+    schema = star_schema(3)
+    rng = random.Random(hubs * 1000 + fanout)
+    relations = [
+        Relation(
+            relation_schema,
+            [
+                (value(point), hub)
+                for hub in range(hubs)
+                for point in rng.sample(range(card), fanout)
+            ],
+        )
+        for relation_schema in schema.relations
+    ]
+    return DatabaseState(schema, relations)
+
+
+def _string_chain(rows: int, seed: int) -> DatabaseState:
+    """A chain-3 state of string values only."""
+    schema = chain_schema(3)
+    rng = random.Random(seed)
+    return DatabaseState(
+        schema,
+        [
+            Relation(
+                relation_schema,
+                [(f"v{rng.randrange(60)}", f"v{rng.randrange(60)}") for _ in range(rows)],
+            )
+            for relation_schema in schema.relations
+        ],
+    )
+
+
+class TestPlanAwareGate:
+    """After the shape gate says vectorized, ``auto`` keeps a plan with no
+    expanding join on compiled when a sampled cell is not an ``int``."""
+
+    VECTORIZED = "vectorized" if numpy_available() else "compiled"
+
+    def test_serve_large_split(self):
+        chain = chain_schema(6)
+        chain_query = analyze(chain).prepare(RelationSchema({"x0", "x6"}))
+        chain_states = [
+            random_ur_database(chain, tuple_count=400, domain_size=40, rng=seed)
+            for seed in range(3)
+        ]
+        star = star_schema(12)
+        star_query = analyze(star).prepare(RelationSchema({"x_hub", "x0"}))
+        star_states = [
+            random_ur_database(star, tuple_count=300, domain_size=24, rng=seed)
+            for seed in range(3)
+        ]
+        explosion_query = analyze(star_schema(3)).prepare(
+            RelationSchema({"x0", "x1", "x2"})
+        )
+        strings_query = analyze(chain_schema(3)).prepare(RelationSchema({"x0"}))
+        assert chain_query.expands and explosion_query.expands
+        assert not star_query.expands and not strings_query.expands
+        cases = [
+            (chain_query, chain_states, self.VECTORIZED),
+            (star_query, star_states, "compiled"),
+            (explosion_query, [_star_explosion(20, 8, 12)], self.VECTORIZED),
+            (strings_query, [_string_chain(300, 1)], "compiled"),
+        ]
+        for query, states, expected in cases:
+            assert resolve_backend_for("auto", states, query=query) == expected
+            assert query.execute_many(states)[0].backend == expected
+
+    def test_string_explosion_stays_vectorized(self):
+        query = analyze(star_schema(3)).prepare(RelationSchema({"x0", "x1", "x2"}))
+        state = _star_explosion(20, 8, 12, value=str)
+        assert resolve_backend_for("auto", [state], query=query) == self.VECTORIZED
+        run = query.execute(state)
+        assert run.backend == self.VECTORIZED
+        assert run.result == query.execute(state, backend="classic").result
+
+    def test_any_non_int_sample_keeps_semijoin_plan_compiled(self):
+        schema = chain_schema(3)
+        query = analyze(schema).prepare(RelationSchema({"x0"}))
+        ints = [
+            random_ur_database(schema, tuple_count=300, domain_size=50, rng=seed)
+            for seed in range(3)
+        ]
+        assert resolve_backend_for("auto", ints, query=query) == self.VECTORIZED
+        # One relation of one state holds strings: its first row is a
+        # non-int sample, whichever row that is.
+        relations = list(ints[0].relations)
+        relations[2] = Relation(
+            relations[2].schema, [(str(b), str(c)) for b, c in relations[2].rows]
+        )
+        mixed = ints[1:] + [DatabaseState(schema, relations)]
+        assert resolve_backend_for("auto", mixed, query=query) == "compiled"
+        floats = [
+            DatabaseState(
+                schema,
+                [
+                    Relation(r.schema, [tuple(float(v) for v in row) for row in r.rows])
+                    for r in ints[0].relations
+                ],
+            )
+        ]
+        assert resolve_backend_for("auto", floats, query=query) == "compiled"
+
+    def test_cyclic_query_judged_by_inner_plan(self):
+        schema = aring(4)
+        query = analyze(schema).prepare_cyclic(RelationSchema("ac"))
+        # A tree projection has a node covering the target, so the inner
+        # plan is a semijoin program.
+        assert not query.inner.expands
+        ints = [
+            random_ur_database(schema, tuple_count=100, domain_size=30, rng=seed)
+            for seed in range(2)
+        ]
+        strings = [
+            DatabaseState(
+                schema,
+                [
+                    Relation(r.schema, [tuple(f"s{v}" for v in row) for row in r.rows])
+                    for r in state.relations
+                ],
+            )
+            for state in ints
+        ]
+        assert resolve_backend_for("auto", ints, query=query) == self.VECTORIZED
+        assert resolve_backend_for("auto", strings, query=query) == "compiled"
+        runs = query.execute_many(strings)
+        assert runs[0].backend == "compiled"
+        assert [run.result for run in runs] == [
+            naive_join_project(schema, RelationSchema("ac"), state)[0]
+        for state in strings
+        ]
+
+    def test_without_query_only_the_shape_gate_applies(self):
+        state = _string_chain(300, 2)
+        assert resolve_backend_for("auto", [state]) == self.VECTORIZED
+
+    def test_explicit_backends_never_second_guessed(self):
+        strings_query = analyze(chain_schema(3)).prepare(RelationSchema({"x0"}))
+        strings = [_string_chain(300, 3)]
+        explosion_query = analyze(star_schema(3)).prepare(
+            RelationSchema({"x0", "x1", "x2"})
+        )
+        explosion = [_star_explosion(20, 8, 12)]
+        assert (
+            resolve_backend_for("vectorized", strings, query=strings_query)
+            == self.VECTORIZED
+        )
+        for backend in ("compiled", "classic"):
+            assert (
+                resolve_backend_for(backend, explosion, query=explosion_query)
+                == backend
+            )
+
+    def test_numpy_blocked_resolves_compiled(self, monkeypatch):
+        from repro.relational import vectorized as vectorized_module
+
+        monkeypatch.setattr(vectorized_module, "_np", None)
+        explosion_query = analyze(star_schema(3)).prepare(
+            RelationSchema({"x0", "x1", "x2"})
+        )
+        strings_query = analyze(chain_schema(3)).prepare(RelationSchema({"x0"}))
+        for query, state in (
+            (explosion_query, _star_explosion(20, 8, 12)),
+            (explosion_query, _star_explosion(20, 8, 12, value=str)),
+            (strings_query, _string_chain(300, 4)),
+        ):
+            assert resolve_backend_for("auto", [state], query=query) == "compiled"
+            assert resolve_backend_for("auto", [state]) == "compiled"
+            assert query.execute_many([state])[0].backend == "compiled"
