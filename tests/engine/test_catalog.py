@@ -144,9 +144,12 @@ class TestAnalysisRoundTrip:
         assert catalog.store(analysis)
         assert catalog.stats.store_skips == 1
 
+        assert os.path.getsize(catalog.record_path(triangle)) > 0
+
         clear_analysis_cache()
         restored = analyze(triangle, catalog=catalog)
         assert catalog.stats.hits == 1
+        assert catalog.stats.quarantined == 0
         assert restored.is_cyclic
         restored_choice = restored.cyclic_projection(["a", "b"])
         assert restored_choice == choice

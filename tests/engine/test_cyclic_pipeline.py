@@ -206,6 +206,32 @@ class TestEquivalence:
         if not _has_nested_relations(schema):
             assert _solver_oracle(schema, target, state) == baseline
 
+    @pytest.mark.parametrize(
+        "schema, target, tuples, domain, guarded",
+        [
+            pytest.param(aring(10), "af", 8, 6, False, id="aring-10"),
+            pytest.param(aring(12), "ag", 8, 6, False, id="aring-12"),
+            pytest.param(aclique(8), "ab", 5, 16, True, id="aclique-8"),
+        ],
+    )
+    def test_serving_batches_run_compiled(self, schema, target, tuples, domain, guarded):
+        """The cyclic serving shapes: a batch of UR and dangling states runs
+        on the compiled kernel, and every answer equals naive join-project."""
+        target = RelationSchema(target)
+        prepared = analyze(schema).prepare_cyclic(target)
+        assert (prepared.guard_semijoins >= 1) == guarded
+        states = [
+            random_ur_database(schema, tuple_count=tuples, domain_size=domain, rng=seed)
+            for seed in range(4)
+        ] + [
+            random_database_state(schema, tuple_count=6, domain_size=6, rng=seed)
+            for seed in range(4)
+        ]
+        runs = prepared.execute_many(states, backend="compiled")
+        assert {run.backend for run in runs} == {"compiled"}
+        for state, run in zip(states, runs):
+            assert run.result == naive_join_project(schema, target, state)[0]
+
     @pytest.mark.parametrize("build", FAMILIES)
     def test_empty_relation_empties_the_answer(self, build):
         schema = build(1)
@@ -527,9 +553,30 @@ class TestPlanAwareGate:
             (explosion_query, [_star_explosion(20, 8, 12)], self.VECTORIZED),
             (strings_query, [_string_chain(300, 1)], "compiled"),
         ]
+        # The many-small serving shapes (schema, target, tuples, domain):
+        # tiny states stay on compiled, the star-8 one just under the row
+        # floor (8 relations of <= 30 rows).
+        tree = random_tree_schema(12, rng=3)
+        tree_attributes = tree.attributes.sorted_attributes()
+        for schema, target, tuples, domain in (
+            (chain_schema(5), {"x0", "x5"}, 12, 6),
+            (tree, {tree_attributes[0], tree_attributes[-1]}, 12, 6),
+            (star_schema(8), {"x_hub", "x0"}, 30, 6),
+            (chain_schema(4), {"x0", "x4"}, 15, 6),
+        ):
+            states = [
+                random_ur_database(schema, tuple_count=tuples, domain_size=domain, rng=seed)
+                for seed in range(3)
+            ]
+            cases.append((analyze(schema).prepare(RelationSchema(target)), states, "compiled"))
+        serial = ["compiled", "vectorized"] if numpy_available() else ["compiled"]
         for query, states, expected in cases:
             assert resolve_backend_for("auto", states, query=query) == expected
             assert query.execute_many(states)[0].backend == expected
+            classic = [query.execute(state, backend="classic").result for state in states]
+            for backend in serial:
+                runs = query.execute_many(states, backend=backend)
+                assert [run.result for run in runs] == classic, backend
 
     def test_string_explosion_stays_vectorized(self):
         query = analyze(star_schema(3)).prepare(RelationSchema({"x0", "x1", "x2"}))

@@ -25,6 +25,7 @@ from repro.hypergraph import (
     star_schema,
 )
 from repro.relational import DatabaseState, Relation
+from repro.relational.universal import random_ur_database
 
 #: Mirrors the strategy of tests/engine/test_parallel.py (the test tree has
 #: no packages, so the strategy is restated rather than imported).
@@ -179,6 +180,40 @@ class TestRouting:
         assert handle.decision.backend == "compiled"
         assert handle.decision.rule == "small-batch"
         assert service.stats.backends.get("compiled", 0) >= 1
+
+    def test_auto_routes_heavy_batch_to_a_warm_pool(self):
+        # service-mixed's heavy request: 64 fresh chain-5 UR states of 40
+        # tuples over 12 values.  The probe is pinned near its measured
+        # value (~5 us per row), so the verdict does not hang on host speed:
+        # ~56 ms in-process against ~36 ms on a warm two-worker pool, while
+        # a cold pool's spawn charge keeps the batch in-process.
+        clear_analysis_cache()
+        schema = chain_schema(5)
+        prepared = analyze(schema).prepare(RelationSchema({"x0", "x5"}))
+        states = [
+            random_ur_database(schema, tuple_count=40, domain_size=12, rng=seed)
+            for seed in range(64)
+        ]
+        analyze(schema).store_cost_probe(
+            prepared.target,
+            5e-6,
+            root=prepared.root,
+            backend=resolve_backend_for("auto", states, query=prepared),
+        )
+        classic = [prepared.execute(state, backend="classic").result for state in states]
+        with QueryService(workers=2) as svc:
+            cold = svc.submit(prepared, states)
+            cold.result(timeout=120)
+            svc.execute_many(prepared, states[:4], backend="parallel")
+            warm = svc.submit(prepared, states)
+            runs = warm.result(timeout=120)
+        clear_analysis_cache()
+        assert (cold.decision.backend, cold.decision.rule) == ("compiled", "parallel-loses")
+        assert (warm.decision.backend, warm.decision.rule) == ("parallel", "parallel-wins")
+        assert warm.decision.estimated_parallel_s < warm.decision.estimated_serial_s
+        assert {run.backend for run in runs} == {"parallel"}
+        assert runs[0].stats.workers == 2
+        assert [run.result for run in runs] == classic
 
     def test_degenerate_parallel_override_stays_in_process(self, service, prepared):
         state = _states(prepared.schema, 1)[0]

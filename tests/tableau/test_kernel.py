@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 import repro.tableau.containment as containment_module
 from repro.hypergraph import DatabaseSchema, chain_schema, parse_schema
 from repro.tableau import (
@@ -119,12 +121,13 @@ class TestIsomorphismShortCircuits:
         )
         assert find_isomorphism(first, second) is None
 
-    def test_profiles_equal_still_requires_search(self):
+    @pytest.mark.parametrize("size", [4, 12, 16])
+    def test_profiles_equal_still_requires_search(self, size):
         # Permuted relation order: profiles agree and the search succeeds.
-        schema = chain_schema(4)
+        schema = chain_schema(size)
         permuted = DatabaseSchema(tuple(reversed(schema.relations)))
-        first = standard_tableau(schema, {"x0", "x4"})
-        second = standard_tableau(permuted, {"x0", "x4"})
+        first = standard_tableau(schema, {"x0", f"x{size}"})
+        second = standard_tableau(permuted, {"x0", f"x{size}"})
         mapping = find_isomorphism(first, second)
         assert mapping is not None
         assert sorted(mapping.row_mapping) == list(range(len(first)))

@@ -25,6 +25,10 @@ class TestMinimization:
         result = minimize_tableau(tab)
         assert result.removed_count == 0
         assert result.kept_rows == (0, 1, 2)
+        # Longer chains, where every row-removal attempt must be refuted.
+        for size in (10, 12, 14):
+            tab = standard_tableau(chain_schema(size), {"x0", f"x{size}"})
+            assert minimize_tableau(tab).removed_count == 0
 
     def test_chain_with_single_endpoint_target_collapses(self):
         # With X = {a} only the relation containing a matters.
