@@ -158,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "classic", "compiled", "parallel", "vectorized"),
         default="auto",
         help="execution backend: the array-backed vectorized kernel "
-        "(vectorized; auto prefers it when numpy imports), the compiled "
-        "row-program kernel (compiled; the auto fallback), the classic "
+        "(vectorized; auto picks it for batches of large states when numpy "
+        "imports, and imports numpy only then), the compiled row-program "
+        "kernel (compiled; auto's choice otherwise), the classic "
         "object-tuple operators, or the sharded multi-process pool "
         "(parallel)",
     )

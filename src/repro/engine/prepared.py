@@ -60,6 +60,13 @@ __all__ = [
 _BACKENDS = ("auto", "classic", "compiled", "parallel", "vectorized")
 
 
+def _check_backend(backend: str) -> None:
+    if backend not in _BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {', '.join(_BACKENDS)}"
+        )
+
+
 def resolve_backend(backend: str) -> str:
     """Normalize a backend name: ``auto`` resolves to the fastest serial kernel.
 
@@ -75,14 +82,14 @@ def resolve_backend(backend: str) -> str:
     across workers and is therefore accepted only by
     :meth:`PreparedQuery.execute_many`.
 
-    This is the one place the serial-backend default is decided;
-    :func:`resolve_backend_for` and the router's override validation call
-    it too.
+    This answers the static question with no batch in hand, so for
+    ``"auto"`` and ``"vectorized"`` it imports numpy (once per process) to
+    learn whether it is there.  Routing a batch goes through
+    :func:`resolve_backend_for` instead, which asks about numpy only after
+    the batch has passed its shape gate; a process that serves only small
+    batches never imports numpy.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {', '.join(_BACKENDS)}"
-        )
+    _check_backend(backend)
     if backend in ("auto", "vectorized"):
         return "vectorized" if numpy_available() else "compiled"
     return backend
@@ -174,8 +181,8 @@ def resolve_backend_for(
 
     :func:`resolve_backend` answers the static question (which kernels can
     run here); this answers the routing question (which kernel *should* run
-    this batch).  ``auto`` resolves to ``"vectorized"`` when numpy is
-    importable and the batch passes two checks, and to ``"compiled"``
+    this batch).  ``auto`` resolves to ``"vectorized"`` when the batch
+    passes two checks and numpy is importable, and to ``"compiled"``
     otherwise:
 
     * the shape gate, :func:`vectorized_batch_profitable`: mean state size
@@ -191,12 +198,14 @@ def resolve_backend_for(
       values: there the array join's gathers outrun the row loop by far more
       than the encode costs.
 
-    With ``query=None`` only the shape gate applies.  Explicit backend
-    names are never second-guessed.
+    Only a batch that passes both checks asks whether numpy imports, so
+    numpy is imported the first time a batch is routed to the array kernel
+    and never before.  With ``query=None`` only the shape gate applies.
+    Explicit backend names are never second-guessed; ``"vectorized"``
+    itself still maps to compiled when numpy is absent.
     """
-    resolved = resolve_backend(backend)
-    if backend != "auto" or resolved != "vectorized":
-        return resolved
+    if backend != "auto":
+        return resolve_backend(backend)
     if not states:
         return "compiled"
     total_rows = sum(_state_rows(state) for state in states)
@@ -208,7 +217,7 @@ def resolve_backend_for(
             query = query.inner
         if not query.expands and _samples_non_int(states):
             return "compiled"
-    return "vectorized"
+    return "vectorized" if numpy_available() else "compiled"
 
 
 def default_root(
@@ -499,8 +508,9 @@ class PreparedQuery:
         """The array-backed vectorized plan, built lazily and cached.
 
         The plan owns its interner and per-slot encoding cache, shared by
-        every state this query executes.  It
-        requires numpy (``ImportError`` otherwise — the ``auto`` and
+        every state this query executes.  It requires numpy, which the
+        first such plan in a process imports (``ImportError`` when it is
+        absent — the ``auto`` and
         ``vectorized`` backend names route to :attr:`compiled` instead); see
         :mod:`repro.relational.vectorized`.
         """
@@ -756,13 +766,13 @@ def _execute_many(
     ``compiled``, ``vectorized``, ``plan_spec`` and ``_schema``, which is all
     the serial and parallel dispatch below touches.
     """
-    resolved = resolve_backend(backend)
-    # Validate the *raw* backend string: "auto" may opt into the pool an
-    # executor provides, but an explicit "compiled"/"classic" request
-    # must not be silently upgraded to parallel execution.
+    _check_backend(backend)
+    # "auto" may opt into the pool an executor provides, but an explicit
+    # "compiled"/"classic" request must not be silently upgraded to
+    # parallel execution.
     if executor is not None and backend not in ("parallel", "auto"):
         raise ValueError("executor= requires backend='parallel' (or 'auto')")
-    if executor is not None or resolved == "parallel":
+    if executor is not None or backend == "parallel":
         overrides = {}
         if shard_timeout is not None:
             overrides["shard_timeout"] = shard_timeout

@@ -27,9 +27,9 @@ against them on random schemas and states.
 :mod:`repro.relational.vectorized` runs the same positional layout as an
 array-backed kernel: values interned to contiguous int64 code
 columns, semijoins as membership masks over sorted key arrays, joins as
-``searchsorted`` bucket matches plus index gathers (it requires numpy;
-without numpy every backend name that would reach it resolves to
-compiled).  ``backend="auto"`` prefers it for large states; classic and
+``searchsorted`` bucket matches plus index gathers (it requires numpy,
+imported only when the first such plan is built; without numpy every
+backend name that would reach it resolves to compiled).  ``backend="auto"`` prefers it for large states; classic and
 compiled stay as the property-test oracles.  Both kernels are subclasses of
 one ``EncodedPlan`` core that owns the per-slot encode cache and the batch
 entry points; each kernel adds its encoder and step program, and the

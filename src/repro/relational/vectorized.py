@@ -74,10 +74,14 @@ against the epoch that minted their codes.  The number of rollovers is
 :attr:`VectorizedPlan.interner_epoch` and, per batch,
 :attr:`~repro.relational.compiled.ExecutionStats.interner_resets`.
 
-**numpy is required.**  Building a plan without numpy raises
-``ImportError``; without it :func:`repro.engine.prepared.resolve_backend`
-maps both ``"vectorized"`` and ``"auto"`` to the compiled backend, so no
-entry point ever reaches that error.
+**numpy is required, and imported on first use.**  Importing this module
+does not import numpy: :func:`_numpy` loads it the first time a plan is
+lowered or :func:`numpy_available` is asked, so a process that never
+routes a batch to the array kernel never pays numpy's import.  Building a
+plan without numpy raises ``ImportError``; without it
+:func:`repro.engine.prepared.resolve_backend` maps both ``"vectorized"``
+and ``"auto"`` to the compiled backend, so no entry point ever reaches
+that error.
 
 **Process boundaries.**  Like a ``CompiledPlan``, a ``VectorizedPlan`` never
 crosses a process boundary; workers rebuild plans from ``PlanSpec``.
@@ -89,13 +93,9 @@ backend as a second cross-check.
 
 from __future__ import annotations
 
+import threading
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
-
-try:  # pragma: no cover - absence is exercised by the no-numpy test leg
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
 
 from .compiled import (
     EncodedPlan,
@@ -126,10 +126,42 @@ _MODE_IDENTITY = 0  # codes are the int values themselves
 _MODE_DICT = 1  # codes are dense ints assigned by the interning dictionary
 
 
+#: The numpy module, ``None`` when it cannot be imported, or ``_NOT_LOADED``
+#: until :func:`_numpy` first runs.  Tests set it to ``None`` to simulate
+#: an absent numpy.
+_NOT_LOADED = object()
+_np: Any = _NOT_LOADED
+_np_lock = threading.Lock()
+
+
+def _numpy():
+    """The numpy module, imported on the first call; ``None`` when numpy is
+    absent or its import fails (either way the array kernel is off).
+
+    The first import runs under a lock: a thread that waits on another
+    thread's *failing* import of a module is handed the half-built module
+    object, which would pass for numpy and crash the array kernel.
+    """
+    global _np
+    if _np is _NOT_LOADED:
+        with _np_lock:
+            if _np is _NOT_LOADED:
+                try:
+                    import numpy
+                except Exception:  # pragma: no cover - the no-numpy leg
+                    numpy = None
+                _np = numpy
+    return _np
+
+
 def numpy_available() -> bool:
-    """True when the numpy kernel backs new :class:`VectorizedPlan` objects
-    (``repro.relational.vectorized._np`` is the patch point for tests)."""
-    return _np is not None
+    """True when the numpy kernel backs new :class:`VectorizedPlan` objects.
+
+    The first call imports numpy (see :func:`_numpy`); callers that only
+    route batches should ask it last, after cheaper checks have ruled the
+    array kernel in (``repro.relational.vectorized._np`` is the patch point
+    for tests)."""
+    return _numpy() is not None
 
 
 class _PromoteToDict(Exception):
@@ -406,11 +438,12 @@ class VectorizedPlan(EncodedPlan):
         self.interner_epoch = 0
 
     def _lower(self, layout: _PlanLayout) -> None:
-        if _np is None:
+        np = _numpy()
+        if np is None:
             raise ImportError("the vectorized backend requires numpy")
         #: numpy is pinned at construction so a plan keeps working when tests
         #: patch the module global to simulate its absence.
-        self._np = _np
+        self._np = np
         #: Identity→dictionary mode promotions forced by stray or oversized
         #: values arriving in a pinned identity column (see module notes).
         self.mode_promotions = 0

@@ -146,7 +146,13 @@ def augment_program_with_semijoins(
         node_names.append(name)
 
     # Step 2: semijoin each node with every anchor relation it covers (each
-    # anchor is attached to exactly one node).
+    # anchor is attached to exactly one node).  Anchors that are D's own
+    # relations are taken by position: a lookup by covering schema would
+    # pick the first relation whose schema contains the anchor, which on a
+    # general state is a different relation whenever schemas repeat or nest.
+    # The lookup stays for other anchors (``CC(D, X)`` on UR databases, where
+    # every covering relation projects to the same value).
+    by_position = tuple(anchor_schema.relations) == tuple(base.relations)
     for anchor_index, anchor in enumerate(anchor_schema.relations):
         node_index = next(
             (
@@ -160,7 +166,10 @@ def augment_program_with_semijoins(
             raise TreeProjectionError(
                 f"tree projection does not cover anchor relation {anchor.to_notation()}"
             )
-        anchor_name = _covering_name(augmented, anchor)
+        if by_position:
+            anchor_name = augmented.base_names[anchor_index]
+        else:
+            anchor_name = _covering_name(augmented, anchor)
         # If the covering relation is wider than the anchor, narrow it first so
         # the semijoin is on exactly the anchor attributes.
         if augmented.schema_of(anchor_name) != anchor:

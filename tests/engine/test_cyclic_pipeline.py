@@ -113,19 +113,6 @@ def _solver_oracle(
     return solve_with_tree_projection(_sequential_join_program(schema), target, state)
 
 
-def _has_nested_relations(schema: DatabaseSchema) -> bool:
-    """True when some base relation schema is contained in another's.
-
-    The seed-era solver resolves anchor relations by *covering schema*, which
-    is exact on UR databases (Theorem 6.2's regime) but can anchor with a
-    projection of the wrong relation on arbitrary states when schemas nest.
-    The solver oracle is only consulted outside that blind spot; naive
-    join-project stays the unconditional ground truth.
-    """
-    relations = schema.relations
-    return any(a != b and a <= b for a in relations for b in relations)
-
-
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_analysis_cache()
@@ -203,8 +190,31 @@ class TestEquivalence:
         baseline, _ = naive_join_project(schema, target, state)
         assert prepared.execute(state, backend="classic").result == baseline
         assert prepared.execute(state, backend="compiled").result == baseline
-        if not _has_nested_relations(schema):
+        assert _solver_oracle(schema, target, state) == baseline
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_repeated_relation_schema_on_general_states(self, seed):
+        # Two equal relation schemas hold different relations on a general
+        # state; the solver must anchor each by position, not by the first
+        # relation whose schema covers it (which answered rows naive did not).
+        schema = DatabaseSchema(
+            [
+                RelationSchema(["t0", "t1", "t3"]),
+                RelationSchema(["t3", "t4", "t5"]),
+                RelationSchema(["t2", "t4", "t5"]),
+                RelationSchema(["t2", "t4", "t5"]),
+            ]
+        )
+        target = RelationSchema(["t4", "t5"])
+        prepared = analyze(schema).prepare_cyclic(target)
+        for tuples in (3, 6, 10):
+            state = random_database_state(
+                schema, tuple_count=tuples, domain_size=3, rng=seed
+            )
+            baseline, _ = naive_join_project(schema, target, state)
             assert _solver_oracle(schema, target, state) == baseline
+            for backend in ("classic", "compiled", "vectorized"):
+                assert prepared.execute(state, backend=backend).result == baseline
 
     @pytest.mark.parametrize(
         "schema, target, tuples, domain, guarded",
@@ -331,13 +341,19 @@ def _states_strategy(draw, schema: DatabaseSchema, max_states: int):
 
 @st.composite
 def cyclic_instances(draw, max_states: int = 5):
-    family = draw(st.sampled_from(["aring", "aclique", "chorded"]))
+    family = draw(st.sampled_from(["aring", "aclique", "chorded", "duplicated"]))
     if family == "aring":
         schema = aring(draw(st.integers(3, 6)))
     elif family == "aclique":
         schema = aclique(draw(st.integers(3, 5)))
     else:
         schema = _chorded_tree(draw(st.integers(3, 5)), draw(st.integers(0, 10**6)))
+        if family == "duplicated":
+            # A repeated relation schema: the solver oracle's old blind spot.
+            relations = schema.relations
+            schema = schema.add_relation(
+                relations[draw(st.integers(0, len(relations) - 1))]
+            )
     attributes = schema.attributes.sorted_attributes()
     target_attrs = draw(
         st.sets(st.sampled_from(attributes), min_size=1, max_size=min(3, len(attributes)))
@@ -368,11 +384,9 @@ class TestHypothesisEquivalence:
         schema, target, states = instance
         prepared = analyze(schema).prepare_cyclic(target)
         program = _sequential_join_program(schema)
-        consult_solver = not _has_nested_relations(schema)
         for state in states:
             baseline, _ = naive_join_project(schema, target, state)
-            if consult_solver:
-                assert solve_with_tree_projection(program, target, state) == baseline
+            assert solve_with_tree_projection(program, target, state) == baseline
             assert prepared.execute(state, backend="classic").result == baseline
             if numpy_available():
                 assert prepared.execute(state, backend="vectorized").result == baseline
