@@ -36,8 +36,10 @@ attribute-minimal tree projection (no single attribute or node can be
 dropped without breaking coverage or treeness) and the survivors are ranked
 by ``(minimal, width, fan-out, total arity, node count)``: minimal
 projections first, then the narrowest covering node, then the fewest base
-relations joined per node.  The seed-era solver stays on verbatim as the
-equivalence oracle (see ``tests/engine/test_cyclic_pipeline.py``).
+relations joined per node.  The oracle matrix (``tests/test_oracle_matrix.py``)
+holds every entry point of the plan to ``naive_join_project`` and checks
+that every node value contains ``π_node(⋈ D)``; the seed-era solver stays
+on verbatim as a second oracle (``tests/engine/test_cyclic_pipeline.py``).
 """
 
 from __future__ import annotations

@@ -43,8 +43,9 @@ the :class:`EncodedPlan` core, which the vectorized kernel
 epochs belong to the vectorized kernel alone, the one that needs int64
 codes.
 
-The classic operators remain in place as the property-test oracle
-(``tests/relational/test_compiled_equivalence.py``), mirroring how
+The classic operators remain in place as the property-test oracle (the
+oracle matrix, ``tests/test_oracle_matrix.py``, holds every entry point
+on every backend to them and to ``naive_join_project``), mirroring how
 ``repro.tableau.reference`` anchors the interned tableau kernel.
 
 Lifecycle: a :class:`CompiledPlan` lives as long as the

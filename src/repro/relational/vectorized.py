@@ -86,9 +86,10 @@ that error.
 **Process boundaries.**  Like a ``CompiledPlan``, a ``VectorizedPlan`` never
 crosses a process boundary; workers rebuild plans from ``PlanSpec``.
 
-The classic executor remains the property-test oracle
-(``tests/relational/test_vectorized_equivalence.py``), with the compiled
-backend as a second cross-check.
+The classic executor remains the property-test oracle (the oracle
+matrix, ``tests/test_oracle_matrix.py``, compares answers by value, the
+rule ``docs/api.md`` states); ``tests/relational/test_vectorized_equivalence.py``
+pins the compiled backend's execution accounting as a second cross-check.
 """
 
 from __future__ import annotations

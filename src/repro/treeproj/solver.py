@@ -28,7 +28,9 @@ workload cannot afford.  The plan-once counterpart is
 :class:`repro.engine.cyclic.CyclicPreparedQuery`, which freezes the same
 Theorem 6.1 construction (node projections, guard semijoins, full reducer)
 into a reusable plan on the compiled backends; this solver stays on verbatim
-as its equivalence oracle (``tests/engine/test_cyclic_pipeline.py``).
+as a second oracle beside ``naive_join_project``
+(``tests/engine/test_cyclic_pipeline.py``; the oracle matrix,
+``tests/test_oracle_matrix.py``, holds the plan itself to naive).
 """
 
 from __future__ import annotations

@@ -3,7 +3,15 @@
 The ``src`` layout is added to ``sys.path`` as a fallback so the suite also
 runs in environments where the editable install is unavailable (e.g. fully
 offline machines); when ``repro`` is already installed the import below is a
-no-op.
+no-op.  This directory is put on ``sys.path`` too, so every suite imports
+the shared Hypothesis generators as ``strategies`` (the test tree has no
+packages).
+
+One Hypothesis profile, ``repro``, is registered and loaded: it prints the
+reproduction blob of every falsifying example, so a failure at a random
+seed can be replayed with ``@reproduce_failure``.  It matters for runs
+outside GitHub Actions; there Hypothesis loads its own ``ci`` profile
+first (derandomized, blobs printed), which ``repro`` inherits unchanged.
 """
 
 from __future__ import annotations
@@ -13,10 +21,16 @@ import random
 import sys
 
 import pytest
+from hypothesis import settings
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:  # pragma: no cover - environment dependent
-    sys.path.insert(0, _SRC)
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+_SRC = os.path.join(os.path.dirname(_TESTS), "src")
+for _path in (_SRC, _TESTS):
+    if _path not in sys.path:  # pragma: no cover - environment dependent
+        sys.path.insert(0, _path)
+
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 from repro.hypergraph import aclique, aring, chain_schema, parse_schema  # noqa: E402
 

@@ -1,17 +1,15 @@
-"""Equivalence suite for the compiled cyclic pipeline (PR 9 tentpole).
+"""The cyclic pipeline's pinned cases: projection choice, the serving
+shapes, plan round trips and the backend gate.
 
 ``CyclicPreparedQuery`` freezes the Theorem 6.1 construction — tree-projection
-node projections, guard semijoins, full reducer — into a reusable plan.  These
-tests pin the whole backend matrix against two independent oracles:
-
-* :func:`repro.treeproj.solver.solve_with_tree_projection` over a sequential
-  join program (the paper's per-call construction, kept verbatim), and
-* :func:`repro.relational.naive_join_project` (join everything, project).
-
-Shapes covered: Arings, Acliques, randomly chorded trees (which may come out
-acyclic — ``prepare_cyclic`` must serve those too), and the generator's random
-cyclic schemas.  States cover UR databases, non-UR states with dangling
-tuples, empty relations, and duplicate states in a batch.
+node projections, guard semijoins, full reducer — into a reusable plan.  The
+random equivalence checks (every entry point and backend against
+``naive_join_project``, on Arings, Acliques, chorded trees, random cyclic,
+nested and duplicated relation schemas) and the prologue's invariants live in
+the oracle matrix (``tests/test_oracle_matrix.py``).  This suite keeps the
+pinned schemas and the second oracle,
+:func:`repro.treeproj.solver.solve_with_tree_projection` over a sequential
+join program (the paper's per-call construction, kept verbatim).
 """
 
 from __future__ import annotations
@@ -20,13 +18,12 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro import analyze, clear_analysis_cache
-from repro.engine import CyclicPreparedQuery, choose_tree_projection
+from repro.engine import choose_tree_projection
 from repro.engine import cyclic as cyclic_module
 from repro.engine.analysis import prepared_from_spec
-from repro.engine.cyclic import _SHRINK_BUDGET  # noqa: F401  (import sanity)
 from repro.engine.cyclic import is_valid_projection
 from repro.engine.prepared import (
     VECTORIZED_MIN_STATE_ROWS,
@@ -56,39 +53,9 @@ from repro.relational import (
 )
 from repro.relational.program import Program, default_base_names
 from repro.relational.universal import random_database_state, random_ur_database
-from repro.treeproj import find_tree_projection, is_tree_projection
+from repro.treeproj import find_tree_projection
 from repro.treeproj.solver import solve_with_tree_projection
-
-
-def _chorded_tree(size: int, seed: int) -> DatabaseSchema:
-    """A random tree schema plus one chord relation over sampled attributes.
-
-    Depending on the draw the chord may be covered by an existing relation,
-    so the result is *sometimes* still a tree — deliberately: the cyclic
-    pipeline must accept tree schemas too (treefication width 0 case).
-    """
-    rng = random.Random(seed)
-    tree = random_tree_schema(size, rng=rng.randint(0, 10**6))
-    attributes = tree.attributes.sorted_attributes()
-    count = rng.randint(2, min(3, len(attributes)))
-    chord = RelationSchema(rng.sample(attributes, count))
-    return tree.add_relation(chord)
-
-
-FAMILIES = [
-    pytest.param(lambda seed: aring(3 + seed % 4), id="aring"),
-    pytest.param(lambda seed: aclique(3 + seed % 3), id="aclique"),
-    pytest.param(lambda seed: _chorded_tree(4 + seed % 3, seed), id="chorded-tree"),
-    pytest.param(
-        lambda seed: random_cyclic_schema(4 + seed % 3, rng=seed), id="random-cyclic"
-    ),
-]
-
-
-def _random_target(schema: DatabaseSchema, rng: random.Random) -> RelationSchema:
-    attributes = schema.attributes.sorted_attributes()
-    count = rng.randint(1, min(3, len(attributes)))
-    return RelationSchema(rng.sample(attributes, count))
+from strategies import instances
 
 
 def _sequential_join_program(schema: DatabaseSchema) -> Program:
@@ -122,22 +89,6 @@ def _fresh_cache():
 class TestProjectionChoice:
     """The planner's tree projections are genuine and sensibly ranked."""
 
-    @pytest.mark.parametrize("build", FAMILIES)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_choice_is_a_tree_projection(self, build, seed):
-        schema = build(seed)
-        target = _random_target(schema, random.Random(seed))
-        choice = choose_tree_projection(schema, target)
-        lower = schema.add_relation(target)
-        assert is_tree_schema(choice.projection)
-        assert choice.projection.covers(lower)
-        # Soundness of the reported width: every node is at most that wide.
-        assert max(len(node) for node in choice.projection.relations) == choice.width
-        # The full construction is a tree projection w.r.t. an upper bound
-        # that contains it (the universe always works as the upper layer).
-        upper = schema.add_relation(RelationSchema(schema.attributes))
-        assert is_tree_projection(choice.projection, upper, lower)
-
     def test_aring4_beats_universe(self):
         # The 4-ring's triangulation (two triangles) must beat the one-node
         # universe fallback: width 3 < 4.
@@ -158,39 +109,6 @@ class TestProjectionChoice:
 
 class TestEquivalence:
     """Cyclic execution ≡ per-call solver ≡ naive join-project."""
-
-    @pytest.mark.parametrize("build", FAMILIES)
-    @pytest.mark.parametrize("seed", range(5))
-    def test_ur_states_all_serial_backends(self, build, seed):
-        rng = random.Random(seed)
-        schema = build(seed)
-        target = _random_target(schema, rng)
-        state = random_ur_database(schema, tuple_count=20, domain_size=4, rng=seed)
-        prepared = analyze(schema).prepare_cyclic(target)
-        assert isinstance(prepared, CyclicPreparedQuery)
-        baseline, _ = naive_join_project(schema, target, state)
-        oracle = _solver_oracle(schema, target, state)
-        assert oracle == baseline
-        backends = ["classic", "compiled", "auto"]
-        if numpy_available():
-            backends.append("vectorized")
-        for backend in backends:
-            run = prepared.execute(state, backend=backend)
-            assert run.result == baseline, backend
-
-    @pytest.mark.parametrize("build", FAMILIES)
-    @pytest.mark.parametrize("seed", range(5))
-    def test_non_ur_states_with_dangling_tuples(self, build, seed):
-        schema = build(seed)
-        target = _random_target(schema, random.Random(200 + seed))
-        # random_database_state fills relations independently, so most tuples
-        # dangle (no join partner) — the guard semijoins must drop them.
-        state = random_database_state(schema, tuple_count=10, domain_size=3, rng=seed)
-        prepared = analyze(schema).prepare_cyclic(target)
-        baseline, _ = naive_join_project(schema, target, state)
-        assert prepared.execute(state, backend="classic").result == baseline
-        assert prepared.execute(state, backend="compiled").result == baseline
-        assert _solver_oracle(schema, target, state) == baseline
 
     @pytest.mark.parametrize("seed", range(20))
     def test_repeated_relation_schema_on_general_states(self, seed):
@@ -241,27 +159,6 @@ class TestEquivalence:
         assert {run.backend for run in runs} == {"compiled"}
         for state, run in zip(states, runs):
             assert run.result == naive_join_project(schema, target, state)[0]
-
-    @pytest.mark.parametrize("build", FAMILIES)
-    def test_empty_relation_empties_the_answer(self, build):
-        schema = build(1)
-        target = _random_target(schema, random.Random(3))
-        state = random_ur_database(schema, tuple_count=12, domain_size=3, rng=3)
-        relations = list(state.relations)
-        relations[0] = Relation.empty(schema.relations[0])
-        state = DatabaseState(schema, relations)
-        prepared = analyze(schema).prepare_cyclic(target)
-        for backend in ("classic", "compiled"):
-            assert len(prepared.execute(state, backend=backend).result) == 0
-
-    def test_full_universe_target(self):
-        schema = aring(5)
-        target = RelationSchema(schema.attributes)
-        state = random_ur_database(schema, tuple_count=18, domain_size=3, rng=11)
-        prepared = analyze(schema).prepare_cyclic(target)
-        baseline, _ = naive_join_project(schema, target, state)
-        assert prepared.execute(state, backend="compiled").result == baseline
-        assert _solver_oracle(schema, target, state) == baseline
 
 
 def _assert_serial_backends_match_naive(
@@ -321,84 +218,18 @@ class TestUnionSearchChoices:
         _assert_serial_backends_match_naive(schema, target, "greedy-merge")
 
 
-def _states_strategy(draw, schema: DatabaseSchema, max_states: int):
-    values = st.integers(0, 3)
-    states = []
-    for _ in range(draw(st.integers(1, max_states))):
-        relations = []
-        for relation_schema in schema.relations:
-            width = len(relation_schema)
-            rows = draw(
-                st.lists(st.tuples(*([values] * width)), min_size=0, max_size=5)
-            )
-            relations.append(Relation(relation_schema, rows))
-        states.append(DatabaseState(schema, relations))
-    if len(states) > 1 and draw(st.booleans()):
-        # Duplicate one state: batch dedup must still answer per position.
-        states.append(states[draw(st.integers(0, len(states) - 1))])
-    return states
-
-
-@st.composite
-def cyclic_instances(draw, max_states: int = 5):
-    family = draw(st.sampled_from(["aring", "aclique", "chorded", "duplicated"]))
-    if family == "aring":
-        schema = aring(draw(st.integers(3, 6)))
-    elif family == "aclique":
-        schema = aclique(draw(st.integers(3, 5)))
-    else:
-        schema = _chorded_tree(draw(st.integers(3, 5)), draw(st.integers(0, 10**6)))
-        if family == "duplicated":
-            # A repeated relation schema: the solver oracle's old blind spot.
-            relations = schema.relations
-            schema = schema.add_relation(
-                relations[draw(st.integers(0, len(relations) - 1))]
-            )
-    attributes = schema.attributes.sorted_attributes()
-    target_attrs = draw(
-        st.sets(st.sampled_from(attributes), min_size=1, max_size=min(3, len(attributes)))
-    )
-    target = RelationSchema(target_attrs)
-    states = _states_strategy(draw, schema, max_states)
-    return schema, target, states
-
-
-class TestHypothesisEquivalence:
-    """Property-based: arbitrary states, every backend agrees with naive."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(cyclic_instances())
-    def test_compiled_batch_matches_naive(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare_cyclic(target)
-        runs = prepared.execute_many(states, backend="compiled")
-        assert len(runs) == len(states)
-        for state, run in zip(states, runs):
-            baseline, _ = naive_join_project(schema, target, state)
-            assert run.result == baseline
-            assert run.backend == "compiled"
+class TestSolverOracle:
+    """The seed solver, the per-call Theorem 6.1 construction, agrees with
+    naive join-project on arbitrary states (the oracle matrix holds the
+    plan-once pipeline to naive; this keeps the two oracles honest)."""
 
     @settings(max_examples=15, deadline=None)
-    @given(cyclic_instances(max_states=3))
-    def test_serial_backends_match_solver(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare_cyclic(target)
-        program = _sequential_join_program(schema)
-        for state in states:
-            baseline, _ = naive_join_project(schema, target, state)
-            assert solve_with_tree_projection(program, target, state) == baseline
-            assert prepared.execute(state, backend="classic").result == baseline
-            if numpy_available():
-                assert prepared.execute(state, backend="vectorized").result == baseline
-
-    @settings(max_examples=10, deadline=None)
-    @given(cyclic_instances(max_states=4))
-    def test_auto_routing_matches_classic(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare_cyclic(target)
-        auto = prepared.execute_many(states, backend="auto")
-        for state, run in zip(states, auto):
-            assert run.result == prepared.execute(state, backend="classic").result
+    @given(instances("cyclic", max_states=3))
+    def test_solver_matches_naive(self, instance):
+        program = _sequential_join_program(instance.schema)
+        for state in instance.states:
+            baseline, _ = naive_join_project(instance.schema, instance.target, state)
+            assert solve_with_tree_projection(program, instance.target, state) == baseline
 
 
 class TestParallelCyclic:

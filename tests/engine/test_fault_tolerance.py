@@ -15,7 +15,7 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.engine import ParallelExecutor, analyze
 from repro.engine import faults, parallel
@@ -27,58 +27,9 @@ from repro.exceptions import (
     StatePicklingError,
     WorkerCrashError,
 )
-from repro.hypergraph import (
-    RelationSchema,
-    chain_schema,
-    random_tree_schema,
-    star_schema,
-)
+from repro.hypergraph import RelationSchema, chain_schema
 from repro.relational import DatabaseState, Relation
-
-# The test tree has no packages, so the strategy and the oracle assertion of
-# tests/engine/test_parallel.py are restated here rather than imported.
-VALUES = st.one_of(
-    st.integers(-3, 6),
-    st.sampled_from([1.0, 2.5, -1.0, True, False, "a", "b", "v1", None]),
-)
-
-
-def _build_schema(family, size, seed):
-    if family == "chain":
-        return chain_schema(size)
-    if family == "star":
-        return star_schema(max(size, 2))
-    return random_tree_schema(size, rng=seed)
-
-
-@st.composite
-def tree_instances(draw, max_states: int = 1):
-    """A tree schema, a target, and up to ``max_states`` random states."""
-    family = draw(st.sampled_from(["chain", "star", "random-tree"]))
-    size = draw(st.integers(1, 5))
-    schema = _build_schema(family, size, draw(st.integers(0, 10**6)))
-    attrs = schema.attributes.sorted_attributes()
-    target = RelationSchema(
-        draw(st.sets(st.sampled_from(list(attrs)), max_size=min(3, len(attrs))))
-    )
-
-    def draw_state() -> DatabaseState:
-        relations = []
-        for relation_schema in schema.relations:
-            width = len(relation_schema.sorted_attributes())
-            rows = draw(
-                st.lists(st.tuples(*([VALUES] * width)), min_size=0, max_size=6)
-            )
-            relations.append(Relation(relation_schema, rows))
-        return DatabaseState(schema, relations)
-
-    states = [draw_state()]
-    while len(states) < max_states:
-        if draw(st.booleans()):
-            states.append(states[draw(st.integers(0, len(states) - 1))])
-        else:
-            states.append(draw_state())
-    return schema, target, states
+from strategies import instances
 
 
 def _assert_parallel_matches_classic(classic_runs, parallel_runs) -> None:
@@ -422,10 +373,10 @@ class TestRecoveredBatchesMatchClassic:
     parallel batches stay hypothesis-equal to ``backend="classic"``."""
 
     @settings(max_examples=8, deadline=None)
-    @given(tree_instances(max_states=4))
+    @given(instances("tree"))
     def test_crash_recovery_equivalence(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
+        prepared = instance.prepare()
+        states = instance.states
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_CRASH: "1"}):
             with ParallelExecutor(workers=2) as executor:
@@ -433,10 +384,10 @@ class TestRecoveredBatchesMatchClassic:
         _assert_parallel_matches_classic(classic, runs)
 
     @settings(max_examples=8, deadline=None)
-    @given(tree_instances(max_states=4))
+    @given(instances("tree"))
     def test_transient_recovery_equivalence(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
+        prepared = instance.prepare()
+        states = instance.states
         classic = prepared.execute_many(states, backend="classic")
         with armed(**{faults.ENV_TRANSIENT: "1"}):
             with ParallelExecutor(workers=2) as executor:

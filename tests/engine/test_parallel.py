@@ -12,7 +12,7 @@ import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.engine import (
     ParallelExecutor,
@@ -28,78 +28,9 @@ from repro.engine.parallel import (
     resolve_shard_timeout,
     resolve_worker_count,
 )
-from repro.hypergraph import (
-    DatabaseSchema,
-    RelationSchema,
-    chain_schema,
-    random_tree_schema,
-    star_schema,
-)
+from repro.hypergraph import DatabaseSchema, RelationSchema, chain_schema
 from repro.relational import DatabaseState, Relation
-
-#: Mirrors the strategy of tests/relational/test_compiled_equivalence.py (the
-#: test tree has no packages, so the strategy is restated rather than
-#: imported): values span the numeric tower plus strings and None, states may
-#: be empty, dangling, or repeated verbatim.
-VALUES = st.one_of(
-    st.integers(-3, 6),
-    st.sampled_from([1.0, 2.5, -1.0, True, False, "a", "b", "v1", None]),
-)
-
-
-def _build_schema(family: str, size: int, seed: int) -> DatabaseSchema:
-    if family == "chain":
-        return chain_schema(size)
-    if family == "star":
-        return star_schema(max(size, 2))
-    return random_tree_schema(size, rng=seed)
-
-
-@st.composite
-def tree_instances(draw, max_states: int = 1):
-    """A tree schema, a target, and up to ``max_states`` random states."""
-    family = draw(st.sampled_from(["chain", "star", "random-tree"]))
-    size = draw(st.integers(1, 5))
-    schema = _build_schema(family, size, draw(st.integers(0, 10**6)))
-    attrs = schema.attributes.sorted_attributes()
-    target = RelationSchema(
-        draw(st.sets(st.sampled_from(list(attrs)), max_size=min(3, len(attrs))))
-    )
-
-    def draw_state() -> DatabaseState:
-        relations = []
-        for relation_schema in schema.relations:
-            width = len(relation_schema.sorted_attributes())
-            rows = draw(
-                st.lists(st.tuples(*([VALUES] * width)), min_size=0, max_size=6)
-            )
-            relations.append(Relation(relation_schema, rows))
-        return DatabaseState(schema, relations)
-
-    states = [draw_state()]
-    while len(states) < max_states:
-        if draw(st.booleans()):
-            states.append(states[draw(st.integers(0, len(states) - 1))])
-        else:
-            states.append(draw_state())
-    return schema, target, states
-
-
-def _mixed_value_instance():
-    """Strings, ``None``, floats and an int past int64 in every relation:
-    values no int64 column encoding can carry, shipped to the workers."""
-    schema = chain_schema(3)
-    states = [
-        DatabaseState(
-            schema,
-            [
-                Relation(relation, [("a", 1), (None, 2.5), (1 << 70, index)])
-                for relation in schema.relations
-            ],
-        )
-        for index in range(3)
-    ]
-    return schema, RelationSchema({"x0", "x3"}), states
+from strategies import instances
 
 
 @pytest.fixture(scope="module")
@@ -121,25 +52,24 @@ def _assert_parallel_matches_classic(classic_runs, parallel_runs) -> None:
 
 class TestParallelEquivalence:
     @settings(max_examples=20, deadline=None)
-    @given(tree_instances(max_states=6))
-    @example(_mixed_value_instance())
+    @given(instances("tree", max_states=6))
     def test_parallel_matches_classic_in_input_order(self, pool, instance):
         """Random tree schemas/states (empty relations, dangling tuples,
         mixed value types, repeated states): parallel ≡ classic, and the
         ``i``-th run answers the ``i``-th input state."""
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
+        prepared = instance.prepare()
+        states = instance.states
         classic_runs = prepared.execute_many(states, backend="classic")
         parallel_runs = pool.execute_many(prepared, states)
         _assert_parallel_matches_classic(classic_runs, parallel_runs)
 
     @settings(max_examples=10, deadline=None)
-    @given(tree_instances(max_states=3))
+    @given(instances("tree", max_states=3))
     def test_one_shot_backend_kwarg(self, instance):
         """``execute_many(backend="parallel", workers=N)`` without a reusable
         executor: same answers, one-shot pool per call."""
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
+        prepared = instance.prepare()
+        states = instance.states
         classic_runs = prepared.execute_many(states, backend="classic")
         parallel_runs = prepared.execute_many(
             states, backend="parallel", workers=2

@@ -1,8 +1,12 @@
-"""Tests for :class:`PreparedQuery`: plan-once / execute-many semantics."""
+"""Tests for :class:`PreparedQuery`: plan-once / execute-many semantics.
+
+``execute``, ``execute_many`` and the ``yannakakis()`` wrapper are checked
+against ``naive_join_project`` in the oracle matrix
+(``tests/test_oracle_matrix.py``); this suite pins planning reuse,
+validation, index sharing and backend routing.
+"""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
@@ -16,83 +20,16 @@ from repro.hypergraph import (
     chain_schema,
     find_qual_tree,
     parse_schema,
-    random_tree_schema,
     star_schema,
 )
-from repro.relational import (
-    DatabaseState,
-    Relation,
-    naive_join_project,
-    numpy_available,
-)
-from repro.relational.universal import random_database_state, random_ur_database
-
-FAMILIES = [
-    pytest.param(lambda size, seed: chain_schema(size), id="chain"),
-    pytest.param(lambda size, seed: star_schema(size), id="star"),
-    pytest.param(lambda size, seed: random_tree_schema(size, rng=seed), id="random-tree"),
-]
+from repro.relational import DatabaseState, Relation, numpy_available
+from repro.relational.universal import random_ur_database
 
 
-def _random_target(schema, rng) -> RelationSchema:
-    attributes = schema.attributes.sorted_attributes()
-    count = rng.randint(1, min(3, len(attributes)))
-    return RelationSchema(rng.sample(attributes, count))
-
-
-class TestEquivalence:
-    """``PreparedQuery.execute`` ≡ ``yannakakis`` ≡ ``naive_join_project``."""
-
-    @pytest.mark.parametrize("build", FAMILIES)
-    @pytest.mark.parametrize("seed", range(5))
-    def test_ur_states(self, build, seed):
-        rng = random.Random(seed)
-        schema = build(rng.randint(2, 6), seed)
-        target = _random_target(schema, rng)
-        state = random_ur_database(schema, tuple_count=25, domain_size=4, rng=seed)
-        run = analyze(schema).prepare(target).execute(state)
-        wrapper = yannakakis(schema, target, state)
-        baseline, naive_max = naive_join_project(schema, target, state)
-        assert run.result == wrapper.result == baseline
-        assert run.semijoin_count == wrapper.semijoin_count
-        assert run.join_count == wrapper.join_count
-        assert run.max_intermediate_size == wrapper.max_intermediate_size
-        assert run.max_intermediate_size <= max(naive_max, state.total_rows(), 1)
-
-    @pytest.mark.parametrize("build", FAMILIES)
-    @pytest.mark.parametrize("seed", range(5))
-    def test_non_ur_states(self, build, seed):
-        rng = random.Random(100 + seed)
-        schema = build(rng.randint(2, 6), seed)
-        target = _random_target(schema, rng)
-        state = random_database_state(schema, tuple_count=12, domain_size=3, rng=seed)
-        run = analyze(schema).prepare(target).execute(state)
-        baseline, _ = naive_join_project(schema, target, state)
-        assert run.result == baseline
-
-    @pytest.mark.parametrize("build", FAMILIES)
-    def test_full_universe_target(self, build):
-        schema = build(4, 7)
-        target = RelationSchema(schema.attributes)
-        state = random_ur_database(schema, tuple_count=15, domain_size=3, rng=7)
-        run = analyze(schema).prepare(target).execute(state)
-        baseline, _ = naive_join_project(schema, target, state)
-        assert run.result == baseline
-
-    def test_execute_many_matches_execute(self):
-        schema = chain_schema(4)
-        target = RelationSchema({"x0", "x4"})
-        states = [
-            random_ur_database(schema, tuple_count=15, domain_size=4, rng=seed)
-            for seed in range(8)
-        ]
-        prepared = analyze(schema).prepare(target)
-        many = prepared.execute_many(states)
-        assert [run.result for run in many] == [
-            prepared.execute(state).result for state in states
-        ]
-        # The empty schema is a true batch too: one shared ExecutionStats,
-        # repeated states executed once.
+class TestEmptySchemaBatch:
+    def test_execute_many_on_the_empty_schema(self):
+        """The empty schema is a true batch too: one shared ExecutionStats,
+        repeated states executed once."""
         empty = PreparedQuery(parse_schema(""), RelationSchema(()))
         state = DatabaseState(parse_schema(""), [])
         for backend in ("auto", "compiled", "vectorized"):
@@ -422,12 +359,6 @@ class TestCompiledBackendRouting:
         prepared.execute(self._state(schema))
         prepared.reset_compiled()
         assert prepared.compiled is not plan
-
-    def test_runs_compare_equal_across_backends(self):
-        schema = chain_schema(4)
-        prepared = analyze(schema).prepare(RelationSchema({"x0", "x4"}))
-        state = self._state(schema, seed=3)
-        assert prepared.execute(state, backend="classic") == prepared.execute(state)
 
 
 class TestCompiledIndexAmortization:

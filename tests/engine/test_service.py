@@ -9,7 +9,7 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.engine import QueryService, analyze, clear_analysis_cache
 from repro.engine import faults
@@ -17,59 +17,10 @@ from repro.engine import service as service_module
 from repro.engine.prepared import resolve_backend_for
 from repro.engine.service import StreamItem
 from repro.exceptions import AdmissionError, ShardExecutionError
-from repro.hypergraph import (
-    DatabaseSchema,
-    RelationSchema,
-    chain_schema,
-    random_tree_schema,
-    star_schema,
-)
+from repro.hypergraph import RelationSchema, chain_schema
 from repro.relational import DatabaseState, Relation
 from repro.relational.universal import random_ur_database
-
-#: Mirrors the strategy of tests/engine/test_parallel.py (the test tree has
-#: no packages, so the strategy is restated rather than imported).
-VALUES = st.one_of(
-    st.integers(-3, 6),
-    st.sampled_from([1.0, 2.5, -1.0, True, False, "a", "b", "v1", None]),
-)
-
-
-def _build_schema(family: str, size: int, seed: int) -> DatabaseSchema:
-    if family == "chain":
-        return chain_schema(size)
-    if family == "star":
-        return star_schema(max(size, 2))
-    return random_tree_schema(size, rng=seed)
-
-
-@st.composite
-def tree_instances(draw, max_states: int = 1):
-    family = draw(st.sampled_from(["chain", "star", "random-tree"]))
-    size = draw(st.integers(1, 4))
-    schema = _build_schema(family, size, draw(st.integers(0, 10**6)))
-    attrs = schema.attributes.sorted_attributes()
-    target = RelationSchema(
-        draw(st.sets(st.sampled_from(list(attrs)), max_size=min(3, len(attrs))))
-    )
-
-    def draw_state() -> DatabaseState:
-        relations = []
-        for relation_schema in schema.relations:
-            width = len(relation_schema.sorted_attributes())
-            rows = draw(
-                st.lists(st.tuples(*([VALUES] * width)), min_size=0, max_size=5)
-            )
-            relations.append(Relation(relation_schema, rows))
-        return DatabaseState(schema, relations)
-
-    states = [draw_state()]
-    while len(states) < max_states:
-        if draw(st.booleans()):
-            states.append(states[draw(st.integers(0, len(states) - 1))])
-        else:
-            states.append(draw_state())
-    return schema, target, states
+from strategies import instances
 
 
 def _states(schema, count, *, rows=3, salt=0):
@@ -114,23 +65,15 @@ def _poison_armed(mode="always"):
 
 
 class TestEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(tree_instances(max_states=5))
-    def test_submit_auto_matches_classic(self, service, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
-        classic = prepared.execute_many(states, backend="classic")
-        handle = service.submit(prepared, states)
-        runs = handle.result(timeout=120)
-        assert [run.result for run in runs] == [run.result for run in classic]
-        assert handle.decision.backend in ("compiled", "parallel")
-        assert handle.done()
+    """Serial backends through ``submit`` and ``stream`` are cells of the
+    oracle matrix (``tests/test_oracle_matrix.py``); the process pool stays
+    here with the rest of the pool's tests."""
 
     @settings(max_examples=8, deadline=None)
-    @given(tree_instances(max_states=4))
+    @given(instances("tree"))
     def test_submit_parallel_override_matches_classic(self, service, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
+        prepared = instance.prepare()
+        states = instance.states
         classic = prepared.execute_many(states, backend="classic")
         handle = service.submit(prepared, states, backend="parallel")
         runs = handle.result(timeout=120)
@@ -138,21 +81,6 @@ class TestEquivalence:
         assert handle.decision.backend == "parallel"
         assert handle.decision.rule in ("override", "override-degenerate")
         assert all(run.backend == "parallel" for run in runs)
-
-    @settings(max_examples=15, deadline=None)
-    @given(tree_instances(max_states=6))
-    def test_stream_indices_reassemble_to_classic(self, service, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
-        classic = prepared.execute_many(states, backend="classic")
-        streamed = service.stream(prepared, states)
-        items = list(streamed)
-        assert sorted(item.index for item in items) == list(range(len(states)))
-        assert all(item.ok for item in items)
-        by_index = {item.index: item.run for item in items}
-        assert [by_index[i].result for i in range(len(states))] == [
-            run.result for run in classic
-        ]
 
     def test_execute_many_is_submit_plus_result(self, service, prepared):
         states = _states(prepared.schema, 3)

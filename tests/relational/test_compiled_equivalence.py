@@ -1,80 +1,26 @@
-"""Property-based tests: the compiled row-program backend ≡ the classic
-object-tuple operators on every exposed entry point.
+"""Pinned value-semantics and plan-API tests of the compiled row-program
+backend.
 
-The classic executor (``backend="classic"``) is the retained oracle — it is
-itself property-tested against ``naive_join_project`` — and shares no
-execution code with :mod:`repro.relational.compiled`: no positional step
-programs, no cached key indexes.  Agreement on random tree
-schemas and random states (empty relations, dangling tuples, mixed value
-types across the numeric tower, repeated relations across states) is strong
-evidence the compilation is faithful.
+The random equivalence checks — every entry point on every backend against
+``naive_join_project`` — live in the oracle matrix
+(``tests/test_oracle_matrix.py``).  What stays here are the hand-built
+cases that pin *why* the kernel answers as it does: batch dedupe by state
+object, nullary relation slots, and the plan's direct API.  (The matrix's
+pinned ``own-values`` case holds each answer to its own state's values.)
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.engine import analyze, clear_analysis_cache
+from repro.engine import analyze
 from repro.hypergraph import (
     DatabaseSchema,
     RelationSchema,
     chain_schema,
     parse_schema,
-    random_tree_schema,
-    star_schema,
 )
-from repro.relational import DatabaseState, Relation, numpy_available, yannakakis
-
-#: Value pool spanning the numeric tower (1 == 1.0 == True) plus strings and
-#: None, so equal values of different types meet in keys and joins.
-VALUES = st.one_of(
-    st.integers(-3, 6),
-    st.sampled_from([1.0, 2.5, -1.0, True, False, "a", "b", "v1", None]),
-)
-
-
-def _build_schema(family: str, size: int, seed: int) -> DatabaseSchema:
-    if family == "chain":
-        return chain_schema(size)
-    if family == "star":
-        return star_schema(max(size, 2))
-    return random_tree_schema(size, rng=seed)
-
-
-@st.composite
-def tree_instances(draw, max_states: int = 1):
-    """A tree schema, a target, and ``max_states`` random (possibly
-    repeated) states with independently sized relations."""
-    family = draw(st.sampled_from(["chain", "star", "random-tree"]))
-    size = draw(st.integers(1, 5))
-    schema = _build_schema(family, size, draw(st.integers(0, 10**6)))
-    attrs = schema.attributes.sorted_attributes()
-    target = RelationSchema(
-        draw(st.sets(st.sampled_from(list(attrs)), max_size=min(3, len(attrs))))
-    )
-
-    def draw_state() -> DatabaseState:
-        relations = []
-        for relation_schema in schema.relations:
-            width = len(relation_schema.sorted_attributes())
-            rows = draw(
-                st.lists(st.tuples(*([VALUES] * width)), min_size=0, max_size=8)
-            )
-            relations.append(Relation(relation_schema, rows))
-        return DatabaseState(schema, relations)
-
-    states = [draw_state()]
-    while len(states) < max_states:
-        if draw(st.booleans()):
-            # Repeat an earlier state object: the batch paths must amortize
-            # (and stay correct) when relations recur across states.
-            states.append(states[draw(st.integers(0, len(states) - 1))])
-        else:
-            states.append(draw_state())
-    return schema, target, states
+from repro.relational import DatabaseState, Relation
 
 
 def _assert_runs_agree(classic, compiled) -> None:
@@ -86,74 +32,7 @@ def _assert_runs_agree(classic, compiled) -> None:
     assert compiled.backend == "compiled"
 
 
-class TestExecuteEquivalence:
-    @settings(max_examples=80, deadline=None)
-    @given(tree_instances())
-    def test_execute_matches_classic(self, instance):
-        schema, target, (state,) = instance
-        prepared = analyze(schema).prepare(target)
-        classic = prepared.execute(state, backend="classic")
-        compiled = prepared.execute(state, backend="compiled")
-        _assert_runs_agree(classic, compiled)
-
-    @settings(max_examples=40, deadline=None)
-    @given(tree_instances(max_states=4))
-    def test_execute_many_matches_classic(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
-        classic_runs = prepared.execute_many(states, backend="classic")
-        compiled_runs = prepared.execute_many(states, backend="compiled")
-        assert len(classic_runs) == len(compiled_runs)
-        for classic, compiled in zip(classic_runs, compiled_runs):
-            _assert_runs_agree(classic, compiled)
-        # One shared stats object describes the whole batch; repeated states
-        # are deduplicated rather than re-executed.
-        stats_ids = {id(run.stats) for run in compiled_runs}
-        assert len(stats_ids) == 1
-        stats = compiled_runs[0].stats
-        assert stats.states + stats.deduped_states == len(states)
-
-    @settings(max_examples=40, deadline=None)
-    @given(tree_instances())
-    def test_yannakakis_wrapper_routes_backends(self, instance):
-        schema, target, (state,) = instance
-        classic = yannakakis(schema, target, state, backend="classic")
-        compiled = yannakakis(schema, target, state, backend="compiled")
-        _assert_runs_agree(classic, compiled)
-
-    @settings(max_examples=30, deadline=None)
-    @given(tree_instances())
-    def test_fresh_plan_equivalence(self, instance):
-        """Cold path: a fresh analysis (and thus a fresh interner) per call."""
-        schema, target, (state,) = instance
-        clear_analysis_cache()
-        compiled = yannakakis(schema, target, state, backend="compiled")
-        clear_analysis_cache()
-        classic = yannakakis(schema, target, state, backend="classic")
-        _assert_runs_agree(classic, compiled)
-
-
 class TestEncodeDecodeRoundTrip:
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_decode_encode_round_trip(self, data):
-        """π_U(R) over the single-relation schema [R] is R itself, and the
-        compiled run computes it as decode(encode(R)) verbatim."""
-        attrs = data.draw(
-            st.sets(st.sampled_from(list("abcd")), min_size=1, max_size=3)
-        )
-        relation_schema = RelationSchema(attrs)
-        width = len(relation_schema.sorted_attributes())
-        rows = data.draw(
-            st.lists(st.tuples(*([VALUES] * width)), min_size=0, max_size=10)
-        )
-        relation = Relation(relation_schema, rows)
-        schema = DatabaseSchema([relation_schema])
-        prepared = analyze(schema).prepare(relation_schema)
-        run = prepared.execute(DatabaseState(schema, [relation]), backend="compiled")
-        assert run.backend == "compiled"
-        assert run.result == relation
-
     def test_round_trip_returns_input_rows_without_interning(self):
         schema = DatabaseSchema([RelationSchema("ab")])
         prepared = analyze(schema).prepare(RelationSchema("ab"))
@@ -182,42 +61,6 @@ def _cells(relation):
 
 
 class TestValueSemantics:
-    def test_numeric_tower_joins_across_relations(self):
-        schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
-        target = RelationSchema("ac")
-        prepared = analyze(schema).prepare(target)
-        state = DatabaseState(
-            schema,
-            [
-                Relation(schema[0], [(1, "x"), (2.0, "y"), (True, "z")]),
-                Relation(schema[1], [("x", 10), ("y", 2), ("z", 30)]),
-            ],
-        )
-        classic = prepared.execute(state, backend="classic")
-        compiled = prepared.execute(state, backend="compiled")
-        _assert_runs_agree(classic, compiled)
-        assert len(compiled.result) == 3
-
-    def test_answers_carry_the_states_own_values(self):
-        """Each answer holds the values of its own state, as classic's does:
-        equal values of another type that the plan met in an earlier state
-        never stand in for them."""
-        schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
-        prepared = analyze(schema).prepare(RelationSchema("ac"))
-        prepared.reset_compiled()  # a fresh plan
-        for a, c in ((1.0, "y"), (1, "y"), (True, "x")):
-            state = DatabaseState(
-                schema,
-                [
-                    Relation(schema[0], [(a, 0)]),
-                    Relation(schema[1], [(0, c)]),
-                ],
-            )
-            classic = prepared.execute(state, backend="classic")
-            compiled = prepared.execute(state, backend="compiled")
-            _assert_runs_agree(classic, compiled)
-            assert _cells(compiled.result) == _cells(classic.result)
-
     def test_batch_dedupe_keeps_equal_representations_apart(self):
         """A batch shares a run only between repeats of one state object:
         equal states of different representations (``1.0``, ``1``, ``True``)
@@ -277,64 +120,6 @@ class TestValueSemantics:
                 )
                 assert [_cells(run.result) for run in fed] == expected
 
-    def test_vectorized_answers_equal_classic_by_value(self):
-        """The vectorized kernel's documented contract on the same states:
-        its answers equal classic's by value (a dictionary-mode cell may be
-        an equal value of another type that the plan interned first)."""
-        if not numpy_available():
-            pytest.skip("the vectorized kernel requires numpy")
-        schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
-        prepared = analyze(schema).prepare(RelationSchema("ac"))
-        prepared.reset_compiled()  # a fresh plan
-        for a, c in ((1.0, "y"), (1, "y"), (True, "x")):
-            state = DatabaseState(
-                schema,
-                [
-                    Relation(schema[0], [(a, 0)]),
-                    Relation(schema[1], [(0, c)]),
-                ],
-            )
-            classic = prepared.execute(state, backend="classic")
-            vectorized = prepared.execute(state, backend="vectorized")
-            assert vectorized.result == classic.result
-            assert vectorized.max_intermediate_size == classic.max_intermediate_size
-
-    def test_identity_mode_pinned_then_strays_arrive(self):
-        """A plan that ran pure-int states first must still join later
-        states carrying equal floats, bools, and unrelated strings."""
-        schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
-        target = RelationSchema("ac")
-        prepared = analyze(schema).prepare(target)
-        first = DatabaseState(
-            schema,
-            [
-                Relation(schema[0], [(5, 1)]),
-                Relation(schema[1], [(1, 9)]),
-            ],
-        )
-        prepared.execute(first)
-        mixed = DatabaseState(
-            schema,
-            [
-                Relation(schema[0], [(5.0, True), ("s", 1)]),
-                Relation(schema[1], [(1.0, 9)]),
-            ],
-        )
-        classic = prepared.execute(mixed, backend="classic")
-        compiled = prepared.execute(mixed, backend="compiled")
-        _assert_runs_agree(classic, compiled)
-
-    def test_empty_relations_and_empty_target(self):
-        schema = chain_schema(3)
-        state = DatabaseState(
-            schema, [Relation(relation, []) for relation in schema.relations]
-        )
-        prepared = analyze(schema).prepare(RelationSchema(()))
-        classic = prepared.execute(state, backend="classic")
-        compiled = prepared.execute(state, backend="compiled")
-        _assert_runs_agree(classic, compiled)
-        assert len(compiled.result) == 0
-
     def test_nullary_relation_slot(self):
         """A relation schema over no attributes exercises the empty-shared
         semijoin and join paths."""
@@ -349,35 +134,6 @@ class TestValueSemantics:
                     Relation(schema[1], nullary_rows),
                 ],
             )
-            classic = prepared.execute(state, backend="classic")
-            compiled = prepared.execute(state, backend="compiled")
-            _assert_runs_agree(classic, compiled)
-
-    def test_dangling_tuples_random_states(self):
-        rng = random.Random(20260729)
-        for _ in range(25):
-            schema = _build_schema(
-                rng.choice(["chain", "star", "random-tree"]),
-                rng.randint(2, 5),
-                rng.randint(0, 10**6),
-            )
-            attrs = schema.attributes.sorted_attributes()
-            target = RelationSchema(rng.sample(attrs, min(2, len(attrs))))
-            relations = [
-                Relation(
-                    relation_schema,
-                    [
-                        tuple(
-                            rng.randrange(4)
-                            for _ in relation_schema.sorted_attributes()
-                        )
-                        for _ in range(rng.randrange(0, 12))
-                    ],
-                )
-                for relation_schema in schema.relations
-            ]
-            state = DatabaseState(schema, relations)
-            prepared = analyze(schema).prepare(target)
             classic = prepared.execute(state, backend="classic")
             compiled = prepared.execute(state, backend="compiled")
             _assert_runs_agree(classic, compiled)
@@ -403,8 +159,6 @@ class TestCompiledStateApi:
         assert first.result == prepared.execute(state, backend="classic").result
 
     def test_wrong_schema_rejected(self):
-        import pytest
-
         from repro.exceptions import SchemaError
 
         schema = chain_schema(3)

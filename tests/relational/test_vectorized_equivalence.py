@@ -1,15 +1,13 @@
-"""Property-based tests: the array-backed vectorized backend ≡ the classic
-object-tuple operators on every exposed entry point.
+"""The array-backed vectorized kernel: stats parity with compiled, its
+value semantics, and the fused root join.
 
-The classic executor (``backend="classic"``) is the retained oracle — it
-shares no execution code with :mod:`repro.relational.vectorized`: no
-interning, no code arrays, no membership masks or gather joins.  Agreement
-on random tree schemas and random states (empty relations, dangling tuples,
-mixed value types across the numeric tower, repeated states) is strong
-evidence the vectorization is faithful.  The suite also pins the vectorized
-backend to the *compiled* backend's execution accounting (stats parity), and
-re-runs the core equivalence with numpy masked out, where every vectorized
-request resolves to the compiled backend.
+The random equivalence checks — every entry point on every backend,
+numpy-blocked included, against ``naive_join_project`` — live in the oracle
+matrix (``tests/test_oracle_matrix.py``).  This suite pins what the matrix
+does not see: the vectorized kernel reproduces the *compiled* backend's
+execution accounting (stats parity), promotes identity columns to
+dictionary mode when a value int64 cannot hold arrives, keeps strings that
+differ only in trailing NULs apart, and fuses the last root join.
 """
 
 from __future__ import annotations
@@ -17,17 +15,16 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import repro.relational.vectorized as vectorized_module
-from repro.engine import analyze, clear_analysis_cache, resolve_backend
+from repro.engine import analyze, resolve_backend
 from repro.hypergraph import (
     DatabaseSchema,
     RelationSchema,
     chain_schema,
     parse_schema,
     random_tree_schema,
-    star_schema,
 )
 from repro.relational import (
     CompiledPlan,
@@ -37,55 +34,7 @@ from repro.relational import (
     numpy_available,
 )
 from repro.relational.compiled import ExecutionStats
-
-#: Value pool spanning the numeric tower (1 == 1.0 == True) plus strings and
-#: None — both interner modes — extended with an int64-overflowing integer
-#: and a tuple value so the identity→dictionary promotion path runs too.
-VALUES = st.one_of(
-    st.integers(-3, 6),
-    st.sampled_from(
-        [1.0, 2.5, -1.0, True, False, "a", "b", "v1", None, 1 << 70, (1, 2)]
-    ),
-)
-
-
-def _build_schema(family: str, size: int, seed: int) -> DatabaseSchema:
-    if family == "chain":
-        return chain_schema(size)
-    if family == "star":
-        return star_schema(max(size, 2))
-    return random_tree_schema(size, rng=seed)
-
-
-@st.composite
-def tree_instances(draw, max_states: int = 1):
-    """A tree schema, a target, and ``max_states`` random (possibly
-    repeated) states with independently sized relations."""
-    family = draw(st.sampled_from(["chain", "star", "random-tree"]))
-    size = draw(st.integers(1, 5))
-    schema = _build_schema(family, size, draw(st.integers(0, 10**6)))
-    attrs = schema.attributes.sorted_attributes()
-    target = RelationSchema(
-        draw(st.sets(st.sampled_from(list(attrs)), max_size=min(3, len(attrs))))
-    )
-
-    def draw_state() -> DatabaseState:
-        relations = []
-        for relation_schema in schema.relations:
-            width = len(relation_schema.sorted_attributes())
-            rows = draw(
-                st.lists(st.tuples(*([VALUES] * width)), min_size=0, max_size=8)
-            )
-            relations.append(Relation(relation_schema, rows))
-        return DatabaseState(schema, relations)
-
-    states = [draw_state()]
-    while len(states) < max_states:
-        if draw(st.booleans()):
-            states.append(states[draw(st.integers(0, len(states) - 1))])
-        else:
-            states.append(draw_state())
-    return schema, target, states
+from strategies import instances
 
 
 def _assert_runs_agree(classic, vectorized) -> None:
@@ -104,48 +53,7 @@ requires_numpy = pytest.mark.skipif(
 )
 
 
-class TestExecuteEquivalence:
-    @requires_numpy
-    @settings(max_examples=80, deadline=None)
-    @given(tree_instances())
-    def test_execute_matches_classic(self, instance):
-        schema, target, (state,) = instance
-        prepared = analyze(schema).prepare(target)
-        classic = prepared.execute(state, backend="classic")
-        run = prepared.execute(state, backend="vectorized")
-        _assert_runs_agree(classic, run)
-
-    @requires_numpy
-    @settings(max_examples=40, deadline=None)
-    @given(tree_instances(max_states=4))
-    def test_execute_many_matches_classic(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
-        classic_runs = prepared.execute_many(states, backend="classic")
-        runs = prepared.execute_many(states, backend="vectorized")
-        assert len(classic_runs) == len(runs)
-        for classic, run in zip(classic_runs, runs):
-            _assert_runs_agree(classic, run)
-        # One shared stats object describes the whole batch; repeated states
-        # are deduplicated rather than re-executed.
-        stats_ids = {id(run.stats) for run in runs}
-        assert len(stats_ids) == 1
-        stats = runs[0].stats
-        assert stats.states + stats.deduped_states == len(states)
-
-    @requires_numpy
-    @settings(max_examples=30, deadline=None)
-    @given(tree_instances())
-    def test_fresh_plan_equivalence(self, instance):
-        """Cold path: a fresh analysis (and thus a fresh interner) per call."""
-        schema, target, (state,) = instance
-        clear_analysis_cache()
-        prepared = analyze(schema).prepare(target)
-        run = prepared.execute(state, backend="vectorized")
-        clear_analysis_cache()
-        classic = analyze(schema).prepare(target).execute(state, backend="classic")
-        _assert_runs_agree(classic, run)
-
+class TestAutoGate:
     def test_auto_prefers_vectorized_when_numpy_imports(self):
         schema = chain_schema(2)
         attrs = schema.attributes.sorted_attributes()
@@ -176,10 +84,10 @@ class TestCompiledStatsParity:
     per-slot totals still reconcile."""
 
     @settings(max_examples=50, deadline=None)
-    @given(tree_instances(max_states=3))
+    @given(instances("tree", max_states=3))
     def test_stats_match_compiled(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
+        states = instance.states
+        prepared = instance.prepare()
         vplan = VectorizedPlan(prepared)
         cplan = CompiledPlan(prepared)
         vstats, cstats = ExecutionStats(), ExecutionStats()
@@ -205,60 +113,22 @@ class TestCompiledStatsParity:
 
 
 class TestWithoutNumpy:
-    """numpy masked out: the array kernel is unavailable, so every backend
-    name that would reach it resolves to compiled — and computes exactly
-    what the classic operators compute, int64-overflowing values included."""
+    """numpy masked out: the array kernel cannot be built, and every backend
+    name that would reach it resolves to compiled (the oracle matrix's
+    ``numpy-blocked`` column checks the answers)."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(tree_instances(max_states=2))
-    def test_vectorized_requests_run_compiled(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
-        classic_runs = prepared.execute_many(states, backend="classic")
-        big_schema = DatabaseSchema([RelationSchema("ab")])
-        big_prepared = analyze(big_schema).prepare(RelationSchema("ab"))
-        big = DatabaseState(
-            big_schema, [Relation(big_schema[0], [(1 << 70, 2), (1, 2)])]
-        )
-        saved = vectorized_module._np
-        vectorized_module._np = None
-        try:
-            assert not numpy_available()
-            assert resolve_backend("vectorized") == "compiled"
-            assert resolve_backend("auto") == "compiled"
-            with pytest.raises(ImportError):
-                VectorizedPlan(prepared)
-            runs = prepared.execute_many(states, backend="vectorized")
-            big_run = big_prepared.execute_many([big], backend="vectorized")[0]
-        finally:
-            vectorized_module._np = saved
-        for classic, run in zip(classic_runs, runs):
-            assert run.result == classic.result
-            assert run.semijoin_count == classic.semijoin_count
-            assert run.join_count == classic.join_count
-            assert run.max_intermediate_size == classic.max_intermediate_size
-            assert run.backend == "compiled"
-        assert big_run.result == big.relations[0]
+    def test_array_kernel_unavailable(self, monkeypatch):
+        prepared = analyze(chain_schema(2)).prepare(RelationSchema({"x0"}))
+        monkeypatch.setattr(vectorized_module, "_np", None)
+        assert not numpy_available()
+        assert resolve_backend("vectorized") == "compiled"
+        assert resolve_backend("auto") == "compiled"
+        with pytest.raises(ImportError):
+            VectorizedPlan(prepared)
 
 
 @requires_numpy
 class TestValueSemantics:
-    def test_numeric_tower_joins_across_relations(self):
-        schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
-        target = RelationSchema("ac")
-        prepared = analyze(schema).prepare(target)
-        state = DatabaseState(
-            schema,
-            [
-                Relation(schema[0], [(1, "x"), (2.0, "y"), (True, "z")]),
-                Relation(schema[1], [("x", 10), ("y", 2), ("z", 30)]),
-            ],
-        )
-        classic = prepared.execute(state, backend="classic")
-        run = prepared.execute(state, backend="vectorized")
-        _assert_runs_agree(classic, run)
-        assert len(run.result) == 3
-
     def test_identity_pinned_then_promotion(self):
         """A plan that saw pure-int columns first must still join later
         states carrying values int64 cannot hold (promotion restart)."""
@@ -283,17 +153,6 @@ class TestValueSemantics:
         _assert_runs_agree(classic, run)
         assert plan.mode_promotions >= 1
 
-    def test_empty_relations_and_empty_target(self):
-        schema = chain_schema(3)
-        state = DatabaseState(
-            schema, [Relation(relation, []) for relation in schema.relations]
-        )
-        prepared = analyze(schema).prepare(RelationSchema(()))
-        classic = prepared.execute(state, backend="classic")
-        run = prepared.execute(state, backend="vectorized")
-        _assert_runs_agree(classic, run)
-        assert len(run.result) == 0
-
     def test_nullary_relation_slot(self):
         schema = DatabaseSchema([RelationSchema("ab"), RelationSchema(())])
         target = RelationSchema("ab")
@@ -306,35 +165,6 @@ class TestValueSemantics:
                     Relation(schema[1], nullary_rows),
                 ],
             )
-            classic = prepared.execute(state, backend="classic")
-            run = prepared.execute(state, backend="vectorized")
-            _assert_runs_agree(classic, run)
-
-    def test_dangling_tuples_random_states(self):
-        rng = random.Random(20260808)
-        for _ in range(25):
-            schema = _build_schema(
-                rng.choice(["chain", "star", "random-tree"]),
-                rng.randint(2, 5),
-                rng.randint(0, 10**6),
-            )
-            attrs = schema.attributes.sorted_attributes()
-            target = RelationSchema(rng.sample(attrs, min(2, len(attrs))))
-            relations = [
-                Relation(
-                    rs,
-                    [
-                        tuple(
-                            rng.randrange(4)
-                            for _ in range(len(rs.sorted_attributes()))
-                        )
-                        for _ in range(rng.randint(0, 10))
-                    ],
-                )
-                for rs in schema.relations
-            ]
-            state = DatabaseState(schema, relations)
-            prepared = analyze(schema).prepare(target)
             classic = prepared.execute(state, backend="classic")
             run = prepared.execute(state, backend="vectorized")
             _assert_runs_agree(classic, run)
@@ -515,11 +345,9 @@ class TestFusedRootJoin:
         assert emitted == []
 
     @settings(max_examples=80, deadline=None)
-    @given(tree_instances(), st.integers(0, 10))
-    def test_random_tree_schemas(self, instance, root_pick):
-        schema, target, (state,) = instance
-        roots = [None] + list(range(len(schema)))
-        prepared = analyze(schema).prepare(target, root=roots[root_pick % len(roots)])
+    @given(instances("tree", max_states=1))
+    def test_random_tree_schemas(self, instance):
+        prepared = instance.prepare()
         if VectorizedPlan(prepared)._fused is None:
             return
-        _assert_fused_matches(prepared, state)
+        _assert_fused_matches(prepared, instance.states[0])
